@@ -134,16 +134,10 @@ def classify(poset: PrimePoset, filt: SpFiltration) -> dict[str, bool]:
     """
     base = poset.base
     truncated = all(
-        _is_antichain(base, filt.difference(i)) for i in range(filt.n)
+        base.subspace(filt.difference(i)).is_discrete() for i in range(filt.n)
     )
-    is_slice = truncated and _is_antichain(base, filt.level(filt.n - 1))
+    is_slice = truncated and base.subspace(filt.level(filt.n - 1)).is_discrete()
     return {"intermediate": True, "slice": is_slice, "truncated_slice": truncated}
-
-
-def _is_antichain(base, subset: frozenset[str]) -> bool:
-    return not any(
-        p != q and (p, q) in base.relation for p in subset for q in subset
-    )
 
 
 def height_filtration(poset: PrimePoset) -> SpFiltration:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from . import filtration as spf
-from .poset import Order, longest_chain
+from .poset import Order, bits, longest_chain, transitive_closure
 from .spectra import COHERENT, NOT_COHERENT, UNDETERMINED, PrimePoset
 
 POLICY_ERROR = "error"
@@ -60,7 +60,7 @@ class ClosureOrder:
     provenance: tuple[str, ...]
 
     def refines_inclusion(self, poset: PrimePoset) -> bool:
-        return self.order.relation <= poset.base.relation
+        return self.order.refines(poset.base)
 
 
 @dataclass(frozen=True)
@@ -72,9 +72,9 @@ class BoundedOrder:
     exact: bool
 
     def __post_init__(self) -> None:
-        if not self.lower.order.relation <= self.upper.order.relation:
+        if not self.lower.order.refines(self.upper.order):
             raise ValueError("lower bound exceeds upper bound")
-        if self.exact and self.lower.order.relation != self.upper.order.relation:
+        if self.exact and self.lower.order != self.upper.order:
             raise ValueError("exact flag set but bounds differ")
 
 
@@ -118,52 +118,44 @@ def onestep_order(
     _check_policy(policy)
     V0 = frozenset(V0)
     base = poset.base
-    universe = frozenset(base.elements)
-    if not V0 or V0 == universe:
+    if not V0 or V0 == frozenset(base.elements):
         return ClosureOrder(base, (RULE_STANDARD, "shift"))
     if not base.is_upper_set(V0):
         raise spf.NotSpecializationClosed(0)
 
-    pairs = set()
-    for p, q in base.relation:
-        if (p in V0) == (q in V0):
-            pairs.add((p, q))
+    v, els = base.mask(V0), base.elements
+    up = []
+    for i, row in enumerate(base.up):
+        if v >> i & 1:  # everything above a point of V0 is in V0
+            up.append(row)
             continue
-        if p in V0:  # p below q with p in V0 forces q in V0; unreachable
-            raise AssertionError("upper-set invariant broken")
-        verdict = poset.coherent_complement(p, q, V0).verdict
-        if verdict == UNDETERMINED:
-            if policy == POLICY_ERROR:
-                raise UndeterminedCoherence(p, q)
-            verdict = COHERENT if policy == POLICY_ASSUME_COHERENT else NOT_COHERENT
-        if verdict == NOT_COHERENT:
-            pairs.add((p, q))
-    closed = _transitive_closure(pairs)
-    if closed != pairs:
+        kept = row & ~v
+        for j in bits(row & v):
+            verdict = poset.coherent_complement(els[i], els[j], V0).verdict
+            if verdict == UNDETERMINED:
+                if policy == POLICY_ERROR:
+                    raise UndeterminedCoherence(els[i], els[j])
+                verdict = COHERENT if policy == POLICY_ASSUME_COHERENT else NOT_COHERENT
+            if verdict == NOT_COHERENT:
+                kept |= 1 << j
+        up.append(kept)
+    up = tuple(up)
+    if transitive_closure(up) != up:
         raise AssertionError(
             "one-step relation not transitively closed; the coherence data is "
             "inconsistent with a ring"
         )
-    label = "{" + ",".join(sorted(V0)) + "}"
-    return ClosureOrder(
-        Order(base.elements, frozenset(pairs)), (f"{RULE_ONESTEP} at {label}",)
-    )
+    return ClosureOrder(Order(base.elements, up), (f"{RULE_ONESTEP} at {_label(V0)}",))
 
 
 def mutate_discrete(co: ClosureOrder, E: Iterable[str]) -> ClosureOrder:
     """Mutation at a closed discrete class: its points become clopen and
     isolated, everything else keeps its order."""
     E = frozenset(E)
-    order = co.order
-    if not order.is_lower_set(E):
-        raise NotClosed(f"{sorted(E)} is not closed in the current order")
-    if not order.subspace(E).is_discrete():
+    _require_closed(co.order, E)
+    if not co.order.subspace(E).is_discrete():
         raise NotDiscrete(f"{sorted(E)} is not a discrete subspace")
-    pairs = frozenset((p, q) for (p, q) in order.relation if p == q or p not in E)
-    label = "{" + ",".join(sorted(E)) + "}"
-    return ClosureOrder(
-        Order(order.elements, pairs), co.provenance + (f"{RULE_DISCRETE} at {label}",)
-    )
+    return ClosureOrder(_split(co.order, E), co.provenance + (f"{RULE_DISCRETE} at {_label(E)}",))
 
 
 def mutate_perfect(co: ClosureOrder, E: Iterable[str]) -> ClosureOrder:
@@ -176,16 +168,8 @@ def mutate_perfect(co: ClosureOrder, E: Iterable[str]) -> ClosureOrder:
     plain and embedding-strength perfectness.
     """
     E = frozenset(E)
-    order = co.order
-    if not order.is_lower_set(E):
-        raise NotClosed(f"{sorted(E)} is not closed in the current order")
-    pairs = frozenset(
-        (p, q) for (p, q) in order.relation if p == q or (p in E) == (q in E)
-    )
-    label = "{" + ",".join(sorted(E)) + "}"
-    return ClosureOrder(
-        Order(order.elements, pairs), co.provenance + (f"{RULE_PERFECT} at {label}",)
-    )
+    _require_closed(co.order, E)
+    return ClosureOrder(_split(co.order, E), co.provenance + (f"{RULE_PERFECT} at {_label(E)}",))
 
 
 def mutate_general(
@@ -199,28 +183,22 @@ def mutate_general(
     be maximal in the result (the ``forced_maximal`` pruning).
     """
     E = frozenset(E)
-    forced = frozenset(forced_maximal)
     order = co.order
-    if not order.is_lower_set(E):
-        raise NotClosed(f"{sorted(E)} is not closed in the current order")
-    within = {
-        (p, q) for (p, q) in order.relation if p == q or (p in E) == (q in E)
-    }
-    cross = {
-        (p, q) for (p, q) in order.relation
-        if p != q and p in E and q not in E and p not in forced
-    }
-    upper_pairs = _transitive_closure(within | cross)
-    label = "{" + ",".join(sorted(E)) + "}"
-    lower = ClosureOrder(
-        Order(order.elements, frozenset(within)),
-        co.provenance + (f"{RULE_BOUNDED} at {label} (lower)",),
+    _require_closed(order, E)
+    lower = _split(order, E)
+    e = order.mask(E)
+    crossing = e & ~order.mask(forced_maximal)
+    upper = transitive_closure([
+        kept | (row & ~e if crossing >> i & 1 else 0)
+        for i, (kept, row) in enumerate(zip(lower.up, order.up))
+    ])
+    label = _label(E)
+    return BoundedOrder(
+        ClosureOrder(lower, co.provenance + (f"{RULE_BOUNDED} at {label} (lower)",)),
+        ClosureOrder(Order(order.elements, upper),
+                     co.provenance + (f"{RULE_BOUNDED} at {label} (upper)",)),
+        exact=lower.up == upper,
     )
-    upper = ClosureOrder(
-        Order(order.elements, frozenset(upper_pairs)),
-        co.provenance + (f"{RULE_BOUNDED} at {label} (upper)",),
-    )
-    return BoundedOrder(lower, upper, exact=within == upper_pairs)
 
 
 def chain_order(
@@ -335,17 +313,23 @@ def _check_policy(policy: str) -> None:
         raise ValueError(f"unknown policy {policy!r} (choose from {POLICIES})")
 
 
-def _transitive_closure(pairs: set[tuple[str, str]]) -> set[tuple[str, str]]:
-    closed = set(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for p, q in list(closed):
-            for r, s in list(closed):
-                if q == r and (p, s) not in closed:
-                    closed.add((p, s))
-                    changed = True
-    return closed
+def _label(S: frozenset[str]) -> str:
+    return "{" + ",".join(sorted(S)) + "}"
+
+
+def _require_closed(order: Order, E: frozenset[str]) -> None:
+    if not order.is_lower_set(E):
+        raise NotClosed(f"{sorted(E)} is not closed in the current order")
+
+
+def _split(order: Order, E: frozenset[str]) -> Order:
+    """Keep the relations inside E and inside its complement, drop the ones
+    that cross.  At a closed E this is the perfect rule, the discrete rule
+    when E is discrete, and the lower bound of the general bracket."""
+    e = order.mask(E)
+    return Order(order.elements, tuple(
+        row & (e if e >> i & 1 else ~e) for i, row in enumerate(order.up)
+    ))
 
 
 def _record(

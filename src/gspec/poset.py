@@ -2,8 +2,10 @@
 
 A finite T0 Alexandrov space *is* a finite poset: open sets are the upper
 sets of the closure order, closed sets the lower sets.  Everything in this
-module is exact and small enough to enumerate, so the representation is the
-full reflexive-transitive relation, computed once at construction time.
+module is exact and small enough to enumerate.  An order is stored as one
+bitmask per point over the sorted point indices: the point's up-set, which
+is its minimal open set.  Down-sets, the name index and the pair relation
+are derived from the masks on first use.
 
 Points are opaque string identifiers.  All deterministic outputs sort
 points lexicographically so that repeated runs are byte-identical.
@@ -12,8 +14,8 @@ points lexicographically so that repeated runs are byte-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence
 
 DEFAULT_ENUMERATION_BOUND = 16
 
@@ -31,85 +33,127 @@ class SizeExceeded(Exception):
     """The order is too large for exhaustive closed-set enumeration."""
 
 
+def bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class Order:
-    """A finite partial order, stored transitively and reflexively closed.
+    """A finite partial order, stored as per-point up-set bitmasks.
 
-    ``elements`` is the sorted tuple of point names and ``relation`` the full
-    set of pairs ``(p, q)`` with ``p <= q``.  Instances are immutable; every
-    derived object is a fresh value.
+    ``elements`` is the sorted tuple of point names; bit ``j`` of ``up[i]``
+    is set exactly when ``elements[i] <= elements[j]``.  Instances are
+    immutable; every derived object is a fresh value.
     """
 
     elements: tuple[str, ...]
-    relation: frozenset[tuple[str, str]]
+    up: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        els = self.elements
+        els, up = self.elements, self.up
         if list(els) != sorted(set(els)):
             raise ValueError("elements must be a sorted tuple of distinct names")
-        eset = set(els)
-        for p, q in self.relation:
-            if p not in eset or q not in eset:
-                raise ValueError(f"relation pair ({p!r}, {q!r}) outside elements")
-        rel = self.relation
-        for p in els:
-            if (p, p) not in rel:
-                raise ValueError(f"relation not reflexive at {p!r}")
-        for p, q in rel:
-            if p != q and (q, p) in rel:
-                raise ValueError(f"relation not antisymmetric on {p!r}, {q!r}")
-            for r, s in rel:
-                if q == r and (p, s) not in rel:
+        if len(up) != len(els) or any(m >> len(els) for m in up):
+            raise ValueError("need one up-set mask per element, within the elements")
+        # Transitive exactly when every up-set contains the up-sets of its members.
+        for i, m in enumerate(up):
+            if not m >> i & 1:
+                raise ValueError(f"relation not reflexive at {els[i]!r}")
+            for j in bits(m & ~(1 << i)):
+                if up[j] >> i & 1:
+                    raise ValueError(f"relation not antisymmetric on {els[i]!r}, {els[j]!r}")
+                if up[j] & ~m:
                     raise ValueError("relation not transitively closed")
+
+    @cached_property
+    def index(self) -> dict[str, int]:
+        """Position of each point name in ``elements``."""
+        return {p: i for i, p in enumerate(self.elements)}
+
+    @cached_property
+    def down(self) -> tuple[int, ...]:
+        """Per-point down-set masks (closures of the points)."""
+        down = [0] * len(self.elements)
+        for i, m in enumerate(self.up):
+            for j in bits(m):
+                down[j] |= 1 << i
+        return tuple(down)
+
+    @cached_property
+    def relation(self) -> frozenset[tuple[str, str]]:
+        """All pairs ``(p, q)`` with ``p <= q``: for output and pair-based checks."""
+        els = self.elements
+        return frozenset((els[i], els[j]) for i, m in enumerate(self.up) for j in bits(m))
+
+    # -- masks --------------------------------------------------------------
+
+    @property
+    def full_mask(self) -> int:
+        """Mask of every point."""
+        return (1 << len(self.elements)) - 1
+
+    def mask(self, subset: Iterable[str]) -> int:
+        """Mask of a set of point names; :class:`UnknownElement` on a stranger."""
+        m = 0
+        for p in subset:
+            m |= 1 << self._position(p)
+        return m
+
+    def names(self, mask: int) -> frozenset[str]:
+        """Point names of a mask."""
+        return frozenset(self.elements[i] for i in bits(mask))
+
+    def _position(self, p: str) -> int:
+        try:
+            return self.index[p]
+        except KeyError:
+            raise UnknownElement(p) from None
 
     # -- point queries ----------------------------------------------------
 
-    def _check(self, p: str) -> None:
-        if p not in set(self.elements):
-            raise UnknownElement(p)
-
     def leq(self, p: str, q: str) -> bool:
-        self._check(p)
-        self._check(q)
-        return (p, q) in self.relation
+        return bool(self.up[self._position(p)] >> self._position(q) & 1)
 
     def spcl(self, p: str) -> frozenset[str]:
         """Smallest upper set containing ``p`` (its minimal open set)."""
-        self._check(p)
-        return frozenset(q for q in self.elements if (p, q) in self.relation)
+        return self.names(self.up[self._position(p)])
 
     def gncl(self, p: str) -> frozenset[str]:
         """Smallest lower set containing ``p`` (the closure of ``{p}``)."""
-        self._check(p)
-        return frozenset(q for q in self.elements if (q, p) in self.relation)
+        return self.names(self.down[self._position(p)])
 
     # -- subset queries ----------------------------------------------------
 
     def is_upper_set(self, subset: Iterable[str]) -> bool:
-        S = self._subset(subset)
-        return all((p, q) not in self.relation or q in S
-                   for p in S for q in self.elements)
+        S = self.mask(subset)
+        return not any(self.up[i] & ~S for i in bits(S))
 
     def is_lower_set(self, subset: Iterable[str]) -> bool:
-        S = self._subset(subset)
-        return all((q, p) not in self.relation or q in S
-                   for p in S for q in self.elements)
-
-    def _subset(self, subset: Iterable[str]) -> frozenset[str]:
-        S = frozenset(subset)
-        for p in S:
-            self._check(p)
-        return S
+        """A set is lower exactly when nothing outside it lies below a member."""
+        S = self.mask(subset)
+        return not any(self.up[i] & S for i in bits(self.full_mask & ~S))
 
     def subspace(self, subset: Iterable[str]) -> "Order":
         """Restriction of the order to ``subset``.
 
         For Alexandrov spaces this is exactly the subspace-topology order.
         """
-        S = self._subset(subset)
+        S = self.mask(subset)
+        kept = list(bits(S))
+        position = {old: new for new, old in enumerate(kept)}
         return Order(
-            tuple(sorted(S)),
-            frozenset((p, q) for (p, q) in self.relation if p in S and q in S),
+            tuple(self.elements[i] for i in kept),
+            tuple(sum(1 << position[j] for j in bits(self.up[i] & S)) for i in kept),
+        )
+
+    def refines(self, other: "Order") -> bool:
+        """Every relation of this order holds in ``other``, on the same points."""
+        return self.elements == other.elements and not any(
+            a & ~b for a, b in zip(self.up, other.up)
         )
 
     # -- structure ---------------------------------------------------------
@@ -118,21 +162,26 @@ class Order:
         return frozenset((p, q) for (p, q) in self.relation if p != q)
 
     def maximal_elements(self, within: Iterable[str] | None = None) -> frozenset[str]:
-        S = self._subset(within) if within is not None else frozenset(self.elements)
-        return frozenset(
-            p for p in S
-            if not any(q != p and q in S and (p, q) in self.relation for q in S)
-        )
+        S = self.mask(within) if within is not None else self.full_mask
+        return frozenset(self.elements[i] for i in bits(S) if self.up[i] & S == 1 << i)
 
     def minimal_elements(self, within: Iterable[str] | None = None) -> frozenset[str]:
-        S = self._subset(within) if within is not None else frozenset(self.elements)
-        return frozenset(
-            p for p in S
-            if not any(q != p and q in S and (q, p) in self.relation for q in S)
-        )
+        S = self.mask(within) if within is not None else self.full_mask
+        return frozenset(self.elements[i] for i in bits(S) if self.down[i] & S == 1 << i)
 
     def is_discrete(self) -> bool:
-        return not self.strict_pairs()
+        return all(m == 1 << i for i, m in enumerate(self.up))
+
+
+def transitive_closure(up: Sequence[int]) -> tuple[int, ...]:
+    """Close per-point successor masks under transitivity (Warshall, 1962)."""
+    up = list(up)
+    for k in range(len(up)):
+        bit, through = 1 << k, up[k]
+        for i, m in enumerate(up):
+            if m & bit:
+                up[i] = m | through
+    return tuple(up)
 
 
 def build_order(elements: Iterable[str], relations: Iterable[tuple[str, str]]) -> Order:
@@ -151,56 +200,31 @@ def build_order(elements: Iterable[str], relations: Iterable[tuple[str, str]]) -
         if b not in index:
             raise UnknownElement(b)
         up[index[a]] |= 1 << index[b]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(els)):
-            acc = up[i]
-            probe = acc
-            while probe:
-                j = (probe & -probe).bit_length() - 1
-                probe &= probe - 1
-                acc |= up[j]
-            if acc != up[i]:
-                up[i] = acc
-                changed = True
-    for i in range(len(els)):
-        for j in range(i + 1, len(els)):
-            if up[i] >> j & 1 and up[j] >> i & 1:
+    up = transitive_closure(up)
+    for i, m in enumerate(up):
+        for j in bits(m >> (i + 1) << (i + 1)):
+            if up[j] >> i & 1:
                 raise CycleError(f"{els[i]!r} and {els[j]!r} are related both ways")
-    relation = frozenset(
-        (els[i], els[j]) for i in range(len(els)) for j in range(len(els))
-        if up[i] >> j & 1
-    )
-    return Order(els, relation)
+    return Order(els, up)
 
 
 def covering_pairs(order: Order) -> tuple[tuple[str, str], ...]:
-    """The transitive reduction (Hasse diagram edges), sorted."""
-    strict = order.strict_pairs()
-    covers = [
-        (p, q) for (p, q) in strict
-        if not any(r != p and r != q and (p, r) in strict and (r, q) in strict
-                   for r in order.elements)
-    ]
-    return tuple(sorted(covers))
+    """The transitive reduction (Hasse diagram edges), sorted: ascending
+    indices give sorted pairs because the elements are sorted."""
+    els = order.elements
+    strict = [m & ~(1 << i) for i, m in enumerate(order.up)]
+    covers = []
+    for i, m in enumerate(strict):
+        beyond = 0
+        for j in bits(m):
+            beyond |= strict[j]
+        covers.extend((els[i], els[j]) for j in bits(m & ~beyond))
+    return tuple(covers)
 
 
-@lru_cache(maxsize=None)
 def longest_chain(order: Order) -> int:
     """Length (edge count) of a longest chain; -1 for the empty order."""
-    if not order.elements:
-        return -1
-    strict = order.strict_pairs()
-    succ = {p: [q for q in order.elements if (p, q) in strict] for p in order.elements}
-    depth: dict[str, int] = {}
-
-    def walk(p: str) -> int:
-        if p not in depth:
-            depth[p] = 1 + max((walk(q) for q in succ[p]), default=-1)
-        return depth[p]
-
-    return max(walk(p) for p in order.elements)
+    return max(heights_by_longest_chain(order).values(), default=-1)
 
 
 @dataclass(frozen=True)
@@ -262,7 +286,7 @@ def check_axioms(order: Order, bound: int = DEFAULT_ENUMERATION_BOUND) -> AxiomR
     must then be the closure of that point.
     """
     failures: list[str] = []
-    t0 = not any(p != q and (q, p) in order.relation for (p, q) in order.relation)
+    t0 = all(u & d == 1 << i for i, (u, d) in enumerate(zip(order.up, order.down)))
     if not t0:
         failures.append("t0")
 
@@ -300,10 +324,7 @@ def enumerate_closed_sets(
     n = len(order.elements)
     if n > bound:
         raise SizeExceeded(f"{n} elements exceeds enumeration bound {bound}")
-    index = {e: i for i, e in enumerate(order.elements)}
-    down = [0] * n
-    for p, q in order.relation:
-        down[index[q]] |= 1 << index[p]
+    down = order.down
     found = []
     for mask in range(1 << n):
         probe = mask
@@ -315,9 +336,7 @@ def enumerate_closed_sets(
                 ok = False
                 break
         if ok:
-            found.append(
-                frozenset(order.elements[i] for i in range(n) if mask >> i & 1)
-            )
+            found.append(order.names(mask))
     found.sort(key=lambda S: (len(S), sorted(S)))
     return tuple(found)
 
@@ -332,15 +351,10 @@ def upper_sets(order: Order, bound: int = DEFAULT_ENUMERATION_BOUND) -> tuple[fr
 
 def heights_by_longest_chain(order: Order) -> dict[str, int]:
     """Height of each point as the longest chain strictly below it."""
-    strict = order.strict_pairs()
-    pred = {p: [q for q in order.elements if (q, p) in strict] for p in order.elements}
-    out: dict[str, int] = {}
-
-    def walk(p: str) -> int:
-        if p not in out:
-            out[p] = 1 + max((walk(q) for q in pred[p]), default=-1)
-        return out[p]
-
-    for p in order.elements:
-        walk(p)
-    return out
+    down = order.down
+    height = [0] * len(down)
+    # Everything strictly below a point has a smaller down-set, so it is
+    # finished first.
+    for i in sorted(range(len(down)), key=lambda i: down[i].bit_count()):
+        height[i] = max((height[j] + 1 for j in bits(down[i] & ~(1 << i))), default=0)
+    return dict(zip(order.elements, height))

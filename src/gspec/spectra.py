@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .poset import Order, build_order, covering_pairs, heights_by_longest_chain, longest_chain
+from .poset import Order, bits, build_order, covering_pairs, heights_by_longest_chain
 
 COHERENT = "coherent"
 NOT_COHERENT = "not-coherent"
@@ -76,24 +76,27 @@ class PrimePoset:
             self._validate_annotation_key(p, q, W)
 
     def _validate_annotation_key(self, p: str, q: str, W: frozenset[str]) -> None:
-        if (p, q) not in self.base.relation:
-            raise AnnotationKeyError(f"{p!r} not contained in {q!r}")
-        members = self._interval_elements(p, q)
-        if not W <= members:
+        try:
+            members = self._interval_mask(p, q)
+        except NotComparable as exc:
+            raise AnnotationKeyError(str(exc)) from None
+        if not W <= self.base.names(members):
             raise AnnotationKeyError(
                 f"annotation set {sorted(W)} not inside interval [{p!r}, {q!r}]"
             )
-        if not self.base.subspace(members).is_upper_set(W):
+        w = self.base.mask(W)
+        if any(self.base.up[r] & members & ~w for r in bits(w)):
             raise AnnotationKeyError(
                 f"annotation set {sorted(W)} not specialisation-closed in "
                 f"[{p!r}, {q!r}]"
             )
 
-    def _interval_elements(self, p: str, q: str) -> frozenset[str]:
-        return frozenset(
-            r for r in self.base.elements
-            if (p, r) in self.base.relation and (r, q) in self.base.relation
-        )
+    def _interval_mask(self, p: str, q: str) -> int:
+        """Mask of ``{r : p <= r <= q}``; :class:`NotComparable` unless p <= q."""
+        index = self.base.index
+        if p not in index or q not in index or not self.base.leq(p, q):
+            raise NotComparable(f"{p!r} not contained in {q!r}")
+        return self.base.up[index[p]] & self.base.down[index[q]]
 
     def interval(self, p: str, q: str) -> "PrimePoset":
         """The sub-poset ``{r : p <= r <= q}`` with re-based heights.
@@ -104,17 +107,14 @@ class PrimePoset:
         bottom of the interval sits at height zero, and annotations whose own
         interval nests inside ``[p, q]`` are carried along.
         """
-        if (p, q) not in self.base.relation:
-            raise NotComparable(f"{p!r} not contained in {q!r}")
-        members = self._interval_elements(p, q)
-        base = self.base.subspace(members)
+        members = self.base.names(self._interval_mask(p, q))
         offset = self.height[p]
-        heights = {r: self.height[r] - offset for r in members}
+        heights = {r: self.height[r] - offset for r in sorted(members)}
         kept = {
             key: value for key, value in self.coherence.items()
-            if (p, key[0]) in self.base.relation and (key[1], q) in self.base.relation
+            if self.base.leq(p, key[0]) and self.base.leq(key[1], q)
         }
-        return PrimePoset(base, heights, kept)
+        return PrimePoset(self.base.subspace(members), heights, kept)
 
     def coherent_complement(self, p: str, q: str, V0: Iterable[str]) -> CoherenceVerdict:
         """Decide whether ``V0`` restricted to ``[p, q]`` has coherent complement.
@@ -133,19 +133,21 @@ class PrimePoset:
         5. otherwise the question is ring-dependent: consult the annotations,
            else undetermined.
         """
-        sub = self.interval(p, q)
-        members = frozenset(sub.base.elements)
-        W = frozenset(V0) & members
+        base = self.base
+        members = self._interval_mask(p, q)
+        W = base.mask(base.names(members) & frozenset(V0))
         if not W or W == members:
             return CoherenceVerdict(COHERENT, "trivial")
-        if longest_chain(sub.base) <= 1:
+        # With no point strictly between p and q the longest chain is p < q.
+        if members.bit_count() <= 2:
             return CoherenceVerdict(COHERENT, "dimension-one")
-        if W == members - {p}:
+        if W == members & ~(1 << base.index[p]):
             return CoherenceVerdict(COHERENT, "generic-complement")
-        minima = sub.base.minimal_elements(W)
-        if any(sub.height[r] >= 2 for r in minima):
+        offset = self.height[p]
+        if any(self.height[base.elements[r]] - offset >= 2
+               for r in bits(W) if base.down[r] & W == 1 << r):
             return CoherenceVerdict(NOT_COHERENT, "deep-minimal")
-        known = self.coherence.get((p, q, W))
+        known = self.coherence.get((p, q, base.names(W)))
         if known is not None:
             return CoherenceVerdict(COHERENT if known else NOT_COHERENT, "annotation")
         return CoherenceVerdict(UNDETERMINED, "no-rule")

@@ -136,9 +136,11 @@ def brute_force_perfect_law(
     E = frozenset(E)
     complement = frozenset(pre.order.elements) - E
     pre_closed = enumerate_closed_sets(pre.order, bound)
-    expected = {
-        (V1 & E) | (V2 & complement) for V1 in pre_closed for V2 in pre_closed
-    }
+    # A mixture is fixed by its two disjoint halves, so take the product of
+    # the distinct halves rather than of all pairs of closed sets.
+    inside = {V & E for V in pre_closed}
+    outside = {V & complement for V in pre_closed}
+    expected = {A | B for A in inside for B in outside}
     actual = set(enumerate_closed_sets(post.order, bound))
     if expected != actual:
         offender = sorted(expected ^ actual, key=lambda s: (len(s), sorted(s)))[0]

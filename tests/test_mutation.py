@@ -1,8 +1,12 @@
+import random
+
 import pytest
 
+from conftest import random_order
 from gspec import (
     POLICY_ASSUME_COHERENT,
     POLICY_ASSUME_NONCOHERENT,
+    ClosureOrder,
     NotClosed,
     NotDiscrete,
     Order,
@@ -350,3 +354,24 @@ class TestChainInvariants:
                 for co in (post.lower, post.upper):
                     report = check_axioms(co.order)
                     assert report.t0 and report.sober
+
+
+class TestOneSplit:
+    """The three exact rules are one split at a closed class."""
+
+    def test_rules_agree_on_random_closed_classes(self):
+        rng = random.Random(20251018)
+        discrete_seen = 0
+        for _ in range(300):
+            order = random_order(rng)
+            co = ClosureOrder(order, ("test",))
+            seeds = [p for p in order.elements if rng.random() < 0.3]
+            E = frozenset().union(*(order.gncl(p) for p in seeds))
+            perfect = mutate_perfect(co, E).order
+            kept = {(p, q) for (p, q) in order.relation if (p in E) == (q in E)}
+            assert perfect.relation == kept
+            assert mutate_general(co, E).lower.order == perfect
+            if order.subspace(E).is_discrete():
+                discrete_seen += 1
+                assert mutate_discrete(co, E).order == perfect
+        assert discrete_seen >= 50

@@ -1,8 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_lower_sets, brute_upper_sets, powerset
+from conftest import brute_lower_sets, brute_upper_sets, powerset, random_order
 from gspec import (
     CycleError,
     Order,
@@ -15,6 +17,7 @@ from gspec import (
     enumerate_closed_sets,
     longest_chain,
 )
+from gspec.poset import heights_by_longest_chain
 
 
 @st.composite
@@ -231,3 +234,58 @@ class TestProperties:
     def test_covers_regenerate_order(self, order):
         rebuilt = build_order(order.elements, covering_pairs(order))
         assert rebuilt == order
+
+
+class TestMaskRepresentation:
+    """The up-set masks against definitions written over pairs."""
+
+    @staticmethod
+    def pair_heights(order):
+        strict = order.relation - {(p, p) for p in order.elements}
+        below = {p: [q for (q, r) in strict if r == p] for p in order.elements}
+        memo = {}
+
+        def height(p):
+            if p not in memo:
+                memo[p] = max((height(q) + 1 for q in below[p]), default=0)
+            return memo[p]
+
+        return {p: height(p) for p in order.elements}
+
+    def test_against_pair_definitions(self):
+        rng = random.Random(20251018)
+        for _ in range(300):
+            order = random_order(rng, max_size=7)
+            rel = order.relation
+            assert all((p, p) in rel for p in order.elements)
+            assert not any(p != q and (q, p) in rel for (p, q) in rel)
+            assert all((p, s) in rel for (p, q) in rel for (r, s) in rel if q == r)
+
+            lowers = brute_lower_sets(order)
+            assert {S for S in powerset(order.elements) if order.is_lower_set(S)} == lowers
+
+            strict = {(p, q) for (p, q) in rel if p != q}
+            reduction = {
+                (p, q) for (p, q) in strict
+                if not any((p, r) in strict and (r, q) in strict for r in order.elements)
+            }
+            assert covering_pairs(order) == tuple(sorted(reduction))
+
+            heights = self.pair_heights(order)
+            assert heights_by_longest_chain(order) == heights
+            assert longest_chain(order) == max(heights.values())
+
+    def test_empty_order(self):
+        assert longest_chain(build_order([], [])) == -1
+
+    @pytest.mark.parametrize("elements,up,message", [
+        (("a",), (0b0,), "relation not reflexive at 'a'"),
+        (("a", "b"), (0b11, 0b11), "relation not antisymmetric on 'a', 'b'"),
+        (("a", "b", "c"), (0b011, 0b110, 0b100), "relation not transitively closed"),
+        (("a",), (0b11,), "need one up-set mask per element"),
+        (("a", "b"), (0b1,), "need one up-set mask per element"),
+        (("b", "a"), (0b1, 0b10), "elements must be a sorted tuple"),
+    ])
+    def test_constructor_rejects(self, elements, up, message):
+        with pytest.raises(ValueError, match=message):
+            Order(elements, up)
