@@ -275,9 +275,6 @@ class TestMaskRepresentation:
             assert heights_by_longest_chain(order) == heights
             assert longest_chain(order) == max(heights.values())
 
-    def test_empty_order(self):
-        assert longest_chain(build_order([], [])) == -1
-
     @pytest.mark.parametrize("elements,up,message", [
         (("a",), (0b0,), "relation not reflexive at 'a'"),
         (("a", "b"), (0b11, 0b11), "relation not antisymmetric on 'a', 'b'"),
