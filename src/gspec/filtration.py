@@ -17,23 +17,23 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .poset import covering_pairs
+from .poset import GspecError, covering_pairs
 from .spectra import PrimePoset
 
 
-class NotSpecializationClosed(Exception):
+class NotSpecializationClosed(GspecError):
     def __init__(self, index: int):
         super().__init__(f"level {index} is not specialisation-closed")
         self.index = index
 
 
-class NotDescending(Exception):
+class NotDescending(GspecError):
     def __init__(self, index: int):
         super().__init__(f"level {index} is not contained in level {index - 1}")
         self.index = index
 
 
-class NotCodimensionFunction(Exception):
+class NotCodimensionFunction(GspecError):
     def __init__(self, cover: tuple[str, str]):
         super().__init__(
             f"cover {cover[0]!r} < {cover[1]!r} does not raise the value by exactly one"

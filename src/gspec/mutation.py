@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from . import filtration as spf
-from .poset import Order, bits, longest_chain, transitive_closure
+from .poset import GspecError, Order, bits, longest_chain, transitive_closure
 from .spectra import COHERENT, NOT_COHERENT, UNDETERMINED, PrimePoset
 
 POLICY_ERROR = "error"
@@ -33,15 +33,15 @@ RULE_PERFECT = "perfect"
 RULE_BOUNDED = "bounded"
 
 
-class NotClosed(Exception):
+class NotClosed(GspecError):
     """The mutation class is not closed (not a lower set) in the current order."""
 
 
-class NotDiscrete(Exception):
+class NotDiscrete(GspecError):
     """The mutation class is not a discrete subspace of the current order."""
 
 
-class UndeterminedCoherence(Exception):
+class UndeterminedCoherence(GspecError):
     """The oracle could not decide a coherence question under policy=error."""
 
     def __init__(self, p: str, q: str):
@@ -58,9 +58,6 @@ class ClosureOrder:
 
     order: Order
     provenance: tuple[str, ...]
-
-    def refines_inclusion(self, poset: PrimePoset) -> bool:
-        return self.order.refines(poset.base)
 
 
 @dataclass(frozen=True)
@@ -88,7 +85,9 @@ class MutationStep:
 
     ``support`` is the level the step tilts towards and ``mutation_class``
     its complement E, which is closed in the pre-order.  ``perfect`` records
-    whether the step's torsion pair is known perfect.
+    whether the step's torsion pair is known perfect.  ``pre`` is the
+    previous step's bounds (the inclusion order for step 1), so an inexact
+    step is compared bound for bound with the one before.
     """
 
     index: int
@@ -96,7 +95,7 @@ class MutationStep:
     mutation_class: frozenset[str]
     rule: str
     perfect: bool
-    pre: ClosureOrder
+    pre: BoundedOrder
     post: BoundedOrder
 
 
@@ -230,18 +229,13 @@ def chain_order(
     if flags["truncated_slice"]:
         for i in range(1, filt.n + 1):
             E = universe - filt.level(i - 1)
-            pre = current.lower
-            post = exact_bounds(mutate_discrete(pre, E))
-            steps.append(_record(i, filt, E, RULE_DISCRETE, True, pre, post))
+            post = exact_bounds(mutate_discrete(current.lower, E))
+            steps.append(_record(i, filt, E, RULE_DISCRETE, True, current, post))
             current = post
         return steps
 
-    first = onestep_order(poset, filt.level(0), policy)
-    post = exact_bounds(first)
-    steps.append(
-        _record(1, filt, universe - filt.level(0), RULE_ONESTEP, False,
-                standard_order(poset), post)
-    )
+    post = exact_bounds(onestep_order(poset, filt.level(0), policy))
+    steps.append(_record(1, filt, universe - filt.level(0), RULE_ONESTEP, False, current, post))
     current = post
 
     for i in range(2, filt.n + 1):
@@ -261,7 +255,7 @@ def chain_order(
             else:
                 hi = mutate_general(current.upper, E, pruned)
                 post = BoundedOrder(lo.lower, hi.upper, exact=False)
-        steps.append(_record(i, filt, E, rule, perfect, current.lower, post))
+        steps.append(_record(i, filt, E, rule, perfect, current, post))
         current = post
     return steps
 
@@ -292,7 +286,7 @@ def theta_map(step: MutationStep) -> tuple[ThetaEntry, ...]:
     """The identity-on-points bijection of an exact step, documented."""
     if not step.post.exact:
         raise ValueError("theta map is only documented for exact steps")
-    pre, post = step.pre.order, step.post.lower.order
+    pre, post = step.pre.lower.order, step.post.lower.order
     return tuple(
         ThetaEntry(
             point=p,
@@ -338,7 +332,7 @@ def _record(
     E: frozenset[str],
     rule: str,
     perfect: bool,
-    pre: ClosureOrder,
+    pre: BoundedOrder,
     post: BoundedOrder,
 ) -> tuple[MutationStep, BoundedOrder]:
     step = MutationStep(

@@ -20,16 +20,20 @@ from typing import Iterable, Iterator, Sequence
 DEFAULT_ENUMERATION_BOUND = 16
 
 
-class CycleError(Exception):
+class GspecError(Exception):
+    """Base class of the errors gspec raises for bad input."""
+
+
+class CycleError(GspecError):
     """The transitive closure of the generators relates two distinct points
     both ways, so the result would not be antisymmetric (not T0)."""
 
 
-class UnknownElement(Exception):
+class UnknownElement(GspecError):
     """A point name that does not belong to the order."""
 
 
-class SizeExceeded(Exception):
+class SizeExceeded(GspecError):
     """The order is too large for exhaustive closed-set enumeration."""
 
 
@@ -260,7 +264,7 @@ def cb_filtration(order: Order) -> CbFiltration:
 
 @dataclass(frozen=True)
 class AxiomReport:
-    """Which separation/chain axioms hold, with the witnessing data.
+    """Which separation axioms hold, with the witnessing data.
 
     ``irreducibles`` pairs every irreducible closed set with the unique point
     whose closure it is.
@@ -268,8 +272,6 @@ class AxiomReport:
 
     t0: bool
     sober: bool
-    artinian: bool
-    noetherian: bool
     irreducibles: tuple[tuple[frozenset[str], str], ...]
     failures: tuple[str, ...]
 
@@ -278,8 +280,8 @@ class AxiomReport:
         return not self.failures
 
 
-def check_axioms(order: Order, bound: int = DEFAULT_ENUMERATION_BOUND) -> AxiomReport:
-    """Check T0, soberness and the chain conditions.
+def check_axioms(order: Order) -> AxiomReport:
+    """Check T0 and soberness.
 
     Soberness is decided by the unique-maximal-element criterion: a closed
     set is irreducible exactly when it has a single maximal point, and it
@@ -292,7 +294,7 @@ def check_axioms(order: Order, bound: int = DEFAULT_ENUMERATION_BOUND) -> AxiomR
 
     irreducibles: list[tuple[frozenset[str], str]] = []
     sober = True
-    for closed in enumerate_closed_sets(order, bound):
+    for closed in enumerate_closed_sets(order):
         if not closed:
             continue
         maxima = order.maximal_elements(closed)
@@ -305,25 +307,20 @@ def check_axioms(order: Order, bound: int = DEFAULT_ENUMERATION_BOUND) -> AxiomR
                 irreducibles.append((closed, point))
     irreducibles.sort(key=lambda pair: (len(pair[0]), sorted(pair[0])))
 
-    # Finite posets satisfy both chain conditions outright; recorded for the
-    # report's completeness.
     return AxiomReport(
         t0=t0,
         sober=sober,
-        artinian=True,
-        noetherian=True,
         irreducibles=tuple(irreducibles),
         failures=tuple(failures),
     )
 
 
-def enumerate_closed_sets(
-    order: Order, bound: int = DEFAULT_ENUMERATION_BOUND
-) -> tuple[frozenset[str], ...]:
-    """All lower sets, sorted by size then lexicographically by members."""
+def enumerate_closed_sets(order: Order) -> tuple[frozenset[str], ...]:
+    """All lower sets, sorted by size then lexicographically by members;
+    :class:`SizeExceeded` above ``DEFAULT_ENUMERATION_BOUND`` points."""
     n = len(order.elements)
-    if n > bound:
-        raise SizeExceeded(f"{n} elements exceeds enumeration bound {bound}")
+    if n > DEFAULT_ENUMERATION_BOUND:
+        raise SizeExceeded(f"{n} elements exceeds enumeration bound {DEFAULT_ENUMERATION_BOUND}")
     down = order.down
     found = []
     for mask in range(1 << n):
@@ -341,10 +338,10 @@ def enumerate_closed_sets(
     return tuple(found)
 
 
-def upper_sets(order: Order, bound: int = DEFAULT_ENUMERATION_BOUND) -> tuple[frozenset[str], ...]:
+def upper_sets(order: Order) -> tuple[frozenset[str], ...]:
     """All upper sets (open sets), via complements of the lower sets."""
     universe = frozenset(order.elements)
-    complements = [universe - S for S in enumerate_closed_sets(order, bound)]
+    complements = [universe - S for S in enumerate_closed_sets(order)]
     complements.sort(key=lambda S: (len(S), sorted(S)))
     return tuple(complements)
 

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .poset import Order, bits, build_order, covering_pairs, heights_by_longest_chain
+from .poset import GspecError, Order, bits, build_order, covering_pairs, heights_by_longest_chain
 
 COHERENT = "coherent"
 NOT_COHERENT = "not-coherent"
@@ -26,19 +26,19 @@ UNDETERMINED = "undetermined"
 PRESET_NAMES = ("DVR1", "LOC2", "LOC2M", "LOC3", "POLY2", "NAGATA2")
 
 
-class SchemaError(Exception):
+class SchemaError(GspecError):
     """The input document does not match the expected JSON shape."""
 
 
-class AnnotationKeyError(Exception):
+class AnnotationKeyError(GspecError):
     """A coherence annotation key is not a valid interval/upper-set pair."""
 
 
-class NotComparable(Exception):
+class NotComparable(GspecError):
     """Interval endpoints p, q with p not contained in q."""
 
 
-class UnknownPreset(Exception):
+class UnknownPreset(GspecError):
     pass
 
 

@@ -268,6 +268,39 @@ class TestCheckCommand:
         )
         assert code == 0
 
+    def test_above_enumeration_bound_runs_polynomial_reports(self, capsys, tmp_path):
+        heights = [f"p{i}" for i in range(1, 16)]
+        doc = {"elements": ["o", *heights, "m"],
+               "covers": [["o", p] for p in heights] + [[p, "m"] for p in heights]}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, _ = run(capsys, "check", "--file", str(path),
+                           "--levels", '[["m"],["m"]]', "--format", "json")
+        assert code == 0
+        names = [r["name"] for r in json.loads(out)["reports"]]
+        assert not [n for n in names if n.endswith((":t0", ":sober", "-law"))]
+        for suffix in (":refines-inclusion", ":levels-open", ":cb"):
+            assert "order-0" + suffix in names
+        assert "step-1:refinement" in names and "step-2:sandwich" in names
+
+    def test_consecutive_brackets_pass(self, capsys, tmp_path):
+        doc = {"elements": [f"x{i}" for i in range(10)],
+               "covers": [["x0", "x2"], ["x0", "x7"], ["x1", "x2"], ["x1", "x7"],
+                          ["x2", "x3"], ["x2", "x5"], ["x3", "x6"], ["x4", "x5"],
+                          ["x4", "x6"], ["x5", "x8"], ["x6", "x8"], ["x6", "x9"],
+                          ["x7", "x8"]]}
+        path = tmp_path / "poset.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        f = {"x0": -1, "x1": -1, "x2": -1, "x3": 0, "x4": 0, "x5": 1, "x6": 2,
+             "x7": -1, "x8": 3, "x9": 3}
+        code, out, _ = run(capsys, "check", "--file", str(path), "--policy",
+                           "assume-noncoherent", "--f", json.dumps(f), "--format", "json")
+        reports = json.loads(out)["reports"]
+        assert code == 0 and all(r["passed"] for r in reports)
+        names = {r["name"] for r in reports}
+        assert any(f"step-{n - 1}:piecewise-upper" in names
+                   and f"step-{n}:piecewise-upper" in names for n in range(2, 6))
+
     def test_invalid_input_fails(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(

@@ -203,6 +203,23 @@ class TestRunSuite:
         assert "step-2:piecewise-upper" in names
         assert all(r.passed for r in reports)
 
+    def test_random_chains_all_pass(self):
+        """Every step's pre is the previous step's bounds, and run_suite's
+        reports all pass, also after two bracketed steps in a row."""
+        import random
+
+        from conftest import poset_from_order, random_monotone_f, random_order
+        from gspec import POLICY_ASSUME_NONCOHERENT, chain_order, f_to_filtration
+        rng = random.Random(20261018)
+        for _ in range(200):
+            poset = poset_from_order(random_order(rng, 8))
+            filt = f_to_filtration(poset, random_monotone_f(rng, poset.base))
+            steps = chain_order(poset, filt, policy=POLICY_ASSUME_NONCOHERENT)
+            for (_, before), (step, _) in zip(steps, steps[1:]):
+                assert step.pre is before
+            reports = run_suite(poset, filt, policy=POLICY_ASSUME_NONCOHERENT)
+            assert [r.name for r in reports if not r.passed] == [], filt.levels
+
     def test_failing_report_requires_witness(self):
         from gspec import PropertyReport
         with pytest.raises(ValueError):
