@@ -20,7 +20,15 @@ import warnings
 from . import filtration as spf
 from . import mutation as mut
 from . import verify
-from .poset import GspecError, Order, cb_filtration, check_axioms, covering_pairs
+from .poset import (
+    DEFAULT_ENUMERATION_BOUND,
+    GspecError,
+    Order,
+    cb_filtration,
+    check_axioms,
+    covering_pairs,
+    is_t0,
+)
 from .spectra import PRESET_NAMES, PrimePoset, load_prime_poset, preset
 
 # json.JSONDecodeError is a ValueError.
@@ -293,22 +301,28 @@ def _cmd_presets(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     poset = _load_poset(args)
-    report = check_axioms(poset.base)
+    # Soberness needs every closed set, so above the enumeration limit only
+    # the polynomial T0 test is reported.
+    if len(poset.base.elements) <= DEFAULT_ENUMERATION_BOUND:
+        report = check_axioms(poset.base)
+        axioms = {"t0": report.t0, "sober": report.sober}
+    else:
+        axioms = {"t0": is_t0(poset.base)}
     if args.format == "json":
         payload = {
             "elements": list(poset.base.elements),
             "heights": dict(sorted(poset.height.items())),
             "covers": [list(c) for c in covering_pairs(poset.base)],
-            "axioms": {"t0": report.t0, "sober": report.sober},
+            "axioms": axioms,
         }
         _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
         lines = [f"{len(poset.base.elements)} primes, "
                  f"{len(covering_pairs(poset.base))} covers"]
-        for axiom in ("t0", "sober"):
-            lines.append(f"{axiom}: {'pass' if getattr(report, axiom) else 'FAIL'}")
+        for axiom, holds in axioms.items():
+            lines.append(f"{axiom}: {'pass' if holds else 'FAIL'}")
         _emit(args, "\n".join(lines) + "\n")
-    return 0 if report.ok else 1
+    return 0 if all(axioms.values()) else 1
 
 
 def _cmd_filtration(args: argparse.Namespace) -> int:

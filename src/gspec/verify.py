@@ -16,9 +16,10 @@ from .poset import (
     DEFAULT_ENUMERATION_BOUND,
     GspecError,
     Order,
+    bits,
     cb_filtration,
     check_axioms,
-    enumerate_closed_sets,
+    closed_masks,
     longest_chain,
 )
 from .spectra import PrimePoset
@@ -69,10 +70,18 @@ def _same_elements(pre: mut.ClosureOrder, post: mut.ClosureOrder) -> None:
 def check_refinement(pre: mut.ClosureOrder, post: mut.ClosureOrder, name: str = "refinement") -> PropertyReport:
     """Mutation only removes relations: post must be contained in pre."""
     _same_elements(pre, post)
-    extra = post.order.relation - pre.order.relation
+    extra = _least_extra_pair(post.order, pre.order)
     if extra:
-        return PropertyReport(name, False, _witness(pair=min(sorted(extra))))
+        return PropertyReport(name, False, _witness(pair=extra))
     return PropertyReport(name, True)
+
+
+def _least_extra_pair(a: Order, b: Order) -> tuple[str, str] | None:
+    """The least pair related in ``a`` but not in ``b`` (on the same
+    points), or ``None`` when ``a`` is contained in ``b``."""
+    if not any(x & ~y for x, y in zip(a.up, b.up)):
+        return None
+    return min(a.relation - b.relation)
 
 
 def check_piecewise(
@@ -90,14 +99,23 @@ def check_piecewise(
     if not post.order.is_lower_set(E):
         return PropertyReport(name, False, _witness(reason="E not closed after", E=E))
     for part, label in ((E, "E"), (complement, "complement")):
-        before = pre.order.subspace(part).relation
-        after = post.order.subspace(part).relation
-        if before != after:
-            delta = before ^ after
+        if _restrictions_differ(pre.order, post.order, pre.order.mask(part)):
+            before = pre.order.subspace(part).relation
+            after = post.order.subspace(part).relation
             return PropertyReport(
-                name, False, _witness(part=label, pair=min(sorted(delta)))
+                name, False, _witness(part=label, pair=min(before ^ after))
             )
     return PropertyReport(name, True)
+
+
+def _restrictions_differ(a: Order, b: Order, part: int) -> bool:
+    """The two orders, on the same points, differ on the subspace ``part``."""
+    return any((a.up[i] ^ b.up[i]) & part for i in bits(part))
+
+
+def _smallest_set(order: Order, masks: set[int]) -> frozenset[str]:
+    """The first of the sets by size, then by sorted member names."""
+    return min(map(order.names, masks), key=lambda s: (len(s), sorted(s)))
 
 
 def brute_force_discrete_law(
@@ -109,13 +127,12 @@ def brute_force_discrete_law(
     """After a discrete mutation the closed sets are exactly the U whose
     union with E was closed before."""
     _same_elements(pre, post)
-    E = frozenset(E)
-    universe = frozenset(pre.order.elements)
-    pre_closed = set(enumerate_closed_sets(pre.order))
-    expected = {U for U in _powerset(universe) if (U | E) in pre_closed}
-    actual = set(enumerate_closed_sets(post.order))
+    e = pre.order.mask(E)
+    pre_closed = set(closed_masks(pre.order))
+    expected = {U for U in range(1 << len(pre.order.elements)) if U | e in pre_closed}
+    actual = set(closed_masks(post.order))
     if expected != actual:
-        offender = sorted(expected ^ actual, key=lambda s: (len(s), sorted(s)))[0]
+        offender = _smallest_set(pre.order, expected ^ actual)
         return PropertyReport(name, False, _witness(set=offender))
     return PropertyReport(name, True)
 
@@ -129,27 +146,18 @@ def brute_force_perfect_law(
     """After a perfect mutation the closed sets are exactly the mixtures of
     a closed set inside E with a closed set outside it."""
     _same_elements(pre, post)
-    E = frozenset(E)
-    complement = frozenset(pre.order.elements) - E
-    pre_closed = enumerate_closed_sets(pre.order)
+    e = pre.order.mask(E)
+    pre_closed = closed_masks(pre.order)
     # A mixture is fixed by its two disjoint halves, so take the product of
     # the distinct halves rather than of all pairs of closed sets.
-    inside = {V & E for V in pre_closed}
-    outside = {V & complement for V in pre_closed}
+    inside = {V & e for V in pre_closed}
+    outside = {V & ~e for V in pre_closed}
     expected = {A | B for A in inside for B in outside}
-    actual = set(enumerate_closed_sets(post.order))
+    actual = set(closed_masks(post.order))
     if expected != actual:
-        offender = sorted(expected ^ actual, key=lambda s: (len(s), sorted(s)))[0]
+        offender = _smallest_set(pre.order, expected ^ actual)
         return PropertyReport(name, False, _witness(set=offender))
     return PropertyReport(name, True)
-
-
-def _powerset(universe: frozenset[str]) -> list[frozenset[str]]:
-    elements = sorted(universe)
-    out = []
-    for mask in range(1 << len(elements)):
-        out.append(frozenset(e for i, e in enumerate(elements) if mask >> i & 1))
-    return out
 
 
 def run_suite(
@@ -200,12 +208,10 @@ def _sandwich(
     pre: mut.ClosureOrder, E: frozenset[str], exact: mut.ClosureOrder, name: str
 ) -> PropertyReport:
     bracket = mut.mutate_general(pre, E)
-    lo, hi = bracket.lower.order.relation, bracket.upper.order.relation
-    mid = exact.order.relation
-    if not lo <= mid:
-        return PropertyReport(name, False, _witness(pair=min(sorted(lo - mid))))
-    if not mid <= hi:
-        return PropertyReport(name, False, _witness(pair=min(sorted(mid - hi))))
+    extra = (_least_extra_pair(bracket.lower.order, exact.order)
+             or _least_extra_pair(exact.order, bracket.upper.order))
+    if extra:
+        return PropertyReport(name, False, _witness(pair=extra))
     return PropertyReport(name, True)
 
 
@@ -220,10 +226,10 @@ def _baseline(
     order = co.order
     out: list[PropertyReport] = []
 
-    extra = order.relation - poset.base.relation
+    extra = _least_extra_pair(order, poset.base)
     out.append(
         PropertyReport(f"{tag}:refines-inclusion", not extra,
-                       _witness(pair=min(sorted(extra))) if extra else None)
+                       _witness(pair=extra) if extra else None)
     )
 
     if small:
@@ -245,12 +251,11 @@ def _baseline(
                        None if bad_level is None else _witness(level=bad_level))
     )
 
-    bad_stratum = None
-    for i in range(filt.n + 1):
-        stratum = filt.difference(i)
-        if order.subspace(stratum).relation != poset.base.subspace(stratum).relation:
-            bad_stratum = stratum
-            break
+    bad_stratum = next(
+        (stratum for stratum in map(filt.difference, range(filt.n + 1))
+         if _restrictions_differ(order, poset.base, order.mask(stratum))),
+        None,
+    )
     out.append(
         PropertyReport(f"{tag}:strata-restriction", bad_stratum is None,
                        None if bad_stratum is None else _witness(stratum=bad_stratum))
@@ -277,15 +282,15 @@ def _cb_sanity(order: Order, name: str) -> PropertyReport:
         return PropertyReport(
             name, False, _witness(rank=cb.rank, chain=longest_chain(order))
         )
-    accumulated: frozenset[str] = frozenset()
+    accumulated = 0
     for layer in cb.layers:
-        remaining = frozenset(order.elements) - accumulated
-        isolated = frozenset(
-            p for p in remaining if order.spcl(p) & remaining == {p}
+        remaining = order.full_mask & ~accumulated
+        isolated = sum(
+            1 << i for i in bits(remaining) if order.up[i] & remaining == 1 << i
         )
-        if layer != accumulated | isolated:
+        if order.mask(layer) != accumulated | isolated:
             return PropertyReport(name, False, _witness(layer=layer))
-        accumulated = layer
-    if accumulated != frozenset(order.elements):
-        return PropertyReport(name, False, _witness(layer=accumulated))
+        accumulated |= isolated
+    if accumulated != order.full_mask:
+        return PropertyReport(name, False, _witness(layer=order.names(accumulated)))
     return PropertyReport(name, True)

@@ -14,6 +14,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def write_wide(tmp_path):
+    """A 17-point LOC2-style poset, one above the enumeration limit."""
+    heights = [f"p{i}" for i in range(1, 16)]
+    doc = {"elements": ["o", *heights, "m"],
+           "covers": [["o", p] for p in heights] + [[p, "m"] for p in heights]}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
 class TestPresetsAndValidate:
     def test_presets_lists_all(self, capsys):
         code, out, _ = run(capsys, "presets")
@@ -33,6 +43,13 @@ class TestPresetsAndValidate:
         code, out, _ = run(capsys, "validate", "--file", str(path), "--format", "json")
         assert code == 0
         assert json.loads(out)["axioms"]["sober"] is True
+
+    def test_validate_above_enumeration_bound(self, capsys, tmp_path):
+        path = write_wide(tmp_path)
+        code, out, _ = run(capsys, "validate", "--file", path, "--format", "json")
+        assert code == 0 and json.loads(out)["axioms"] == {"t0": True}
+        code, out, _ = run(capsys, "validate", "--file", path)
+        assert code == 0 and out == "17 primes, 30 covers\nt0: pass\n"
 
     def test_bad_file_exits_one(self, capsys, tmp_path):
         path = tmp_path / "cycle.json"
@@ -269,12 +286,7 @@ class TestCheckCommand:
         assert code == 0
 
     def test_above_enumeration_bound_runs_polynomial_reports(self, capsys, tmp_path):
-        heights = [f"p{i}" for i in range(1, 16)]
-        doc = {"elements": ["o", *heights, "m"],
-               "covers": [["o", p] for p in heights] + [[p, "m"] for p in heights]}
-        path = tmp_path / "wide.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        code, out, _ = run(capsys, "check", "--file", str(path),
+        code, out, _ = run(capsys, "check", "--file", write_wide(tmp_path),
                            "--levels", '[["m"],["m"]]', "--format", "json")
         assert code == 0
         names = [r["name"] for r in json.loads(out)["reports"]]

@@ -17,7 +17,7 @@ from gspec import (
     enumerate_closed_sets,
     longest_chain,
 )
-from gspec.poset import heights_by_longest_chain
+from gspec.poset import closed_masks, heights_by_longest_chain
 
 
 @st.composite
@@ -177,6 +177,19 @@ class TestEnumerateClosedSets:
         big = build_order([f"x{i}" for i in range(17)], [])
         with pytest.raises(SizeExceeded, match="17 elements exceeds enumeration bound 16"):
             enumerate_closed_sets(big)
+
+    def test_closed_masks_match_definition(self):
+        rng = random.Random(20261019)
+        for _ in range(200):
+            order = random_order(rng, max_size=12)
+            masks = closed_masks(order)
+            assert len(set(masks)) == len(masks)
+            assert {order.names(m) for m in masks} == brute_lower_sets(order)
+
+    def test_chain_of_sixteen_has_seventeen_lower_sets(self):
+        names = [f"x{i:02d}" for i in range(16)]
+        masks = closed_masks(build_order(names, zip(names, names[1:])))
+        assert sorted(masks) == [(1 << k) - 1 for k in range(17)]
 
     def test_upper_sets_are_complements(self):
         from gspec import upper_sets

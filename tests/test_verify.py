@@ -1,9 +1,13 @@
+import random
+
 import pytest
 
+from conftest import brute_lower_sets, powerset, random_order
 from gspec import (
     ClosureOrder,
     ElementMismatch,
     Order,
+    UnknownElement,
     brute_force_discrete_law,
     brute_force_perfect_law,
     build_order,
@@ -123,6 +127,53 @@ class TestPerfectLaw:
         E = {"o", "p1", "p2", "p3", "p4", "p5"}
         corrupted = as_closure(build_order(h1.order.elements, [("p1", "m")]))
         assert not brute_force_perfect_law(h1, E, corrupted).passed
+
+
+class TestLawWitnesses:
+    """A law checked against the unmutated order fails, and names the
+    smallest set (by size, then sorted names) on which the expected closed
+    sets and the actual ones differ."""
+
+    @staticmethod
+    def cases():
+        """Orders with a closed E that some point outside it lies above."""
+        loc2 = preset("LOC2").base
+        yield loc2, frozenset(loc2.elements) - {"m"}
+        rng = random.Random(20261020)
+        found = 0
+        while found < 40:
+            order = random_order(rng, max_size=7)
+            E = rng.choice(sorted(brute_lower_sets(order), key=sorted))
+            if any(p in E and q not in E for p, q in order.relation):
+                found += 1
+                yield order, E
+
+    @staticmethod
+    def smallest(sets):
+        S = min(sets, key=lambda s: (len(s), sorted(s)))
+        return {"set": "{" + ",".join(sorted(S)) + "}"}
+
+    def test_perfect_law_witness(self):
+        for order, E in self.cases():
+            lowers = brute_lower_sets(order)
+            expected = {(A & E) | (B - E) for A in lowers for B in lowers}
+            report = brute_force_perfect_law(as_closure(order), E, as_closure(order))
+            assert not report.passed
+            assert report.to_json()["counterexample"] == self.smallest(expected ^ lowers)
+
+    def test_discrete_law_witness(self):
+        for order, E in self.cases():
+            lowers = brute_lower_sets(order)
+            expected = {U for U in powerset(order.elements) if U | E in lowers}
+            report = brute_force_discrete_law(as_closure(order), E, as_closure(order))
+            assert not report.passed
+            assert report.to_json()["counterexample"] == self.smallest(expected ^ lowers)
+
+    @pytest.mark.parametrize("law", [brute_force_perfect_law, brute_force_discrete_law])
+    def test_stranger_in_class_raises(self, law):
+        co = standard_order(preset("LOC2"))
+        with pytest.raises(UnknownElement):
+            law(co, {"o", "stranger"}, co)
 
 
 class TestRandomisedLaws:
