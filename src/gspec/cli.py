@@ -73,8 +73,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--codim", metavar="FILE",
                        help="JSON codimension function file")
 
-    def output_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("json", "dot", "text"), default="text")
+    def output_args(p: argparse.ArgumentParser,
+                    formats: tuple[str, ...] = ("json", "text")) -> None:
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out", help="write to this path instead of stdout")
 
     def engine_args(p: argparse.ArgumentParser) -> None:
@@ -100,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
     poset_args(p)
     filtration_args(p)
     engine_args(p)
-    output_args(p)
+    output_args(p, ("json", "dot", "text"))
     p.add_argument("--steps", action="store_true", help="emit every chain step")
     p.add_argument("--require-exact", action="store_true")
     p.set_defaults(handler=_cmd_closure)
@@ -116,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
     poset_args(p)
     filtration_args(p)
     engine_args(p)
-    output_args(p)
+    output_args(p, ("json", "dot", "text"))
     p.add_argument("--at", required=True, help="JSON list: the closed class to mutate at")
     p.add_argument("--rule", choices=("auto", "discrete", "perfect", "general"),
                    default="auto")
@@ -170,11 +171,15 @@ def _parse_filtration(
             levels = json.loads(args.levels)
             if not isinstance(levels, list) or not all(isinstance(l, list) for l in levels):
                 raise ValueError("--levels must be a JSON list of lists")
+            if not all(isinstance(p, str) for level in levels for p in level):
+                raise ValueError("--levels members must be point names (strings)")
             filt = spf.validate_filtration(poset, levels)
         elif args.f is not None:
             f = json.loads(args.f)
             if not isinstance(f, dict):
                 raise ValueError("--f must be a JSON object")
+            if not all(_is_int(v) for v in f.values()):
+                raise ValueError("--f values must be integers")
             filt = spf.f_to_filtration(poset, f)
         elif args.height_filtration:
             filt = spf.height_filtration(poset)
@@ -183,6 +188,8 @@ def _parse_filtration(
                 d = json.load(handle)
             if not isinstance(d, dict):
                 raise ValueError("codimension file must hold a JSON object")
+            if not all(_is_int(v) for v in d.values()):
+                raise ValueError("--codim values must be integers")
             filt = spf.codim_filtration(poset, d)
     for warning in caught:
         print(f"gspec: warning: {warning.message}", file=sys.stderr)
@@ -201,8 +208,17 @@ def _parse_annotations(args: argparse.Namespace) -> dict[int, bool]:
     for entry in entries:
         if not isinstance(entry, dict) or set(entry) != {"i", "perfect"}:
             raise ValueError("each step annotation needs exactly the keys 'i' and 'perfect'")
-        out[int(entry["i"])] = bool(entry["perfect"])
+        if not _is_int(entry["i"]):
+            raise ValueError("step annotation 'i' must be an integer")
+        if not isinstance(entry["perfect"], bool):
+            raise ValueError("step annotation 'perfect' must be a boolean")
+        out[entry["i"]] = entry["perfect"]
     return out
+
+
+def _is_int(value: object) -> bool:
+    """A JSON integer; bool is a subclass of int in Python but not in JSON."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:

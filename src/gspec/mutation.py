@@ -15,7 +15,7 @@ guess.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from . import filtration as spf
 from .poset import GspecError, Order, bits, longest_chain, transitive_closure
@@ -215,47 +215,34 @@ def chain_order(
     two-dimensional local model tilting at its closed point), and otherwise
     to the sound upper/lower bracket.
 
-    Truncated-slice filtrations short-circuit: every step, including the
-    first, is a discrete (hence perfect) mutation, and the final order is
-    the inclusion order on the last level next to isolated points.
+    Truncated-slice filtrations take the discrete rule at every step,
+    including the first.
     """
     _check_policy(policy)
     annotations = dict(step_annotations or {})
-    flags = spf.classify(poset, filt)
+    truncated = spf.classify(poset, filt)["truncated_slice"]
     steps: list[tuple[MutationStep, BoundedOrder]] = []
     current = exact_bounds(standard_order(poset))
     universe = frozenset(poset.base.elements)
 
-    if flags["truncated_slice"]:
-        for i in range(1, filt.n + 1):
-            E = universe - filt.level(i - 1)
-            post = exact_bounds(mutate_discrete(current.lower, E))
-            steps.append(_record(i, filt, E, RULE_DISCRETE, True, current, post))
-            current = post
-        return steps
-
-    post = exact_bounds(onestep_order(poset, filt.level(0), policy))
-    steps.append(_record(1, filt, universe - filt.level(0), RULE_ONESTEP, False, current, post))
-    current = post
-
-    for i in range(2, filt.n + 1):
+    for i in range(1, filt.n + 1):
         E = universe - filt.level(i - 1)
-        if current.upper.order.subspace(E).is_discrete():
-            rule, perfect = RULE_DISCRETE, True
-            post = _apply_exact(current, mutate_discrete, E)
+        if i == 1 and not truncated:
+            rule = RULE_ONESTEP
+            post = exact_bounds(onestep_order(poset, filt.level(0), policy))
+        elif truncated or current.upper.order.subspace(E).is_discrete():
+            rule = RULE_DISCRETE
+            post = _each_bound(current, lambda co: exact_bounds(mutate_discrete(co, E)))
         elif annotations.get(i, False) or _vanishing_pattern(poset, filt.level(i - 1)):
-            rule, perfect = RULE_PERFECT, True
-            post = _apply_exact(current, mutate_perfect, E)
+            rule = RULE_PERFECT
+            post = _each_bound(current, lambda co: exact_bounds(mutate_perfect(co, E)))
         else:
-            rule, perfect = RULE_BOUNDED, False
+            rule = RULE_BOUNDED
             pruned = _forced_maximal(poset, filt, i)
-            lo = mutate_general(current.lower, E, pruned)
-            if current.exact:
-                post = lo
-            else:
-                hi = mutate_general(current.upper, E, pruned)
-                post = BoundedOrder(lo.lower, hi.upper, exact=False)
-        steps.append(_record(i, filt, E, rule, perfect, current, post))
+            post = _each_bound(current, lambda co: mutate_general(co, E, pruned))
+        perfect = rule in (RULE_DISCRETE, RULE_PERFECT)
+        step = MutationStep(i, filt.level(i - 1), E, rule, perfect, current, post)
+        steps.append((step, post))
         current = post
     return steps
 
@@ -326,33 +313,15 @@ def _split(order: Order, E: frozenset[str]) -> Order:
     ))
 
 
-def _record(
-    index: int,
-    filt: spf.SpFiltration,
-    E: frozenset[str],
-    rule: str,
-    perfect: bool,
-    pre: BoundedOrder,
-    post: BoundedOrder,
-) -> tuple[MutationStep, BoundedOrder]:
-    step = MutationStep(
-        index=index,
-        support=filt.level(index - 1),
-        mutation_class=E,
-        rule=rule,
-        perfect=perfect,
-        pre=pre,
-        post=post,
-    )
-    return step, post
-
-
-def _apply_exact(current: BoundedOrder, op, E: frozenset[str]) -> BoundedOrder:
-    lo = op(current.lower, E)
+def _each_bound(
+    current: BoundedOrder, rule: Callable[[ClosureOrder], BoundedOrder]
+) -> BoundedOrder:
+    """Apply a step's rule to the current bounds: to the order itself when it
+    is exact, otherwise the rule's lower bound from the lower bound and its
+    upper bound from the upper bound."""
     if current.exact:
-        return exact_bounds(lo)
-    hi = op(current.upper, E)
-    return BoundedOrder(lo, hi, exact=False)
+        return rule(current.lower)
+    return BoundedOrder(rule(current.lower).lower, rule(current.upper).upper, exact=False)
 
 
 def _vanishing_pattern(poset: PrimePoset, level: frozenset[str]) -> bool:

@@ -117,6 +117,31 @@ class TestFiltrationCommand:
         payload = json.loads(out)
         assert payload["levels"][-1] == ["m"] and len(payload["levels"]) == 3
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--f", {"o": 0, "m": "x"}),
+        ("--f", {"o": 0, "m": 1.5}),
+        ("--f", {"o": 0, "m": True}),
+        ("--codim", {"o": "0", "m": "1"}),
+        ("--levels", [[1]]),
+    ])
+    def test_ill_typed_source_names_flag(self, capsys, tmp_path, flag, value):
+        arg = json.dumps(value)
+        if flag == "--codim":
+            path = tmp_path / "d.json"
+            path.write_text(arg, encoding="utf-8")
+            arg = str(path)
+        code, out, err = run(capsys, "closure", "--preset", "DVR1", flag, arg)
+        assert code == 1 and out == ""
+        assert err.startswith(f"gspec: {flag} ")
+
+    @pytest.mark.parametrize("command", ["validate", "filtration", "cb", "check"])
+    def test_dot_only_where_rendered(self, capsys, command):
+        code, out, err = run(capsys, command, "--preset", "LOC2",
+                             *(["--levels", '[["m"]]'] if command != "validate" else []),
+                             "--format", "dot")
+        assert code == 1 and out == ""
+        assert "invalid choice: 'dot'" in err
+
 
 class TestClosureCommand:
     @pytest.mark.parametrize("preset_name,levels,golden", [
@@ -204,6 +229,24 @@ class TestClosureCommand:
         )
         assert code == 0
         assert json.loads(out)["exact"] is True
+
+    @pytest.mark.parametrize("entry, key", [
+        ({"i": 2, "perfect": "false"}, "perfect"),
+        ({"i": 2, "perfect": 1}, "perfect"),
+        ({"i": "2", "perfect": True}, "i"),
+        ({"i": True, "perfect": True}, "i"),
+    ])
+    def test_annotation_types_checked(self, capsys, tmp_path, entry, key):
+        """A string "false" must not certify a perfect step."""
+        path = tmp_path / "steps.json"
+        path.write_text(json.dumps({"steps": [entry]}), encoding="utf-8")
+        code, out, err = run(
+            capsys, "closure", "--preset", "LOC3",
+            "--levels", '[["r1","r2","r3","m"],["m"]]',
+            "--annotations", str(path), "--steps", "--require-exact",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("gspec: ") and f"'{key}'" in err
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "result.dot"

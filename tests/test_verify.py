@@ -255,21 +255,38 @@ class TestRunSuite:
         assert all(r.passed for r in reports)
 
     def test_random_chains_all_pass(self):
-        """Every step's pre is the previous step's bounds, and run_suite's
-        reports all pass, also after two bracketed steps in a row."""
+        """Every step's pre is the previous step's bounds, the rule dispatch
+        follows the filtration's class and the annotations, a perfect step
+        maps each bound to its own image, and run_suite's reports all pass,
+        also after two bracketed steps in a row."""
         import random
 
         from conftest import poset_from_order, random_monotone_f, random_order
-        from gspec import POLICY_ASSUME_NONCOHERENT, chain_order, f_to_filtration
+        from gspec import POLICY_ASSUME_NONCOHERENT, chain_order, classify, f_to_filtration
         rng = random.Random(20261018)
+        perfect_after_inexact = 0
         for _ in range(200):
             poset = poset_from_order(random_order(rng, 8))
             filt = f_to_filtration(poset, random_monotone_f(rng, poset.base))
-            steps = chain_order(poset, filt, policy=POLICY_ASSUME_NONCOHERENT)
+            annotations = {i: True for i in range(2, filt.n + 1) if rng.random() < 0.3}
+            steps = chain_order(poset, filt, annotations, POLICY_ASSUME_NONCOHERENT)
+            rules = [step.rule for step, _ in steps]
+            if classify(poset, filt)["truncated_slice"]:
+                assert set(rules) <= {"discrete"}
+            else:
+                assert rules[0] == "onestep"
+            for step, post in steps:
+                assert step.post is post
             for (_, before), (step, _) in zip(steps, steps[1:]):
                 assert step.pre is before
-            reports = run_suite(poset, filt, policy=POLICY_ASSUME_NONCOHERENT)
+                if step.rule == "perfect" and not before.exact:
+                    perfect_after_inexact += 1
+                    E = step.mutation_class
+                    assert step.post.lower.order == mutate_perfect(before.lower, E).order
+                    assert step.post.upper.order == mutate_perfect(before.upper, E).order
+            reports = run_suite(poset, filt, annotations, POLICY_ASSUME_NONCOHERENT)
             assert [r.name for r in reports if not r.passed] == [], filt.levels
+        assert perfect_after_inexact > 0
 
     def test_failing_report_requires_witness(self):
         from gspec import PropertyReport
