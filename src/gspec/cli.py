@@ -16,6 +16,7 @@ import functools
 import json
 import sys
 import warnings
+from typing import Collection
 
 from . import filtration as spf
 from . import mutation as mut
@@ -24,6 +25,7 @@ from .poset import (
     DEFAULT_ENUMERATION_BOUND,
     GspecError,
     Order,
+    UnknownElement,
     cb_filtration,
     check_axioms,
     covering_pairs,
@@ -31,8 +33,8 @@ from .poset import (
 )
 from .spectra import PRESET_NAMES, PrimePoset, load_prime_poset, preset
 
-# json.JSONDecodeError is a ValueError.
-_VALIDATION_ERRORS = (GspecError, OSError, KeyError, ValueError)
+# ValueError: the CLI's own input checks, and undecodable input files.
+_VALIDATION_ERRORS = (GspecError, OSError, ValueError)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -142,23 +144,51 @@ def _load_poset(args: argparse.Namespace) -> PrimePoset:
         raise ValueError("exactly one of --preset or --file is required")
     if args.preset:
         return preset(args.preset)
-    with open(args.file, encoding="utf-8") as handle:
-        return load_prime_poset(json.load(handle))
+    return load_prime_poset(_read_json("--file", args.file, path=True))
+
+
+def _read_json(flag: str, value: str, path: bool = False) -> object:
+    """JSON of an option, or of the file it names; a syntax error names the flag."""
+    if path:
+        with open(value, encoding="utf-8") as handle:
+            value = handle.read()
+    try:
+        return json.loads(value)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{flag} is not valid JSON: {exc}") from None
+
+
+def _check_points(flag: str, names: Collection[str], order: Order) -> None:
+    """Each name must be a string naming a point; the error names the flag."""
+    if not all(isinstance(p, str) for p in names):
+        raise ValueError(f"{flag} members must be point names (strings)")
+    strangers = sorted(set(names) - set(order.elements))
+    if strangers:
+        raise UnknownElement(f"{flag} names {strangers[0]!r}, which is not a point")
+
+
+def _level_function(flag: str, value: object, order: Order) -> dict[str, int]:
+    """A JSON object giving an integer to every point and to nothing else."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{flag} must be a JSON object")
+    if not all(_is_int(v) for v in value.values()):
+        raise ValueError(f"{flag} values must be integers")
+    _check_points(flag, value, order)
+    missing = set(order.elements) - set(value)
+    if missing:
+        raise ValueError(f"{flag} gives no value for {sorted(missing)}")
+    return value
 
 
 def _parse_filtration(
     args: argparse.Namespace, poset: PrimePoset, required: bool = True
 ) -> tuple[spf.SpFiltration | None, bool]:
     """Returns the filtration and whether normalisation warnings fired."""
-    sources = [
-        args.levels is not None,
-        args.f is not None,
-        args.height_filtration,
-        args.codim is not None,
-    ]
-    if sum(sources) > 1:
+    given = args.height_filtration + sum(
+        source is not None for source in (args.levels, args.f, args.codim))
+    if given > 1:
         raise ValueError("give at most one filtration source")
-    if not any(sources):
+    if not given:
         if required:
             raise ValueError(
                 "a filtration is required: --levels, --f, --height-filtration or --codim"
@@ -168,39 +198,40 @@ def _parse_filtration(
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", spf.FiltrationWarning)
         if args.levels is not None:
-            levels = json.loads(args.levels)
+            levels = _read_json("--levels", args.levels)
             if not isinstance(levels, list) or not all(isinstance(l, list) for l in levels):
                 raise ValueError("--levels must be a JSON list of lists")
-            if not all(isinstance(p, str) for level in levels for p in level):
-                raise ValueError("--levels members must be point names (strings)")
+            _check_points("--levels", [p for level in levels for p in level], poset.base)
             filt = spf.validate_filtration(poset, levels)
         elif args.f is not None:
-            f = json.loads(args.f)
-            if not isinstance(f, dict):
-                raise ValueError("--f must be a JSON object")
-            if not all(_is_int(v) for v in f.values()):
-                raise ValueError("--f values must be integers")
+            f = _level_function("--f", _read_json("--f", args.f), poset.base)
             filt = spf.f_to_filtration(poset, f)
         elif args.height_filtration:
             filt = spf.height_filtration(poset)
         else:
-            with open(args.codim, encoding="utf-8") as handle:
-                d = json.load(handle)
-            if not isinstance(d, dict):
-                raise ValueError("codimension file must hold a JSON object")
-            if not all(_is_int(v) for v in d.values()):
-                raise ValueError("--codim values must be integers")
-            filt = spf.codim_filtration(poset, d)
+            d = _read_json("--codim", args.codim, path=True)
+            filt = spf.codim_filtration(poset, _level_function("--codim", d, poset.base))
     for warning in caught:
         print(f"gspec: warning: {warning.message}", file=sys.stderr)
     return filt, bool(caught)
 
 
+def _optional_chain(
+    args: argparse.Namespace, poset: PrimePoset
+) -> tuple[mut.BoundedOrder, bool]:
+    """The final order of the chain of the optional filtration (the standard
+    order without one), and whether normalisation warnings fired."""
+    filt, warned = _parse_filtration(args, poset, required=False)
+    steps = [] if filt is None else mut.chain_order(
+        poset, filt, _parse_annotations(args), args.policy
+    )
+    return mut.final_order(steps, poset), warned
+
+
 def _parse_annotations(args: argparse.Namespace) -> dict[int, bool]:
     if not getattr(args, "annotations", None):
         return {}
-    with open(args.annotations, encoding="utf-8") as handle:
-        doc = json.load(handle)
+    doc = _read_json("--annotations", args.annotations, path=True)
     entries = doc.get("steps") if isinstance(doc, dict) else None
     if not isinstance(entries, list):
         raise ValueError('annotations must look like {"steps": [{"i": 2, "perfect": true}]}')
@@ -408,19 +439,11 @@ def _cmd_closure(args: argparse.Namespace) -> int:
 
 def _cmd_cb(args: argparse.Namespace) -> int:
     poset = _load_poset(args)
-    filt, warned = _parse_filtration(args, poset, required=False)
-    if filt is None:
-        co = mut.standard_order(poset)
-    else:
-        final = mut.final_order(
-            mut.chain_order(poset, filt, _parse_annotations(args), args.policy), poset
-        )
-        if not final.exact:
-            print("gspec: cannot take the filtration of an inexact order",
-                  file=sys.stderr)
-            return 3
-        co = final.lower
-    cb = cb_filtration(co.order)
+    final, warned = _optional_chain(args, poset)
+    if not final.exact:
+        print("gspec: cannot take the filtration of an inexact order", file=sys.stderr)
+        return 3
+    cb = cb_filtration(final.lower.order)
     if args.format == "json":
         payload = {"rank": cb.rank, "layers": [sorted(x) for x in cb.layers]}
         _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -434,25 +457,18 @@ def _cmd_cb(args: argparse.Namespace) -> int:
 
 def _cmd_mutate(args: argparse.Namespace) -> int:
     poset = _load_poset(args)
-    filt, warned = _parse_filtration(args, poset, required=False)
-    if filt is None:
-        base = mut.exact_bounds(mut.standard_order(poset))
-    else:
-        base = mut.final_order(
-            mut.chain_order(poset, filt, _parse_annotations(args), args.policy), poset
-        )
-        if not base.exact:
-            print("gspec: cannot mutate an inexact order", file=sys.stderr)
-            return 3
-    E = json.loads(args.at)
-    if not isinstance(E, list) or not all(isinstance(x, str) for x in E):
+    base, warned = _optional_chain(args, poset)
+    if not base.exact:
+        print("gspec: cannot mutate an inexact order", file=sys.stderr)
+        return 3
+    E = _read_json("--at", args.at)
+    if not isinstance(E, list):
         raise ValueError("--at must be a JSON list of point names")
+    _check_points("--at", E, poset.base)
     current = base.lower
     rule = args.rule
     if rule == "auto":
-        rule = "discrete" if current.order.subspace(
-            frozenset(E) & set(current.order.elements)
-        ).is_discrete() else "general"
+        rule = "discrete" if current.order.subspace(E).is_discrete() else "general"
     if rule == "discrete":
         result = mut.exact_bounds(mut.mutate_discrete(current, E))
     elif rule == "perfect":

@@ -111,15 +111,18 @@ def filtration_to_f(filt: SpFiltration) -> dict[str, int]:
 def f_to_filtration(poset: PrimePoset, f: Mapping[str, int]) -> SpFiltration:
     """Levels V_i = {p : f(p) >= i}, normalised.
 
-    Shifted inputs (constant added to f) normalise to the same filtration.
+    Shifted inputs (constant added to f) normalise to the same filtration:
+    the levels run from the first one that can be proper, min f + 1, to the
+    last nonempty one, max f.  Every other filtration source is a level
+    function and comes through here.
     """
-    missing = set(poset.base.elements) - set(f)
+    elements = poset.base.elements
+    missing = set(elements) - set(f)
     if missing:
         raise KeyError(f"level function missing {sorted(missing)}")
-    top = max(f[p] for p in poset.base.elements) if poset.base.elements else -1
-    levels = [
-        {p for p in poset.base.elements if f[p] >= i} for i in range(min(0, top), top + 1)
-    ]
+    values = [f[p] for p in elements] or [-1]
+    levels = [{p for p in elements if f[p] >= i}
+              for i in range(min(0, min(values) + 1), max(values) + 1)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", FiltrationWarning)
         return validate_filtration(poset, levels)
@@ -143,17 +146,7 @@ def classify(poset: PrimePoset, filt: SpFiltration) -> dict[str, bool]:
 def height_filtration(poset: PrimePoset) -> SpFiltration:
     """Levels V_i = {p : height(p) > i}; a slice filtration when height is a
     codimension function on the model."""
-    levels = []
-    i = 0
-    while True:
-        level = {p for p in poset.base.elements if poset.height[p] > i}
-        if not level:
-            break
-        levels.append(level)
-        i += 1
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", FiltrationWarning)
-        return validate_filtration(poset, levels)
+    return f_to_filtration(poset, {p: h - 1 for p, h in poset.height.items()})
 
 
 def codim_filtration(poset: PrimePoset, d: Mapping[str, int]) -> SpFiltration:
@@ -162,18 +155,10 @@ def codim_filtration(poset: PrimePoset, d: Mapping[str, int]) -> SpFiltration:
     d must raise by exactly one along every covering relation; adding a
     constant to d does not change the normalised result.
     """
-    base = poset.base
     # Scan covers from the bottom of the poset up so the first offender is
     # the lowest one.
-    covers = sorted(covering_pairs(base), key=lambda c: (poset.height[c[0]], c))
+    covers = sorted(covering_pairs(poset.base), key=lambda c: (poset.height[c[0]], c))
     for p, q in covers:
         if d[q] != d[p] + 1:
             raise NotCodimensionFunction((p, q))
-    if not base.elements:
-        return SpFiltration((), ())
-    lo = min(d[p] for p in base.elements)
-    hi = max(d[p] for p in base.elements)
-    levels = [{p for p in base.elements if d[p] > i} for i in range(lo, hi)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", FiltrationWarning)
-        return validate_filtration(poset, levels)
+    return f_to_filtration(poset, {p: d[p] - 1 for p in poset.base.elements})

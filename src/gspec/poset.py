@@ -356,13 +356,6 @@ def enumerate_closed_sets(order: Order) -> tuple[frozenset[str], ...]:
     return tuple(sorted(map(order.names, closed_masks(order)), key=_by_size_then_names))
 
 
-def upper_sets(order: Order) -> tuple[frozenset[str], ...]:
-    """All upper sets (open sets), via complements of the lower sets."""
-    full = order.full_mask
-    return tuple(sorted((order.names(full & ~m) for m in closed_masks(order)),
-                        key=_by_size_then_names))
-
-
 def heights_by_longest_chain(order: Order) -> dict[str, int]:
     """Height of each point as the longest chain strictly below it."""
     down = order.down

@@ -208,11 +208,16 @@ def load_prime_poset(document: Mapping | str) -> PrimePoset:
         height_map = {e: heights[e] for e in base.elements}
 
     annotations: dict[AnnotationKey, bool] = {}
-    for entry in document.get("coherence", []):
+    coherence = document.get("coherence", [])
+    if not isinstance(coherence, list):
+        raise SchemaError("'coherence' must be a list of entries")
+    for entry in coherence:
         if not isinstance(entry, Mapping) or set(entry) != {"p", "q", "W", "coherent"}:
             raise SchemaError(
                 "coherence entries must have exactly the keys p, q, W, coherent"
             )
+        if not isinstance(entry["p"], str) or not isinstance(entry["q"], str):
+            raise SchemaError("'p' and 'q' must be strings")
         if not isinstance(entry["coherent"], bool):
             raise SchemaError("'coherent' must be a boolean")
         W = entry["W"]

@@ -60,6 +60,25 @@ class TestPresetsAndValidate:
         code, _, err = run(capsys, "validate", "--file", str(path))
         assert code == 1 and "gspec:" in err
 
+    def test_broken_files_name_flag(self, capsys, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_text("{", encoding="utf-8")
+        code, out, err = run(capsys, "validate", "--file", str(path))
+        assert code == 1 and out == "" and err.startswith("gspec: --file is not valid JSON")
+        code, out, err = run(capsys, "closure", "--preset", "LOC2", "--levels", '[["m"]]',
+                             "--annotations", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("gspec: --annotations is not valid JSON")
+
+    def test_non_string_interval_end_is_schema_error(self, capsys, tmp_path):
+        doc = {"elements": ["o", "m"], "covers": [["o", "m"]],
+               "coherence": [{"p": ["o"], "q": "m", "W": ["m"], "coherent": True}]}
+        path = tmp_path / "poset.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "validate", "--file", str(path))
+        assert (code, out) == (1, "")
+        assert err == "gspec: 'p' and 'q' must be strings\n"
+
     def test_missing_source_exits_one(self, capsys):
         code, _, err = run(capsys, "validate")
         assert code == 1 and "exactly one" in err
@@ -123,9 +142,16 @@ class TestFiltrationCommand:
         ("--f", {"o": 0, "m": True}),
         ("--codim", {"o": "0", "m": "1"}),
         ("--levels", [[1]]),
+        ("--levels", [["zz"]]),
+        ("--codim", {"o": 0}),
+        ("--f", {"m": 1}),
+        ("--f", {"o": 0, "m": 1, "zz": 3}),
+        ("--levels", "nonsense"),
+        ("--codim", "{"),
     ])
     def test_ill_typed_source_names_flag(self, capsys, tmp_path, flag, value):
-        arg = json.dumps(value)
+        # A string is passed as it stands, to exercise JSON syntax errors.
+        arg = value if isinstance(value, str) else json.dumps(value)
         if flag == "--codim":
             path = tmp_path / "d.json"
             path.write_text(arg, encoding="utf-8")
@@ -314,6 +340,12 @@ class TestMutateCommand:
             "--require-exact",
         )
         assert code == 3
+
+    @pytest.mark.parametrize("at", ['["zz"]', '["o", "zz"]', "nonsense", "[1]", '{"o": 1}'])
+    def test_bad_class_names_flag(self, capsys, at):
+        code, out, err = run(capsys, "mutate", "--preset", "DVR1", "--at", at)
+        assert code == 1 and out == ""
+        assert err.startswith("gspec: --at ")
 
 
 class TestCheckCommand:

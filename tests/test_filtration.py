@@ -76,8 +76,9 @@ class TestLevelFunction:
     def test_shifted_f_normalises(self):
         poset = preset("LOC2")
         filt = validate_filtration(poset, [{"m"}])
-        f = {p: v + 5 for p, v in filtration_to_f(filt).items()}
-        assert f_to_filtration(poset, f) == filt
+        for k in (-5, 5):
+            f = {p: v + k for p, v in filtration_to_f(filt).items()}
+            assert f_to_filtration(poset, f) == filt
 
     def test_non_monotone_rejected(self):
         poset = preset("DVR1")
@@ -89,12 +90,14 @@ class TestLevelFunction:
             f_to_filtration(preset("DVR1"), {"m": 0})
 
     def test_round_trips_random(self, rng):
-        for _ in range(100):
+        for _ in range(300):
             poset = poset_from_order(random_order(rng))
             f = random_monotone_f(rng, poset.base)
             filt = f_to_filtration(poset, f)
             assert filtration_to_f(filt) == f
             assert f_to_filtration(poset, filtration_to_f(filt)) == filt
+            for k in range(-7, 8):
+                assert f_to_filtration(poset, {p: v + k for p, v in f.items()}) == filt
 
     def test_levels_are_upper_sets_random(self, rng):
         for _ in range(50):

@@ -191,14 +191,6 @@ class TestEnumerateClosedSets:
         masks = closed_masks(build_order(names, zip(names, names[1:])))
         assert sorted(masks) == [(1 << k) - 1 for k in range(17)]
 
-    def test_upper_sets_are_complements(self):
-        from gspec import upper_sets
-        universe = frozenset(DIAMOND.elements)
-        assert set(upper_sets(DIAMOND)) == {
-            universe - S for S in enumerate_closed_sets(DIAMOND)
-        }
-        assert set(upper_sets(DIAMOND)) == brute_upper_sets(DIAMOND)
-
 
 class TestProperties:
     @given(orders())

@@ -39,6 +39,11 @@ class TestLoad:
         {"elements": ["a", "b"], "heights": {"a": 0}},
         {"elements": ["a"], "covers": [], "bogus": 1},
         {"elements": ["a", "b"], "covers": [["a", "b"]], "heights": {"a": 0, "b": 0}},
+        {"elements": ["o", "m"], "covers": [["o", "m"]],
+         "coherence": [{"p": ["o"], "q": "m", "W": ["m"], "coherent": True}]},
+        {"elements": ["o", "m"], "covers": [["o", "m"]],
+         "coherence": [{"p": "o", "q": 1, "W": ["m"], "coherent": True}]},
+        {"elements": ["o"], "coherence": 0},
     ])
     def test_schema_errors(self, document):
         with pytest.raises(SchemaError):
