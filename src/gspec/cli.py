@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 import warnings
@@ -26,6 +27,7 @@ from .poset import (
     GspecError,
     Order,
     UnknownElement,
+    bits,
     cb_filtration,
     check_axioms,
     covering_pairs,
@@ -33,8 +35,12 @@ from .poset import (
 )
 from .spectra import PRESET_NAMES, PrimePoset, load_prime_poset, preset
 
-# ValueError: the CLI's own input checks, and undecodable input files.
-_VALIDATION_ERRORS = (GspecError, OSError, ValueError)
+
+class UsageError(GspecError, ValueError):
+    """An option value the CLI's own checks reject."""
+
+
+_VALIDATION_ERRORS = (GspecError, OSError)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -141,27 +147,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_poset(args: argparse.Namespace) -> PrimePoset:
     if bool(args.preset) == bool(args.file):
-        raise ValueError("exactly one of --preset or --file is required")
+        raise UsageError("exactly one of --preset or --file is required")
     if args.preset:
         return preset(args.preset)
     return load_prime_poset(_read_json("--file", args.file, path=True))
 
 
 def _read_json(flag: str, value: str, path: bool = False) -> object:
-    """JSON of an option, or of the file it names; a syntax error names the flag."""
-    if path:
-        with open(value, encoding="utf-8") as handle:
-            value = handle.read()
+    """JSON of an option, or of the file it names.  Text that is not UTF-8,
+    not JSON, nested too deeply or holding an integer too long to convert is
+    reported against the flag."""
     try:
+        if path:
+            with open(value, encoding="utf-8") as handle:
+                value = handle.read()
         return json.loads(value)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{flag} is not valid JSON: {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        raise UsageError(f"{flag} is not valid JSON: {exc}") from None
 
 
 def _check_points(flag: str, names: Collection[str], order: Order) -> None:
     """Each name must be a string naming a point; the error names the flag."""
     if not all(isinstance(p, str) for p in names):
-        raise ValueError(f"{flag} members must be point names (strings)")
+        raise UsageError(f"{flag} members must be point names (strings)")
     strangers = sorted(set(names) - set(order.elements))
     if strangers:
         raise UnknownElement(f"{flag} names {strangers[0]!r}, which is not a point")
@@ -170,13 +178,13 @@ def _check_points(flag: str, names: Collection[str], order: Order) -> None:
 def _level_function(flag: str, value: object, order: Order) -> dict[str, int]:
     """A JSON object giving an integer to every point and to nothing else."""
     if not isinstance(value, dict):
-        raise ValueError(f"{flag} must be a JSON object")
+        raise UsageError(f"{flag} must be a JSON object")
     if not all(_is_int(v) for v in value.values()):
-        raise ValueError(f"{flag} values must be integers")
+        raise UsageError(f"{flag} values must be integers")
     _check_points(flag, value, order)
     missing = set(order.elements) - set(value)
     if missing:
-        raise ValueError(f"{flag} gives no value for {sorted(missing)}")
+        raise UsageError(f"{flag} gives no value for {sorted(missing)}")
     return value
 
 
@@ -187,10 +195,10 @@ def _parse_filtration(
     given = args.height_filtration + sum(
         source is not None for source in (args.levels, args.f, args.codim))
     if given > 1:
-        raise ValueError("give at most one filtration source")
+        raise UsageError("give at most one filtration source")
     if not given:
         if required:
-            raise ValueError(
+            raise UsageError(
                 "a filtration is required: --levels, --f, --height-filtration or --codim"
             )
         return None, False
@@ -200,7 +208,7 @@ def _parse_filtration(
         if args.levels is not None:
             levels = _read_json("--levels", args.levels)
             if not isinstance(levels, list) or not all(isinstance(l, list) for l in levels):
-                raise ValueError("--levels must be a JSON list of lists")
+                raise UsageError("--levels must be a JSON list of lists")
             _check_points("--levels", [p for level in levels for p in level], poset.base)
             filt = spf.validate_filtration(poset, levels)
         elif args.f is not None:
@@ -234,15 +242,15 @@ def _parse_annotations(args: argparse.Namespace) -> dict[int, bool]:
     doc = _read_json("--annotations", args.annotations, path=True)
     entries = doc.get("steps") if isinstance(doc, dict) else None
     if not isinstance(entries, list):
-        raise ValueError('annotations must look like {"steps": [{"i": 2, "perfect": true}]}')
+        raise UsageError('annotations must look like {"steps": [{"i": 2, "perfect": true}]}')
     out: dict[int, bool] = {}
     for entry in entries:
         if not isinstance(entry, dict) or set(entry) != {"i", "perfect"}:
-            raise ValueError("each step annotation needs exactly the keys 'i' and 'perfect'")
+            raise UsageError("each step annotation needs exactly the keys 'i' and 'perfect'")
         if not _is_int(entry["i"]):
-            raise ValueError("step annotation 'i' must be an integer")
+            raise UsageError("step annotation 'i' must be an integer")
         if not isinstance(entry["perfect"], bool):
-            raise ValueError("step annotation 'perfect' must be a boolean")
+            raise UsageError("step annotation 'perfect' must be a boolean")
         out[entry["i"]] = entry["perfect"]
     return out
 
@@ -261,6 +269,76 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 
 
 # -- output builders ---------------------------------------------------------
+
+
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _dumps(value: object) -> str:
+    """Canonical JSON: the bytes the ``json`` module writes with ``indent=2``
+    and ``sort_keys=True``, plus a newline.
+
+    That module uses its C encoder only when ``indent`` is None, so the
+    indented form is written here, joining lists of strings in one step.
+    Takes dicts with string keys, lists, tuples, strings, ints, booleans and
+    None; anything else raises :class:`TypeError`.
+    """
+    out: list[str] = []
+    _write(value, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value: object, newline: str, out: list[str]) -> None:
+    """Append the JSON of ``value``; ``newline`` starts a line at its depth."""
+    if isinstance(value, str):
+        out.append(_escape(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        if not all(isinstance(key, str) for key in value):
+            raise TypeError("JSON object keys must be strings")
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            out.append(sep + _escape(key) + ": ")
+            _write(value[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        kinds = set(map(type, value))
+        if kinds == {str}:
+            out.append("[" + inner + ("," + inner).join(map(_escape, value)) + newline + "]")
+        elif kinds <= {list, tuple} and all(value) and \
+                set(map(type, itertools.chain.from_iterable(value))) == {str}:
+            # A list of string lists, such as relation pairs, in one join.
+            deeper = inner + "  "
+            head, sep, tail = "[" + deeper, "," + deeper, inner + "]"
+            out.append("[" + inner + ("," + inner).join(
+                head + sep.join(map(_escape, item)) + tail for item in value
+            ) + newline + "]")
+        else:
+            sep = "[" + inner
+            for item in value:
+                out.append(sep)
+                _write(item, inner, out)
+                sep = "," + inner
+            out.append(newline + "]")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def hasse_dot(order: Order, heights: dict[str, int]) -> str:
@@ -283,15 +361,18 @@ def _quote(name: str) -> str:
 
 
 def _relations_json(order: Order) -> list[list[str]]:
-    return [list(pair) for pair in sorted(order.strict_pairs())]
+    """The strict pairs, sorted: ascending indices give sorted pairs because
+    the elements are sorted."""
+    els = order.elements
+    return [[els[i], els[j]] for i, m in enumerate(order.up) for j in bits(m & ~(1 << i))]
 
 
 def _order_json(co: mut.ClosureOrder) -> dict:
     return {
-        "elements": list(co.order.elements),
+        "elements": co.order.elements,
         "relations": _relations_json(co.order),
-        "covers": [list(pair) for pair in covering_pairs(co.order)],
-        "provenance": list(co.provenance),
+        "covers": covering_pairs(co.order),
+        "provenance": co.provenance,
     }
 
 
@@ -326,7 +407,7 @@ def _render_bounded(args: argparse.Namespace, poset: PrimePoset,
             + hasse_dot(bounded.upper.order, heights)
         )
     if args.format == "json":
-        return json.dumps(_bounded_json(bounded), indent=2, sort_keys=True) + "\n"
+        return _dumps(_bounded_json(bounded))
     if bounded.exact:
         return _order_text(bounded.lower.order)
     return (
@@ -362,7 +443,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             "covers": [list(c) for c in covering_pairs(poset.base)],
             "axioms": axioms,
         }
-        _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _emit(args, _dumps(payload))
     else:
         lines = [f"{len(poset.base.elements)} primes, "
                  f"{len(covering_pairs(poset.base))} covers"]
@@ -383,7 +464,7 @@ def _cmd_filtration(args: argparse.Namespace) -> int:
             "f": dict(sorted(f.items())),
             "classification": flags,
         }
-        _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _emit(args, _dumps(payload))
     else:
         lines = [f"length {filt.n}"]
         for i, level in enumerate(filt.levels):
@@ -408,6 +489,8 @@ def _cmd_closure(args: argparse.Namespace) -> int:
 
     if args.steps:
         if args.format == "json":
+            # The final order is the last step's result: build its dict once.
+            results = [_bounded_json(post) for _, post in steps]
             payload = {
                 "steps": [
                     {
@@ -416,13 +499,13 @@ def _cmd_closure(args: argparse.Namespace) -> int:
                         "perfect": step.perfect,
                         "support": sorted(step.support),
                         "class": sorted(step.mutation_class),
-                        "result": _bounded_json(post),
+                        "result": result,
                     }
-                    for step, post in steps
+                    for (step, _), result in zip(steps, results)
                 ],
-                "final": _bounded_json(final),
+                "final": results[-1] if steps else _bounded_json(final),
             }
-            text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+            text = _dumps(payload)
         else:
             prefix = "// " if args.format == "dot" else ""
             chunks = []
@@ -446,7 +529,7 @@ def _cmd_cb(args: argparse.Namespace) -> int:
     cb = cb_filtration(final.lower.order)
     if args.format == "json":
         payload = {"rank": cb.rank, "layers": [sorted(x) for x in cb.layers]}
-        _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _emit(args, _dumps(payload))
     else:
         lines = [f"rank {cb.rank}"]
         for i, layer in enumerate(cb.layers):
@@ -463,7 +546,7 @@ def _cmd_mutate(args: argparse.Namespace) -> int:
         return 3
     E = _read_json("--at", args.at)
     if not isinstance(E, list):
-        raise ValueError("--at must be a JSON list of point names")
+        raise UsageError("--at must be a JSON list of point names")
     _check_points("--at", E, poset.base)
     current = base.lower
     rule = args.rule
@@ -492,7 +575,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             "passed": not failed,
             "reports": [r.to_json() for r in reports],
         }
-        _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _emit(args, _dumps(payload))
     else:
         lines = []
         for r in reports:

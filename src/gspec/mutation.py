@@ -41,6 +41,10 @@ class NotDiscrete(GspecError):
     """The mutation class is not a discrete subspace of the current order."""
 
 
+class UnknownStep(GspecError):
+    """A step annotation whose index is not a step of the chain."""
+
+
 class UndeterminedCoherence(GspecError):
     """The oracle could not decide a coherence question under policy=error."""
 
@@ -216,10 +220,16 @@ def chain_order(
     to the sound upper/lower bracket.
 
     Truncated-slice filtrations take the discrete rule at every step,
-    including the first.
+    including the first.  An annotation outside steps 1..n raises
+    :class:`UnknownStep`.
     """
     _check_policy(policy)
     annotations = dict(step_annotations or {})
+    for i in sorted(annotations):
+        if not 1 <= i <= filt.n:
+            raise UnknownStep(
+                f"step annotation 'i' is {i}, outside the chain's steps 1..{filt.n}"
+            )
     truncated = spf.classify(poset, filt)["truncated_slice"]
     steps: list[tuple[MutationStep, BoundedOrder]] = []
     current = exact_bounds(standard_order(poset))

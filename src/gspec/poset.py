@@ -162,9 +162,6 @@ class Order:
 
     # -- structure ---------------------------------------------------------
 
-    def strict_pairs(self) -> frozenset[tuple[str, str]]:
-        return frozenset((p, q) for (p, q) in self.relation if p != q)
-
     def maximal_elements(self, within: Iterable[str] | None = None) -> frozenset[str]:
         S = self.mask(within) if within is not None else self.full_mask
         return frozenset(self.elements[i] for i in bits(S) if self.up[i] & S == 1 << i)
@@ -199,10 +196,9 @@ def build_order(elements: Iterable[str], relations: Iterable[tuple[str, str]]) -
     index = {e: i for i, e in enumerate(els)}
     up = [1 << i for i in range(len(els))]
     for a, b in relations:
-        if a not in index:
-            raise UnknownElement(a)
-        if b not in index:
-            raise UnknownElement(b)
+        for p in (a, b):
+            if p not in index:
+                raise UnknownElement(f"{p!r} is not one of the elements")
         up[index[a]] |= 1 << index[b]
     up = transitive_closure(up)
     for i, m in enumerate(up):

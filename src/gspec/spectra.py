@@ -203,6 +203,9 @@ def load_prime_poset(document: Mapping | str) -> PrimePoset:
         missing = set(base.elements) - set(heights)
         if missing:
             raise SchemaError(f"heights missing for {sorted(missing)}")
+        strangers = set(heights) - set(base.elements)
+        if strangers:
+            raise SchemaError(f"heights given for {sorted(strangers)}, which are not elements")
         if any(v < 0 for v in heights.values()):
             raise SchemaError("heights must be non-negative")
         height_map = {e: heights[e] for e in base.elements}

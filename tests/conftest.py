@@ -25,6 +25,11 @@ def brute_lower_sets(order: Order) -> set[frozenset[str]]:
     return out
 
 
+def strict_pairs(order: Order) -> set[tuple[str, str]]:
+    """The relation without its diagonal."""
+    return {(p, q) for p, q in order.relation if p != q}
+
+
 def brute_upper_sets(order: Order) -> set[frozenset[str]]:
     universe = frozenset(order.elements)
     return {universe - S for S in brute_lower_sets(order)}

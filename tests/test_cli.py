@@ -1,9 +1,15 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from gspec.cli import main
+from conftest import random_order, strict_pairs
+from gspec import POLICIES, PRESET_NAMES
+from gspec import mutation as mut
+from gspec.cli import _dumps, _relations_json, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -69,6 +75,29 @@ class TestPresetsAndValidate:
                              "--annotations", str(path))
         assert code == 1 and out == ""
         assert err.startswith("gspec: --annotations is not valid JSON")
+
+    @pytest.mark.parametrize("flag", ["--file", "--annotations", "--codim"])
+    @pytest.mark.parametrize("content", [b"[" * 100_000, b'{"\xff": 0}',
+                                         b'{"o": ' + b"9" * 5000 + b"}"],
+                             ids=["deep", "not-utf8", "long-int"])
+    def test_undecodable_files_name_flag(self, capsys, tmp_path, flag, content):
+        path = tmp_path / "input.json"
+        path.write_bytes(content)
+        argv = {"--file": ["validate", "--file", str(path)],
+                "--annotations": ["closure", "--preset", "LOC2", "--levels", '[["m"]]',
+                                  "--annotations", str(path)],
+                "--codim": ["filtration", "--preset", "LOC2", "--codim", str(path)]}[flag]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith(f"gspec: {flag} is not valid JSON: ")
+
+    def test_cover_stranger_named(self, capsys, tmp_path):
+        path = tmp_path / "poset.json"
+        path.write_text(json.dumps({"elements": ["o"], "covers": [["o", "zz"]]}),
+                        encoding="utf-8")
+        code, out, err = run(capsys, "validate", "--file", str(path))
+        assert (code, out) == (1, "")
+        assert err == "gspec: 'zz' is not one of the elements\n"
 
     def test_non_string_interval_end_is_schema_error(self, capsys, tmp_path):
         doc = {"elements": ["o", "m"], "covers": [["o", "m"]],
@@ -261,6 +290,7 @@ class TestClosureCommand:
         ({"i": 2, "perfect": 1}, "perfect"),
         ({"i": "2", "perfect": True}, "i"),
         ({"i": True, "perfect": True}, "i"),
+        ({"i": 99, "perfect": True}, "i"),
     ])
     def test_annotation_types_checked(self, capsys, tmp_path, entry, key):
         """A string "false" must not certify a perfect step."""
@@ -396,3 +426,78 @@ class TestCheckCommand:
         )
         code, _, err = run(capsys, "check", "--file", str(path), "--levels", "[]")
         assert code == 1
+
+
+_SPECIAL_CHARACTERS = st.sampled_from(
+    ['"', "\\", "/", "\x00", "\x1f", "\x7f", "\n", "\t", "\u00e9", "\u2028",
+     "\ud800", "\udfff", "\U0001f600"])
+_TEXT = st.text(st.one_of(st.characters(), _SPECIAL_CHARACTERS), max_size=8)
+_SCALARS = st.one_of(
+    _TEXT, st.integers(), st.integers(min_value=-10**40, max_value=10**40),
+    st.booleans(), st.none(),
+    st.lists(_TEXT), st.lists(st.lists(_TEXT, max_size=3)),
+)
+_PAYLOADS = st.recursive(
+    _SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+class TestJsonWriter:
+    @given(_PAYLOADS)
+    def test_matches_json_module(self, value):
+        assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("value", [
+        1.5, float("nan"), {"a"}, frozenset(), {1: "a"}, {None: 1}, {"a": 1, 2: 3},
+        [["a"], [1.0]], [("a", "b"), ["c", {"d"}]], ["a", 0.0], {"k": [object()]},
+    ])
+    def test_rejects_what_json_lacks(self, value):
+        with pytest.raises(TypeError):
+            _dumps(value)
+
+    def test_relations_are_sorted_strict_pairs(self):
+        rng = random.Random(8)
+        for _ in range(300):
+            order = random_order(rng, max_size=14)
+            assert _relations_json(order) == [list(p) for p in sorted(strict_pairs(order))]
+
+    def test_every_json_output_is_canonical(self, capsys):
+        compared = 0
+        for name in PRESET_NAMES:
+            base = ["--preset", name]
+            runs = [["validate", *base], ["mutate", *base, "--at", '["o"]'],
+                    ["filtration", *base, "--height-filtration"], ["cb", *base]]
+            for policy in POLICIES:
+                for levels in ('[["m"]]', '[["m"],["m"]]'):
+                    chain = [*base, "--levels", levels, "--policy", policy]
+                    runs += [["closure", *chain], ["closure", *chain, "--steps"],
+                             ["cb", *chain], ["check", *chain]]
+            for argv in runs:
+                code, out, _ = run(capsys, *argv, "--format", "json")
+                if out:
+                    compared += 1
+                    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+        assert compared >= 100
+
+    def test_closure_json_builds_no_pair_sets(self, capsys, monkeypatch):
+        seen, original = [], mut.chain_order
+
+        def chain_order(*args):
+            seen.extend(chain := original(*args))
+            return chain
+
+        monkeypatch.setattr("gspec.cli.mut.chain_order", chain_order)
+        code, out, _ = run(capsys, "closure", "--preset", "LOC3", "--policy", "assume-coherent",
+                           "--levels", '[["m","r1","r2","r3"],["m"]]', "--steps",
+                           "--format", "json")
+        assert code == 0 and json.loads(out)["final"]["exact"] is False
+        orders = [b.order for step, post in seen for bounds in (step.pre, post)
+                  for b in (bounds.lower, bounds.upper)]
+        assert len(orders) == 8
+        assert not [o for o in orders if "relation" in o.__dict__]

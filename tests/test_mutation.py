@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import random_order
+from conftest import random_order, strict_pairs
 from gspec import (
     POLICY_ASSUME_COHERENT,
     POLICY_ASSUME_NONCOHERENT,
@@ -11,6 +11,7 @@ from gspec import (
     NotDiscrete,
     Order,
     UndeterminedCoherence,
+    UnknownStep,
     build_order,
     chain_order,
     check_axioms,
@@ -30,7 +31,7 @@ LOC2_HEIGHT_ONE = {"p1", "p2", "p3", "p4", "p5"}
 
 
 def strict(co) -> set[tuple[str, str]]:
-    return set(co.order.strict_pairs())
+    return strict_pairs(co.order)
 
 
 class TestStandardOrder:
@@ -217,6 +218,13 @@ class TestChain:
         assert bounded[1][0].rule == "bounded" and not bounded[1][1].exact
         annotated = chain_order(poset, filt, step_annotations={2: True})
         assert annotated[1][0].rule == "perfect" and annotated[1][1].exact
+
+    @pytest.mark.parametrize("index", [0, 3, 99, -1])
+    def test_annotation_outside_chain_rejected(self, index):
+        poset = preset("LOC3")
+        filt = validate_filtration(poset, [{"r1", "r2", "r3", "m"}, {"m"}])
+        with pytest.raises(UnknownStep, match=f"'i' is {index}, outside the chain's steps 1..2"):
+            chain_order(poset, filt, step_annotations={2: True, index: True})
 
     def test_bounded_step_brackets(self):
         poset = preset("LOC3")

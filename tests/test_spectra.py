@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import strict_pairs
 from gspec import (
     COHERENT,
     NOT_COHERENT,
@@ -9,6 +10,7 @@ from gspec import (
     CycleError,
     NotComparable,
     SchemaError,
+    UnknownElement,
     UnknownPreset,
     load_prime_poset,
     preset,
@@ -44,10 +46,15 @@ class TestLoad:
         {"elements": ["o", "m"], "covers": [["o", "m"]],
          "coherence": [{"p": "o", "q": 1, "W": ["m"], "coherent": True}]},
         {"elements": ["o"], "coherence": 0},
+        {"elements": ["o"], "heights": {"o": 0, "zz": 3}},
     ])
     def test_schema_errors(self, document):
         with pytest.raises(SchemaError):
             load_prime_poset(document)
+
+    def test_cover_stranger_named(self):
+        with pytest.raises(UnknownElement, match="'zz' is not one of the elements"):
+            load_prime_poset({"elements": ["o"], "covers": [["o", "zz"]]})
 
     def test_explicit_heights_kept(self):
         poset = load_prime_poset(
@@ -191,7 +198,7 @@ class TestPresets:
     def test_dvr1(self):
         poset = preset("DVR1")
         assert len(poset.base.elements) == 2
-        assert poset.base.strict_pairs() == {("o", "m")}
+        assert strict_pairs(poset.base) == {("o", "m")}
 
     def test_loc3_shape(self):
         poset = preset("LOC3")
