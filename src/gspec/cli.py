@@ -551,7 +551,7 @@ def _cmd_mutate(args: argparse.Namespace) -> int:
     current = base.lower
     rule = args.rule
     if rule == "auto":
-        rule = "discrete" if current.order.subspace(E).is_discrete() else "general"
+        rule = "discrete" if current.order.is_discrete(E) else "general"
     if rule == "discrete":
         result = mut.exact_bounds(mut.mutate_discrete(current, E))
     elif rule == "perfect":

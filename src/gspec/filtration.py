@@ -136,10 +136,8 @@ def classify(poset: PrimePoset, filt: SpFiltration) -> dict[str, bool]:
     be an antichain.
     """
     base = poset.base
-    truncated = all(
-        base.subspace(filt.difference(i)).is_discrete() for i in range(filt.n)
-    )
-    is_slice = truncated and base.subspace(filt.level(filt.n - 1)).is_discrete()
+    truncated = all(base.is_discrete(filt.difference(i)) for i in range(filt.n))
+    is_slice = truncated and base.is_discrete(filt.level(filt.n - 1))
     return {"intermediate": True, "slice": is_slice, "truncated_slice": truncated}
 
 

@@ -134,7 +134,7 @@ def onestep_order(
             continue
         kept = row & ~v
         for j in bits(row & v):
-            verdict = poset.coherent_complement(els[i], els[j], V0).verdict
+            verdict = poset.verdict_at(i, j, v).verdict
             if verdict == UNDETERMINED:
                 if policy == POLICY_ERROR:
                     raise UndeterminedCoherence(els[i], els[j])
@@ -156,7 +156,7 @@ def mutate_discrete(co: ClosureOrder, E: Iterable[str]) -> ClosureOrder:
     isolated, everything else keeps its order."""
     E = frozenset(E)
     _require_closed(co.order, E)
-    if not co.order.subspace(E).is_discrete():
+    if not co.order.is_discrete(E):
         raise NotDiscrete(f"{sorted(E)} is not a discrete subspace")
     return ClosureOrder(_split(co.order, E), co.provenance + (f"{RULE_DISCRETE} at {_label(E)}",))
 
@@ -240,7 +240,7 @@ def chain_order(
         if i == 1 and not truncated:
             rule = RULE_ONESTEP
             post = exact_bounds(onestep_order(poset, filt.level(0), policy))
-        elif truncated or current.upper.order.subspace(E).is_discrete():
+        elif truncated or current.upper.order.is_discrete(E):
             rule = RULE_DISCRETE
             post = _each_bound(current, lambda co: exact_bounds(mutate_discrete(co, E)))
         elif annotations.get(i, False) or _vanishing_pattern(poset, filt.level(i - 1)):
@@ -338,11 +338,7 @@ def _vanishing_pattern(poset: PrimePoset, level: frozenset[str]) -> bool:
     """Built-in perfectness certificate: a local model of dimension at most
     two tilting at its unique closed point."""
     maxima = poset.base.maximal_elements()
-    return (
-        longest_chain(poset.base) <= 2
-        and len(maxima) == 1
-        and level == maxima
-    )
+    return len(maxima) == 1 and level == maxima and longest_chain(poset.base) <= 2
 
 
 def _forced_maximal(poset: PrimePoset, filt: spf.SpFiltration, step_index: int) -> frozenset[str]:

@@ -170,8 +170,10 @@ class Order:
         S = self.mask(within) if within is not None else self.full_mask
         return frozenset(self.elements[i] for i in bits(S) if self.down[i] & S == 1 << i)
 
-    def is_discrete(self) -> bool:
-        return all(m == 1 << i for i, m in enumerate(self.up))
+    def is_discrete(self, within: Iterable[str] | None = None) -> bool:
+        """No two points of ``within`` (default: all points) are comparable."""
+        S = self.mask(within) if within is not None else self.full_mask
+        return not any(self.up[i] & S & ~(1 << i) for i in bits(S))
 
 
 def transitive_closure(up: Sequence[int]) -> tuple[int, ...]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .poset import GspecError, Order, bits, build_order, covering_pairs, heights_by_longest_chain
@@ -48,6 +49,15 @@ class CoherenceVerdict:
     reason: str
 
 
+# Verdicts are immutable, so the oracle hands out one shared instance each.
+_TRIVIAL = CoherenceVerdict(COHERENT, "trivial")
+_DIMENSION_ONE = CoherenceVerdict(COHERENT, "dimension-one")
+_GENERIC_COMPLEMENT = CoherenceVerdict(COHERENT, "generic-complement")
+_DEEP_MINIMAL = CoherenceVerdict(NOT_COHERENT, "deep-minimal")
+_ANNOTATED = {True: CoherenceVerdict(COHERENT, "annotation"),
+              False: CoherenceVerdict(NOT_COHERENT, "annotation")}
+_NO_RULE = CoherenceVerdict(UNDETERMINED, "no-rule")
+
 AnnotationKey = tuple[str, str, frozenset[str]]
 
 
@@ -58,12 +68,15 @@ class PrimePoset:
     ``base`` carries the inclusion order, ``height`` the stored heights, and
     ``coherence`` maps an interval key ``(p, q, W)`` to whether the
     complement of the upper set ``W`` is coherent inside the interval
-    ``[p, q]``.
+    ``[p, q]``.  The same annotations are also kept keyed by point indices
+    and the mask of ``W``, which is what the oracle looks up.
     """
 
     base: Order
     height: Mapping[str, int] = field(hash=False)
     coherence: Mapping[AnnotationKey, bool] = field(hash=False)
+    _annotation_masks: dict[tuple[int, int, int], bool] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for p in self.base.elements:
@@ -72,14 +85,17 @@ class PrimePoset:
         for p, q in covering_pairs(self.base):
             if self.height[q] < self.height[p] + 1:
                 raise SchemaError(f"height not compatible with cover {p!r} < {q!r}")
-        for (p, q, W) in self.coherence:
-            self._validate_annotation_key(p, q, W)
+        keyed = {self._validate_annotation_key(p, q, W): known
+                 for (p, q, W), known in self.coherence.items()}
+        object.__setattr__(self, "_annotation_masks", keyed)
 
-    def _validate_annotation_key(self, p: str, q: str, W: frozenset[str]) -> None:
+    def _validate_annotation_key(self, p: str, q: str, W: frozenset[str]) -> tuple[int, int, int]:
+        """Check an annotation key; returns it as ``(i, j, W mask)``."""
         try:
-            members = self._interval_mask(p, q)
+            i, j = self._interval_ends(p, q)
         except NotComparable as exc:
             raise AnnotationKeyError(str(exc)) from None
+        members = self.base.up[i] & self.base.down[j]
         if not W <= self.base.names(members):
             raise AnnotationKeyError(
                 f"annotation set {sorted(W)} not inside interval [{p!r}, {q!r}]"
@@ -90,13 +106,22 @@ class PrimePoset:
                 f"annotation set {sorted(W)} not specialisation-closed in "
                 f"[{p!r}, {q!r}]"
             )
+        return i, j, w
 
-    def _interval_mask(self, p: str, q: str) -> int:
-        """Mask of ``{r : p <= r <= q}``; :class:`NotComparable` unless p <= q."""
+    def _interval_ends(self, p: str, q: str) -> tuple[int, int]:
+        """Indices of ``p`` and ``q``; :class:`NotComparable` unless p <= q."""
         index = self.base.index
         if p not in index or q not in index or not self.base.leq(p, q):
             raise NotComparable(f"{p!r} not contained in {q!r}")
-        return self.base.up[index[p]] & self.base.down[index[q]]
+        return index[p], index[q]
+
+    @cached_property
+    def _shallow(self) -> tuple[int, ...]:
+        """Per point p, the mask of points of height below h(p) + 2."""
+        heights = [self.height[p] for p in self.base.elements]
+        below = {h: sum(1 << r for r, g in enumerate(heights) if g < h + 2)
+                 for h in set(heights)}
+        return tuple(below[h] for h in heights)
 
     def interval(self, p: str, q: str) -> "PrimePoset":
         """The sub-poset ``{r : p <= r <= q}`` with re-based heights.
@@ -107,7 +132,8 @@ class PrimePoset:
         bottom of the interval sits at height zero, and annotations whose own
         interval nests inside ``[p, q]`` are carried along.
         """
-        members = self.base.names(self._interval_mask(p, q))
+        i, j = self._interval_ends(p, q)
+        members = self.base.names(self.base.up[i] & self.base.down[j])
         offset = self.height[p]
         heights = {r: self.height[r] - offset for r in sorted(members)}
         kept = {
@@ -119,8 +145,18 @@ class PrimePoset:
     def coherent_complement(self, p: str, q: str, V0: Iterable[str]) -> CoherenceVerdict:
         """Decide whether ``V0`` restricted to ``[p, q]`` has coherent complement.
 
+        The name-based entry point to :meth:`verdict_at`: raises
+        :class:`NotComparable` unless p <= q and :class:`UnknownElement` for
+        a name of ``V0`` outside the poset.
+        """
+        i, j = self._interval_ends(p, q)
+        return self.verdict_at(i, j, self.base.mask(V0))
+
+    def verdict_at(self, i: int, j: int, v: int) -> CoherenceVerdict:
+        """The oracle on point indices ``i <= j`` and the mask ``v`` of V0.
+
         ``V0`` must be specialisation-closed in the ambient poset.  The rules,
-        in order:
+        in order, on its restriction W to the interval ``[p, q]``:
 
         1. empty or full restriction: trivially coherent;
         2. the interval has Krull dimension at most one: every subset of such
@@ -133,24 +169,29 @@ class PrimePoset:
         5. otherwise the question is ring-dependent: consult the annotations,
            else undetermined.
         """
-        base = self.base
-        members = self._interval_mask(p, q)
-        W = base.mask(base.names(members) & frozenset(V0))
+        up = self.base.up
+        members = up[i] & self.base.down[j]
+        W = members & v
         if not W or W == members:
-            return CoherenceVerdict(COHERENT, "trivial")
+            return _TRIVIAL
         # With no point strictly between p and q the longest chain is p < q.
         if members.bit_count() <= 2:
-            return CoherenceVerdict(COHERENT, "dimension-one")
-        if W == members & ~(1 << base.index[p]):
-            return CoherenceVerdict(COHERENT, "generic-complement")
-        offset = self.height[p]
-        if any(self.height[base.elements[r]] - offset >= 2
-               for r in bits(W) if base.down[r] & W == 1 << r):
-            return CoherenceVerdict(NOT_COHERENT, "deep-minimal")
-        known = self.coherence.get((p, q, base.names(W)))
+            return _DIMENSION_ONE
+        if W == members & ~(1 << i):
+            return _GENERIC_COMPLEMENT
+        # A deep minimal point of W (height >= h(p) + 2) lies above no
+        # shallow point of W, and a point of W above no shallow one lies above
+        # a deep minimal one: so there is one exactly when W escapes the
+        # up-sets of its shallow points.
+        reach = 0
+        for r in bits(W & self._shallow[i]):
+            reach |= up[r]
+        if W & ~reach:
+            return _DEEP_MINIMAL
+        known = self._annotation_masks.get((i, j, W))
         if known is not None:
-            return CoherenceVerdict(COHERENT if known else NOT_COHERENT, "annotation")
-        return CoherenceVerdict(UNDETERMINED, "no-rule")
+            return _ANNOTATED[known]
+        return _NO_RULE
 
 
 def load_prime_poset(document: Mapping | str) -> PrimePoset:

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_order, strict_pairs
-from gspec import POLICIES, PRESET_NAMES
+from gspec import POLICIES, PRESET_NAMES, PrimePoset, preset
 from gspec import mutation as mut
 from gspec.cli import _dumps, _relations_json, main
 
@@ -501,3 +501,27 @@ class TestJsonWriter:
                   for b in (bounds.lower, bounds.upper)]
         assert len(orders) == 8
         assert not [o for o in orders if "relation" in o.__dict__]
+
+    def test_engine_never_calls_the_name_based_oracle(self, capsys, monkeypatch):
+        calls, verdict_at = [], PrimePoset.verdict_at
+
+        def counted(self, *args):
+            calls.append(args)
+            return verdict_at(self, *args)
+
+        def refuse(*args):
+            raise AssertionError("the engine called PrimePoset.coherent_complement")
+
+        monkeypatch.setattr(PrimePoset, "verdict_at", counted)
+        monkeypatch.setattr(PrimePoset, "coherent_complement", refuse)
+        for name in PRESET_NAMES:
+            base = preset(name).base
+            levels = {json.dumps([sorted(base.spcl(p))]) for p in base.elements
+                      if base.spcl(p) != set(base.elements)}
+            levels.add('[["m"],["m"]]')
+            for policy in POLICIES:
+                for level in sorted(levels):
+                    code, _, _ = run(capsys, "closure", "--preset", name, "--levels", level,
+                                     "--policy", policy, "--steps", "--format", "json")
+                    assert code in (0, 2)
+        assert calls

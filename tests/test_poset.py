@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_lower_sets, brute_upper_sets, powerset, random_order
+from conftest import brute_lower_sets, brute_upper_sets, powerset, random_order, strict_pairs
 from gspec import (
     CycleError,
     Order,
@@ -106,6 +106,19 @@ class TestSubsets:
     def test_subspace_antichain(self):
         sub = DIAMOND.subspace({"a", "b"})
         assert sub.is_discrete()
+
+    def test_is_discrete_within_matches_subspace(self):
+        rng = random.Random(20261018)
+        for _ in range(300):
+            order = random_order(rng, max_size=10)
+            assert order.is_discrete() == (not strict_pairs(order))
+            for _ in range(5):
+                subset = {p for p in order.elements if rng.random() < 0.5}
+                assert order.is_discrete(subset) == order.subspace(subset).is_discrete()
+
+    def test_is_discrete_within_stranger(self):
+        with pytest.raises(UnknownElement, match="zz"):
+            DIAMOND.is_discrete({"a", "zz"})
 
 
 class TestCbFiltration:

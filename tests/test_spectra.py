@@ -1,6 +1,9 @@
+import random
+from collections import Counter
+
 import pytest
 
-from conftest import strict_pairs
+from conftest import random_order, strict_pairs
 from gspec import (
     COHERENT,
     NOT_COHERENT,
@@ -12,9 +15,11 @@ from gspec import (
     SchemaError,
     UnknownElement,
     UnknownPreset,
+    covering_pairs,
     load_prime_poset,
     preset,
 )
+from gspec.poset import heights_by_longest_chain
 
 
 class TestLoad:
@@ -169,6 +174,10 @@ class TestCoherentComplement:
             assert poset.coherent_complement(p, q, frozenset()).verdict == COHERENT
             assert poset.coherent_complement(p, q, universe).verdict == COHERENT
 
+    def test_stranger_in_V0_named(self):
+        with pytest.raises(UnknownElement, match="zz"):
+            preset("LOC2").coherent_complement("o", "m", {"m", "zz"})
+
     def test_dimension_one_beats_annotations(self):
         # An annotation contradicting the dimension rule never gets consulted.
         poset = load_prime_poset({
@@ -192,6 +201,85 @@ class TestCoherentComplement:
             for p, q in poset.base.relation:
                 verdict = poset.coherent_complement(p, q, frozenset(V0))
                 assert verdict.verdict != UNDETERMINED
+
+
+def between(order, p, q):
+    """The interval [p, q] read from the pair relation."""
+    return {r for r in order.elements if (p, r) in order.relation and (r, q) in order.relation}
+
+
+def reference_verdict(poset, p, q, V0):
+    """The five rules of the oracle restated over names and pairs."""
+    rel = poset.base.relation
+    members = between(poset.base, p, q)
+    W = members & V0
+    if not W or W == members:
+        return COHERENT, "trivial"
+    if len(members) <= 2:
+        return COHERENT, "dimension-one"
+    if W == members - {p}:
+        return COHERENT, "generic-complement"
+    minimal = [r for r in W if not any(s != r and (s, r) in rel for s in W)]
+    if any(poset.height[r] - poset.height[p] >= 2 for r in minimal):
+        return NOT_COHERENT, "deep-minimal"
+    known = poset.coherence.get((p, q, frozenset(W)))
+    if known is not None:
+        return (COHERENT if known else NOT_COHERENT), "annotation"
+    return UNDETERMINED, "no-rule"
+
+
+def random_model(rng):
+    """A random model on a random order and four random upper sets of it.
+
+    Half the models have explicit heights, stretched above the longest-chain
+    ones; the annotations are valid keys, each the restriction of one of the
+    upper sets to an interval, with a random verdict.
+    """
+    order = random_order(rng, max_size=9)
+    rel, pairs = order.relation, sorted(order.relation)
+    covers = covering_pairs(order)
+    document = {"elements": list(order.elements), "covers": [list(c) for c in covers]}
+    if rng.random() < 0.5:
+        heights = {}
+        for q in sorted(order.elements, key=lambda q: sum((p, q) in rel for p in order.elements)):
+            below = [heights[p] + 1 for p, r in covers if r == q]
+            heights[q] = max(below, default=0) + rng.choice((0, 0, 1, 2))
+        document["heights"] = heights
+    uppers = []
+    for _ in range(4):
+        seeds = rng.sample(order.elements, rng.randint(0, len(order.elements)))
+        uppers.append(frozenset(q for p in seeds for q in order.elements if (p, q) in rel))
+    document["coherence"] = [
+        {"p": p, "q": q, "W": sorted(between(order, p, q) & rng.choice(uppers)),
+         "coherent": rng.random() < 0.5}
+        for p, q in pairs if rng.random() < 0.4
+    ]
+    return load_prime_poset(document), uppers
+
+
+class TestVerdictAgainstReference:
+    def test_random_models(self):
+        rng = random.Random(20261018)
+        seen = Counter()
+        for _ in range(300):
+            poset, uppers = random_model(rng)
+            explicit = poset.height != heights_by_longest_chain(poset.base)
+            for V0 in uppers:
+                for p, q in sorted(poset.base.relation):
+                    got = poset.coherent_complement(p, q, V0)
+                    assert (got.verdict, got.reason) == reference_verdict(poset, p, q, V0), \
+                        (poset, p, q, sorted(V0))
+                    seen[got.reason] += 1
+                    if (p, q, frozenset(between(poset.base, p, q) & V0)) in poset.coherence:
+                        seen[f"{got.reason} over an annotation"] += 1
+                    if explicit:
+                        seen[f"{got.reason} off the longest-chain heights"] += 1
+        for reason in ("trivial", "dimension-one", "generic-complement", "deep-minimal",
+                       "annotation", "no-rule"):
+            assert seen[reason] > 0, reason
+        assert seen["dimension-one over an annotation"] > 0
+        assert seen["deep-minimal off the longest-chain heights"] > 0
+        assert seen["no-rule off the longest-chain heights"] > 0
 
 
 class TestPresets:
