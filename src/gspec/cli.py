@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import sys
 import warnings
-from typing import Collection
+from typing import Collection, Iterable
 
 from . import filtration as spf
 from . import mutation as mut
@@ -30,6 +29,7 @@ from .poset import (
     bits,
     cb_filtration,
     check_axioms,
+    cover_masks,
     covering_pairs,
     is_t0,
 )
@@ -251,6 +251,8 @@ def _parse_annotations(args: argparse.Namespace) -> dict[int, bool]:
             raise UsageError("step annotation 'i' must be an integer")
         if not isinstance(entry["perfect"], bool):
             raise UsageError("step annotation 'perfect' must be a boolean")
+        if entry["i"] in out:
+            raise UsageError(f"step annotation 'i' = {entry['i']} is given twice")
         out[entry["i"]] = entry["perfect"]
     return out
 
@@ -280,8 +282,8 @@ def _dumps(value: object) -> str:
 
     That module uses its C encoder only when ``indent`` is None, so the
     indented form is written here, joining lists of strings in one step.
-    Takes dicts with string keys, lists, tuples, strings, ints, booleans and
-    None; anything else raises :class:`TypeError`.
+    Takes dicts with string keys, lists, tuples, strings, ints, booleans,
+    None and :class:`_Fragment`; anything else raises :class:`TypeError`.
     """
     out: list[str] = []
     _write(value, "\n", out)
@@ -289,9 +291,17 @@ def _dumps(value: object) -> str:
     return "".join(out)
 
 
+class _Fragment(str):
+    """JSON text already written as if at depth 0.  Escaped JSON strings hold
+    no raw newline, so every newline in it starts a line and it is placed at
+    any depth by indenting those."""
+
+
 def _write(value: object, newline: str, out: list[str]) -> None:
     """Append the JSON of ``value``; ``newline`` starts a line at its depth."""
-    if isinstance(value, str):
+    if isinstance(value, _Fragment):
+        out.append(value.replace("\n", newline))
+    elif isinstance(value, str):
         out.append(_escape(value))
     elif isinstance(value, dict):
         if not value:
@@ -311,17 +321,8 @@ def _write(value: object, newline: str, out: list[str]) -> None:
             out.append("[]")
             return
         inner = newline + "  "
-        kinds = set(map(type, value))
-        if kinds == {str}:
+        if set(map(type, value)) == {str}:
             out.append("[" + inner + ("," + inner).join(map(_escape, value)) + newline + "]")
-        elif kinds <= {list, tuple} and all(value) and \
-                set(map(type, itertools.chain.from_iterable(value))) == {str}:
-            # A list of string lists, such as relation pairs, in one join.
-            deeper = inner + "  "
-            head, sep, tail = "[" + deeper, "," + deeper, inner + "]"
-            out.append("[" + inner + ("," + inner).join(
-                head + sep.join(map(_escape, item)) + tail for item in value
-            ) + newline + "]")
         else:
             sep = "[" + inner
             for item in value:
@@ -341,16 +342,39 @@ def _write(value: object, newline: str, out: list[str]) -> None:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+def _list_fragment(items: list[str]) -> _Fragment:
+    """A JSON list from the JSON text of its items, each written at depth 1."""
+    return _Fragment("[\n  " + ",\n  ".join(items) + "\n]" if items else "[]")
+
+
+def _order_fragments(order: Order, relations: bool = True) -> dict[str, _Fragment]:
+    """``elements``, ``covers`` and, if asked, ``relations`` (the strict
+    pairs) as JSON text.  Each name is escaped once; a pair is the text of
+    its smaller point's opening and its larger point's closing, and
+    ascending indices give sorted pairs because the elements are sorted."""
+    names = list(map(_escape, order.elements))
+    lead = ["[\n    " + name + ",\n    " for name in names]
+    tail = [name + "\n  ]" for name in names]
+
+    def pairs(masks: Iterable[int]) -> _Fragment:
+        return _list_fragment([lead[i] + tail[j] for i, m in enumerate(masks) for j in bits(m)])
+
+    fields = {"elements": _list_fragment(names), "covers": pairs(cover_masks(order))}
+    if relations:
+        fields["relations"] = pairs(m & ~(1 << i) for i, m in enumerate(order.up))
+    return fields
+
+
 def hasse_dot(order: Order, heights: dict[str, int]) -> str:
     """Hasse diagram as deterministic DOT: transitive reduction, nodes in
     rank groups by height, edges from the smaller prime to the larger."""
+    quoted = [_quote(p) for p in order.elements]
     lines = ["digraph gspec {", "  rankdir=BT;", "  node [shape=circle];"]
     for h in sorted(set(heights[p] for p in order.elements)):
-        names = sorted(p for p in order.elements if heights[p] == h)
-        group = " ".join(f"{_quote(p)};" for p in names)
+        group = " ".join(f"{q};" for p, q in zip(order.elements, quoted) if heights[p] == h)
         lines.append(f"  {{ rank=same; {group} }}")
-    for p, q in covering_pairs(order):
-        lines.append(f"  {_quote(p)} -> {_quote(q)};")
+    for i, m in enumerate(cover_masks(order)):
+        lines.extend(f"  {quoted[i]} -> {quoted[j]};" for j in bits(m))
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -360,20 +384,8 @@ def _quote(name: str) -> str:
     return f'"{escaped}"'
 
 
-def _relations_json(order: Order) -> list[list[str]]:
-    """The strict pairs, sorted: ascending indices give sorted pairs because
-    the elements are sorted."""
-    els = order.elements
-    return [[els[i], els[j]] for i, m in enumerate(order.up) for j in bits(m & ~(1 << i))]
-
-
 def _order_json(co: mut.ClosureOrder) -> dict:
-    return {
-        "elements": co.order.elements,
-        "relations": _relations_json(co.order),
-        "covers": covering_pairs(co.order),
-        "provenance": co.provenance,
-    }
+    return {**_order_fragments(co.order), "provenance": co.provenance}
 
 
 def _bounded_json(bounded: mut.BoundedOrder) -> dict:
@@ -438,9 +450,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         axioms = {"t0": is_t0(poset.base)}
     if args.format == "json":
         payload = {
-            "elements": list(poset.base.elements),
+            **_order_fragments(poset.base, relations=False),
             "heights": dict(sorted(poset.height.items())),
-            "covers": [list(c) for c in covering_pairs(poset.base)],
             "axioms": axioms,
         }
         _emit(args, _dumps(payload))

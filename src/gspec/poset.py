@@ -210,18 +210,24 @@ def build_order(elements: Iterable[str], relations: Iterable[tuple[str, str]]) -
     return Order(els, up)
 
 
-def covering_pairs(order: Order) -> tuple[tuple[str, str], ...]:
-    """The transitive reduction (Hasse diagram edges), sorted: ascending
-    indices give sorted pairs because the elements are sorted."""
-    els = order.elements
+def cover_masks(order: Order) -> tuple[int, ...]:
+    """The transitive reduction: per point, the mask of the points that
+    cover it (its strict up-set minus what lies strictly above a member)."""
     strict = [m & ~(1 << i) for i, m in enumerate(order.up)]
     covers = []
-    for i, m in enumerate(strict):
+    for m in strict:
         beyond = 0
         for j in bits(m):
             beyond |= strict[j]
-        covers.extend((els[i], els[j]) for j in bits(m & ~beyond))
+        covers.append(m & ~beyond)
     return tuple(covers)
+
+
+def covering_pairs(order: Order) -> tuple[tuple[str, str], ...]:
+    """The Hasse diagram edges as name pairs, sorted: ascending indices give
+    sorted pairs because the elements are sorted."""
+    els = order.elements
+    return tuple((els[i], els[j]) for i, m in enumerate(cover_masks(order)) for j in bits(m))
 
 
 def longest_chain(order: Order) -> int:

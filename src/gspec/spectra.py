@@ -223,6 +223,9 @@ def load_prime_poset(document: Mapping | str) -> PrimePoset:
     elements = document.get("elements")
     if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
         raise SchemaError("'elements' must be a list of strings")
+    if len(set(elements)) < len(elements):
+        repeated = next(e for k, e in enumerate(elements) if e in elements[:k])
+        raise SchemaError(f"element {repeated!r} is listed more than once")
     covers = document.get("covers", [])
     if not isinstance(covers, list) or not all(
         isinstance(c, (list, tuple)) and len(c) == 2 and all(isinstance(x, str) for x in c)
@@ -267,7 +270,12 @@ def load_prime_poset(document: Mapping | str) -> PrimePoset:
         W = entry["W"]
         if not isinstance(W, list) or not all(isinstance(x, str) for x in W):
             raise SchemaError("'W' must be a list of strings")
-        annotations[(entry["p"], entry["q"], frozenset(W))] = entry["coherent"]
+        key = (entry["p"], entry["q"], frozenset(W))
+        if key in annotations:
+            raise SchemaError(
+                f"coherence given twice for p={key[0]!r}, q={key[1]!r}, W={sorted(key[2])}"
+            )
+        annotations[key] = entry["coherent"]
 
     return PrimePoset(base, height_map, annotations)
 

@@ -7,9 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_order, strict_pairs
-from gspec import POLICIES, PRESET_NAMES, PrimePoset, preset
+from gspec import POLICIES, PRESET_NAMES, PrimePoset, build_order, covering_pairs, preset
 from gspec import mutation as mut
-from gspec.cli import _dumps, _relations_json, main
+from gspec.cli import _bounded_json, _dumps, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -213,6 +213,35 @@ class TestClosureCommand:
         assert code == 0
         assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize("argv,golden", [
+        (["closure", "--preset", "LOC3", "--levels", '[["m","r1","r2","r3"],["m"]]',
+          "--policy", "assume-noncoherent", "--steps"], "loc3_inexact_steps.json"),
+        (["closure", "--preset", "LOC2", "--height-filtration", "--steps"],
+         "loc2_height_steps.json"),
+        (["validate", "--preset", "LOC2M"], "loc2m_validate.json"),
+        (["mutate", "--preset", "LOC2", "--at", '["o"]'], "loc2_mutate_o.json"),
+    ])
+    def test_golden_json(self, capsys, argv, golden):
+        """An inexact final written under both ``steps`` and ``final``, an
+        order with no covers, ``validate`` and one mutation."""
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("first", [True, False])
+    def test_conflicting_coherence_rejected(self, capsys, tmp_path, first):
+        """A repeated annotation key is an error in either entry order, not a
+        silent win for the last entry."""
+        doc = {"elements": ["o", "a", "b", "m"],
+               "covers": [["o", "a"], ["o", "b"], ["a", "m"], ["b", "m"]],
+               "coherence": [{"p": "o", "q": "m", "W": ["a", "m"], "coherent": first},
+                             {"p": "o", "q": "m", "W": ["m", "a"], "coherent": not first}]}
+        path = tmp_path / "poset.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "closure", "--file", str(path), "--levels", '[["a","m"]]')
+        assert (code, out) == (1, "")
+        assert err == "gspec: coherence given twice for p='o', q='m', W=['a', 'm']\n"
+
     def test_loc3_height_text(self, capsys):
         code, out, _ = run(
             capsys, "closure", "--preset", "LOC3", "--height-filtration",
@@ -291,11 +320,15 @@ class TestClosureCommand:
         ({"i": "2", "perfect": True}, "i"),
         ({"i": True, "perfect": True}, "i"),
         ({"i": 99, "perfect": True}, "i"),
+        ([{"i": 2, "perfect": True}, {"i": 2, "perfect": False}], "i"),
+        ([{"i": 2, "perfect": False}, {"i": 2, "perfect": True}], "i"),
     ])
     def test_annotation_types_checked(self, capsys, tmp_path, entry, key):
-        """A string "false" must not certify a perfect step."""
+        """A string "false" must not certify a perfect step, and a repeated
+        index is an error rather than a silent win for its last entry."""
+        steps = entry if isinstance(entry, list) else [entry]
         path = tmp_path / "steps.json"
-        path.write_text(json.dumps({"steps": [entry]}), encoding="utf-8")
+        path.write_text(json.dumps({"steps": steps}), encoding="utf-8")
         code, out, err = run(
             capsys, "closure", "--preset", "LOC3",
             "--levels", '[["r1","r2","r3","m"],["m"]]',
@@ -461,11 +494,37 @@ class TestJsonWriter:
         with pytest.raises(TypeError):
             _dumps(value)
 
-    def test_relations_are_sorted_strict_pairs(self):
+    def test_order_fragments_match_json_module(self):
+        """Orders written from their masks as pre-written text give the bytes
+        of the same data built from pairs, at any depth; names carry quotes,
+        backslashes, newlines and non-ASCII text to exercise escaping."""
         rng = random.Random(8)
+        prefixes = ["", '"', "\\", "\n", "\u00e9", "\U0001f600", "a b"]
+
+        def plain(co):
+            return {"elements": list(co.order.elements),
+                    "relations": [list(p) for p in sorted(strict_pairs(co.order))],
+                    "covers": [list(p) for p in covering_pairs(co.order)],
+                    "provenance": list(co.provenance)}
+
+        orders = [build_order([], [])]
         for _ in range(300):
             order = random_order(rng, max_size=14)
-            assert _relations_json(order) == [list(p) for p in sorted(strict_pairs(order))]
+            rename = {p: rng.choice(prefixes) + p for p in order.elements}
+            orders.append(build_order(rename.values(),
+                                      [(rename[p], rename[q]) for p, q in strict_pairs(order)]))
+        for order in orders:
+            kept = [c for c in covering_pairs(order) if rng.random() < 0.5]
+            upper = mut.ClosureOrder(order, ("standard", 'discrete at {"x"}'))
+            lower = mut.ClosureOrder(build_order(order.elements, kept), ("lower",))
+            for bounded, expected in [
+                (mut.exact_bounds(upper), {"exact": True, "order": plain(upper)}),
+                (mut.BoundedOrder(lower, upper, False),
+                 {"exact": False, "lower": plain(lower), "upper": plain(upper)}),
+            ]:
+                for wrap in (lambda x: x, lambda x: {"steps": [{"result": x}], "final": x}):
+                    assert _dumps(wrap(_bounded_json(bounded))) == \
+                        json.dumps(wrap(expected), indent=2, sort_keys=True) + "\n"
 
     def test_every_json_output_is_canonical(self, capsys):
         compared = 0

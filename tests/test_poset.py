@@ -17,7 +17,7 @@ from gspec import (
     enumerate_closed_sets,
     longest_chain,
 )
-from gspec.poset import closed_masks, heights_by_longest_chain
+from gspec.poset import closed_masks, cover_masks, heights_by_longest_chain
 
 
 @st.composite
@@ -288,6 +288,8 @@ class TestMaskRepresentation:
                 if not any((p, r) in strict and (r, q) in strict for r in order.elements)
             }
             assert covering_pairs(order) == tuple(sorted(reduction))
+            assert [order.names(m) for m in cover_masks(order)] == [
+                {q for (r, q) in reduction if r == p} for p in order.elements]
 
             heights = self.pair_heights(order)
             assert heights_by_longest_chain(order) == heights

@@ -52,10 +52,15 @@ class TestLoad:
          "coherence": [{"p": "o", "q": 1, "W": ["m"], "coherent": True}]},
         {"elements": ["o"], "coherence": 0},
         {"elements": ["o"], "heights": {"o": 0, "zz": 3}},
+        {"elements": ["o", "o", "m"], "covers": [["o", "m"]]},
     ])
     def test_schema_errors(self, document):
         with pytest.raises(SchemaError):
             load_prime_poset(document)
+
+    def test_repeated_element_named(self):
+        with pytest.raises(SchemaError, match="element 'o' is listed more than once"):
+            load_prime_poset({"elements": ["o", "m", "o"], "covers": [["o", "m"]]})
 
     def test_cover_stranger_named(self):
         with pytest.raises(UnknownElement, match="'zz' is not one of the elements"):
