@@ -469,17 +469,18 @@ def _cmd_filtration(args: argparse.Namespace) -> int:
     filt, warned = _parse_filtration(args, poset)
     flags = spf.classify(poset, filt)
     f = spf.filtration_to_f(filt)
+    levels = [sorted(poset.base.names(level)) for level in filt.levels]
     if args.format == "json":
         payload = {
-            "levels": [sorted(level) for level in filt.levels],
+            "levels": levels,
             "f": dict(sorted(f.items())),
             "classification": flags,
         }
         _emit(args, _dumps(payload))
     else:
         lines = [f"length {filt.n}"]
-        for i, level in enumerate(filt.levels):
-            lines.append(f"V{i} = {{{','.join(sorted(level))}}}")
+        for i, level in enumerate(levels):
+            lines.append(f"V{i} = {{{','.join(level)}}}")
         lines.append(
             "classification: "
             + ", ".join(k for k, v in sorted(flags.items()) if v)
@@ -508,8 +509,8 @@ def _cmd_closure(args: argparse.Namespace) -> int:
                         "index": step.index,
                         "rule": step.rule,
                         "perfect": step.perfect,
-                        "support": sorted(step.support),
-                        "class": sorted(step.mutation_class),
+                        "support": sorted(poset.base.names(step.support)),
+                        "class": sorted(poset.base.names(step.mutation_class)),
                         "result": result,
                     }
                     for (step, _), result in zip(steps, results)
@@ -538,13 +539,14 @@ def _cmd_cb(args: argparse.Namespace) -> int:
         print("gspec: cannot take the filtration of an inexact order", file=sys.stderr)
         return 3
     cb = cb_filtration(final.lower.order)
+    layers = [sorted(poset.base.names(layer)) for layer in cb.layers]
     if args.format == "json":
-        payload = {"rank": cb.rank, "layers": [sorted(x) for x in cb.layers]}
+        payload = {"rank": cb.rank, "layers": layers}
         _emit(args, _dumps(payload))
     else:
         lines = [f"rank {cb.rank}"]
-        for i, layer in enumerate(cb.layers):
-            lines.append(f"X{i} = {{{','.join(sorted(layer))}}}")
+        for i, layer in enumerate(layers):
+            lines.append(f"X{i} = {{{','.join(layer)}}}")
         _emit(args, "\n".join(lines) + "\n")
     return 1 if warned else 0
 
@@ -555,20 +557,21 @@ def _cmd_mutate(args: argparse.Namespace) -> int:
     if not base.exact:
         print("gspec: cannot mutate an inexact order", file=sys.stderr)
         return 3
-    E = _read_json("--at", args.at)
-    if not isinstance(E, list):
+    at = _read_json("--at", args.at)
+    if not isinstance(at, list):
         raise UsageError("--at must be a JSON list of point names")
-    _check_points("--at", E, poset.base)
+    _check_points("--at", at, poset.base)
+    e = poset.base.mask(at)
     current = base.lower
     rule = args.rule
     if rule == "auto":
-        rule = "discrete" if current.order.is_discrete(E) else "general"
+        rule = "discrete" if current.order.is_discrete(e) else "general"
     if rule == "discrete":
-        result = mut.exact_bounds(mut.mutate_discrete(current, E))
+        result = mut.exact_bounds(mut.mutate_discrete(current, e))
     elif rule == "perfect":
-        result = mut.exact_bounds(mut.mutate_perfect(current, E))
+        result = mut.exact_bounds(mut.mutate_perfect(current, e))
     else:
-        result = mut.mutate_general(current, E)
+        result = mut.mutate_general(current, e)
     if args.require_exact and not result.exact:
         print("gspec: result is inexact", file=sys.stderr)
         return 3

@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .poset import GspecError, covering_pairs
+from .poset import GspecError, bits, covering_pairs
 from .spectra import PrimePoset
 
 
@@ -47,45 +47,47 @@ class FiltrationWarning(UserWarning):
 
 @dataclass(frozen=True)
 class SpFiltration:
-    """Normal-form descending chain of specialisation-closed subsets."""
+    """Normal-form descending chain of specialisation-closed subsets, each a
+    mask over ``elements`` (the base order's sorted points)."""
 
     elements: tuple[str, ...]
-    levels: tuple[frozenset[str], ...]
+    levels: tuple[int, ...]
 
     @property
     def n(self) -> int:
         return len(self.levels)
 
-    def level(self, i: int) -> frozenset[str]:
+    def level(self, i: int) -> int:
         """V_i with the implicit conventions for i outside 0..n-1."""
         if i < 0:
-            return frozenset(self.elements)
+            return (1 << len(self.elements)) - 1
         if i >= self.n:
-            return frozenset()
+            return 0
         return self.levels[i]
 
-    def difference(self, i: int) -> frozenset[str]:
+    def difference(self, i: int) -> int:
         """The stratum V_{i-1} minus V_i."""
-        return self.level(i - 1) - self.level(i)
+        return self.level(i - 1) & ~self.level(i)
 
 
 def validate_filtration(poset: PrimePoset, levels: Iterable[Iterable[str]]) -> SpFiltration:
-    """Check and normalise a chain of subsets into an :class:`SpFiltration`.
+    """Check and normalise a chain of sets of names into an :class:`SpFiltration`.
 
-    Raises :class:`NotSpecializationClosed` or :class:`NotDescending` with
-    the offending index; explicit full or empty levels are stripped with a
+    Raises :class:`UnknownElement` for a stranger, then
+    :class:`NotSpecializationClosed` or :class:`NotDescending` with the
+    offending index; explicit full or empty levels are stripped with a
     :class:`FiltrationWarning`.
     """
-    universe = frozenset(poset.base.elements)
-    chain = [frozenset(level) for level in levels]
+    base = poset.base
+    chain = [base.mask(level) for level in levels]
     for i, level in enumerate(chain):
-        if not poset.base.is_upper_set(level):
+        if not base.is_upper_set(level):
             raise NotSpecializationClosed(i)
     for i in range(1, len(chain)):
-        if not chain[i] <= chain[i - 1]:
+        if chain[i] & ~chain[i - 1]:
             raise NotDescending(i)
     start = 0
-    while start < len(chain) and chain[start] == universe:
+    while start < len(chain) and chain[start] == base.full_mask:
         start += 1
     stop = len(chain)
     while stop > start and not chain[stop - 1]:
@@ -96,15 +98,15 @@ def validate_filtration(poset: PrimePoset, levels: Iterable[Iterable[str]]) -> S
             FiltrationWarning,
             stacklevel=2,
         )
-    return SpFiltration(poset.base.elements, tuple(chain[start:stop]))
+    return SpFiltration(base.elements, tuple(chain[start:stop]))
 
 
 def filtration_to_f(filt: SpFiltration) -> dict[str, int]:
     """Level function: f(p) = max index i with p in V_i (so -1 off V_0)."""
     f = {p: -1 for p in filt.elements}
     for i, level in enumerate(filt.levels):
-        for p in level:
-            f[p] = i
+        for j in bits(level):
+            f[filt.elements[j]] = i
     return f
 
 

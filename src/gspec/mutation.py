@@ -15,7 +15,7 @@ guess.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 from . import filtration as spf
 from .poset import GspecError, Order, bits, longest_chain, transitive_closure
@@ -87,16 +87,17 @@ def exact_bounds(co: ClosureOrder) -> BoundedOrder:
 class MutationStep:
     """One step of the mutation chain.
 
-    ``support`` is the level the step tilts towards and ``mutation_class``
-    its complement E, which is closed in the pre-order.  ``perfect`` records
-    whether the step's torsion pair is known perfect.  ``pre`` is the
-    previous step's bounds (the inclusion order for step 1), so an inexact
-    step is compared bound for bound with the one before.
+    ``support`` is the mask of the level the step tilts towards and
+    ``mutation_class`` the mask of its complement E, which is closed in the
+    pre-order.  ``perfect`` records whether the step's torsion pair is known
+    perfect.  ``pre`` is the previous step's bounds (the inclusion order for
+    step 1), so an inexact step is compared bound for bound with the one
+    before.
     """
 
     index: int
-    support: frozenset[str]
-    mutation_class: frozenset[str]
+    support: int
+    mutation_class: int
     rule: str
     perfect: bool
     pre: BoundedOrder
@@ -108,10 +109,9 @@ def standard_order(poset: PrimePoset) -> ClosureOrder:
     return ClosureOrder(poset.base, (RULE_STANDARD,))
 
 
-def onestep_order(
-    poset: PrimePoset, V0: Iterable[str], policy: str = POLICY_ERROR
-) -> ClosureOrder:
-    """Closure order after a single tilt at the specialisation-closed V0.
+def onestep_order(poset: PrimePoset, v: int, policy: str = POLICY_ERROR) -> ClosureOrder:
+    """Closure order after a single tilt at the specialisation-closed V0,
+    given as its mask ``v``.
 
     Within V0 and within its complement the order is inclusion; a cross pair
     p outside V0 below q inside V0 is related exactly when the restriction
@@ -119,14 +119,13 @@ def onestep_order(
     is consulted lazily, for cross pairs only.
     """
     _check_policy(policy)
-    V0 = frozenset(V0)
     base = poset.base
-    if not V0 or V0 == frozenset(base.elements):
+    if not v or v == base.full_mask:
         return ClosureOrder(base, (RULE_STANDARD, "shift"))
-    if not base.is_upper_set(V0):
+    if not base.is_upper_set(v):
         raise spf.NotSpecializationClosed(0)
 
-    v, els = base.mask(V0), base.elements
+    els = base.elements
     up = []
     for i, row in enumerate(base.up):
         if v >> i & 1:  # everything above a point of V0 is in V0
@@ -148,20 +147,20 @@ def onestep_order(
             "one-step relation not transitively closed; the coherence data is "
             "inconsistent with a ring"
         )
-    return ClosureOrder(Order(base.elements, up), (f"{RULE_ONESTEP} at {_label(V0)}",))
+    return ClosureOrder(Order(base.elements, up), (f"{RULE_ONESTEP} at {_label(base, v)}",))
 
 
-def mutate_discrete(co: ClosureOrder, E: Iterable[str]) -> ClosureOrder:
-    """Mutation at a closed discrete class: its points become clopen and
-    isolated, everything else keeps its order."""
-    E = frozenset(E)
-    _require_closed(co.order, E)
-    if not co.order.is_discrete(E):
-        raise NotDiscrete(f"{sorted(E)} is not a discrete subspace")
-    return ClosureOrder(_split(co.order, E), co.provenance + (f"{RULE_DISCRETE} at {_label(E)}",))
+def mutate_discrete(co: ClosureOrder, e: int) -> ClosureOrder:
+    """Mutation at a closed discrete class, given as its mask ``e``: its
+    points become clopen and isolated, everything else keeps its order."""
+    _require_closed(co.order, e)
+    if not co.order.is_discrete(e):
+        raise NotDiscrete(f"{sorted(co.order.names(e))} is not a discrete subspace")
+    return ClosureOrder(_split(co.order, e),
+                        co.provenance + (f"{RULE_DISCRETE} at {_label(co.order, e)}",))
 
 
-def mutate_perfect(co: ClosureOrder, E: Iterable[str]) -> ClosureOrder:
+def mutate_perfect(co: ClosureOrder, e: int) -> ClosureOrder:
     """Mutation at a closed class with a perfect torsion pair: the class
     becomes clopen, both parts keep their subspace orders, all cross
     relations disappear.
@@ -170,32 +169,30 @@ def mutate_perfect(co: ClosureOrder, E: Iterable[str]) -> ClosureOrder:
     derivation rule); at the poset level no distinction is drawn between
     plain and embedding-strength perfectness.
     """
-    E = frozenset(E)
-    _require_closed(co.order, E)
-    return ClosureOrder(_split(co.order, E), co.provenance + (f"{RULE_PERFECT} at {_label(E)}",))
+    _require_closed(co.order, e)
+    return ClosureOrder(_split(co.order, e),
+                        co.provenance + (f"{RULE_PERFECT} at {_label(co.order, e)}",))
 
 
-def mutate_general(
-    co: ClosureOrder, E: Iterable[str], forced_maximal: Iterable[str] = ()
-) -> BoundedOrder:
-    """Bracket for a mutation step with no applicable exact rule.
+def mutate_general(co: ClosureOrder, e: int, forced_maximal: int = 0) -> BoundedOrder:
+    """Bracket for a mutation step at the closed class with mask ``e`` when
+    no exact rule applies.
 
     Both bounds keep the subspace orders on E and its complement.  The lower
     bound drops every cross relation; the upper bound keeps the cross
     relations of the pre-order except those whose source is already known to
-    be maximal in the result (the ``forced_maximal`` pruning).
+    be maximal in the result: the points of the mask ``forced_maximal`` that
+    are maximal in E (a claim on any other point of E is false, and ignored).
+    Their rows become singletons and the rest stay pre-order rows, so the
+    upper bound is transitively closed as built.
     """
-    E = frozenset(E)
     order = co.order
-    _require_closed(order, E)
-    lower = _split(order, E)
-    e = order.mask(E)
-    crossing = e & ~order.mask(forced_maximal)
-    upper = transitive_closure([
-        kept | (row & ~e if crossing >> i & 1 else 0)
-        for i, (kept, row) in enumerate(zip(lower.up, order.up))
-    ])
-    label = _label(E)
+    _require_closed(order, e)
+    lower = _split(order, e)
+    pruned = forced_maximal & order.maximal(e)
+    upper = tuple(kept if pruned >> i & 1 else row
+                  for i, (kept, row) in enumerate(zip(lower.up, order.up)))
+    label = _label(order, e)
     return BoundedOrder(
         ClosureOrder(lower, co.provenance + (f"{RULE_BOUNDED} at {label} (lower)",)),
         ClosureOrder(Order(order.elements, upper),
@@ -233,25 +230,25 @@ def chain_order(
     truncated = spf.classify(poset, filt)["truncated_slice"]
     steps: list[tuple[MutationStep, BoundedOrder]] = []
     current = exact_bounds(standard_order(poset))
-    universe = frozenset(poset.base.elements)
 
     for i in range(1, filt.n + 1):
-        E = universe - filt.level(i - 1)
+        support = filt.level(i - 1)
+        e = poset.base.full_mask & ~support
         if i == 1 and not truncated:
             rule = RULE_ONESTEP
-            post = exact_bounds(onestep_order(poset, filt.level(0), policy))
-        elif truncated or current.upper.order.is_discrete(E):
+            post = exact_bounds(onestep_order(poset, support, policy))
+        elif truncated or current.upper.order.is_discrete(e):
             rule = RULE_DISCRETE
-            post = _each_bound(current, lambda co: exact_bounds(mutate_discrete(co, E)))
-        elif annotations.get(i, False) or _vanishing_pattern(poset, filt.level(i - 1)):
+            post = _each_bound(current, lambda co: exact_bounds(mutate_discrete(co, e)))
+        elif annotations.get(i, False) or _vanishing_pattern(poset, support):
             rule = RULE_PERFECT
-            post = _each_bound(current, lambda co: exact_bounds(mutate_perfect(co, E)))
+            post = _each_bound(current, lambda co: exact_bounds(mutate_perfect(co, e)))
         else:
             rule = RULE_BOUNDED
             pruned = _forced_maximal(poset, filt, i)
-            post = _each_bound(current, lambda co: mutate_general(co, E, pruned))
+            post = _each_bound(current, lambda co: mutate_general(co, e, pruned))
         perfect = rule in (RULE_DISCRETE, RULE_PERFECT)
-        step = MutationStep(i, filt.level(i - 1), E, rule, perfect, current, post)
+        step = MutationStep(i, support, e, rule, perfect, current, post)
         steps.append((step, post))
         current = post
     return steps
@@ -304,20 +301,20 @@ def _check_policy(policy: str) -> None:
         raise ValueError(f"unknown policy {policy!r} (choose from {POLICIES})")
 
 
-def _label(S: frozenset[str]) -> str:
-    return "{" + ",".join(sorted(S)) + "}"
+def _label(order: Order, e: int) -> str:
+    """The names of a mask in braces; ascending bits are sorted names."""
+    return "{" + ",".join(order.elements[i] for i in bits(e)) + "}"
 
 
-def _require_closed(order: Order, E: frozenset[str]) -> None:
-    if not order.is_lower_set(E):
-        raise NotClosed(f"{sorted(E)} is not closed in the current order")
+def _require_closed(order: Order, e: int) -> None:
+    if not order.is_lower_set(e):
+        raise NotClosed(f"{sorted(order.names(e))} is not closed in the current order")
 
 
-def _split(order: Order, E: frozenset[str]) -> Order:
+def _split(order: Order, e: int) -> Order:
     """Keep the relations inside E and inside its complement, drop the ones
     that cross.  At a closed E this is the perfect rule, the discrete rule
     when E is discrete, and the lower bound of the general bracket."""
-    e = order.mask(E)
     return Order(order.elements, tuple(
         row & (e if e >> i & 1 else ~e) for i, row in enumerate(order.up)
     ))
@@ -334,18 +331,19 @@ def _each_bound(
     return BoundedOrder(rule(current.lower).lower, rule(current.upper).upper, exact=False)
 
 
-def _vanishing_pattern(poset: PrimePoset, level: frozenset[str]) -> bool:
+def _vanishing_pattern(poset: PrimePoset, level: int) -> bool:
     """Built-in perfectness certificate: a local model of dimension at most
     two tilting at its unique closed point."""
-    maxima = poset.base.maximal_elements()
-    return len(maxima) == 1 and level == maxima and longest_chain(poset.base) <= 2
+    maxima = poset.base.maximal(poset.base.full_mask)
+    return maxima.bit_count() == 1 and level == maxima and longest_chain(poset.base) <= 2
 
 
-def _forced_maximal(poset: PrimePoset, filt: spf.SpFiltration, step_index: int) -> frozenset[str]:
-    """Points already known to be maximal in the order produced by this step:
-    inclusion-maxima of the strata cut out by this and the earlier steps,
-    plus the inclusion-maximal primes themselves."""
-    forced = set(poset.base.maximal_elements())
+def _forced_maximal(poset: PrimePoset, filt: spf.SpFiltration, step_index: int) -> int:
+    """Mask of the points already known to be maximal in the order produced
+    by this step: inclusion-maxima of the strata cut out by this and the
+    earlier steps, plus the inclusion-maximal primes themselves."""
+    base = poset.base
+    forced = base.maximal(base.full_mask)
     for j in range(step_index):
-        forced |= poset.base.maximal_elements(filt.difference(j))
-    return frozenset(forced)
+        forced |= base.maximal(filt.difference(j))
+    return forced

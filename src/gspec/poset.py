@@ -5,7 +5,8 @@ sets of the closure order, closed sets the lower sets.  Everything in this
 module is exact and small enough to enumerate.  An order is stored as one
 bitmask per point over the sorted point indices: the point's up-set, which
 is its minimal open set.  Down-sets, the name index and the pair relation
-are derived from the masks on first use.
+are derived from the masks on first use.  Subsets of the points are masks
+too: names become masks through :meth:`Order.mask` where they enter.
 
 Points are opaque string identifiers.  All deterministic outputs sort
 points lexicographically so that repeated runs are byte-identical.
@@ -130,23 +131,20 @@ class Order:
         """Smallest lower set containing ``p`` (the closure of ``{p}``)."""
         return self.names(self.down[self._position(p)])
 
-    # -- subset queries ----------------------------------------------------
+    # -- subset queries (masks) --------------------------------------------
 
-    def is_upper_set(self, subset: Iterable[str]) -> bool:
-        S = self.mask(subset)
+    def is_upper_set(self, S: int) -> bool:
         return not any(self.up[i] & ~S for i in bits(S))
 
-    def is_lower_set(self, subset: Iterable[str]) -> bool:
+    def is_lower_set(self, S: int) -> bool:
         """A set is lower exactly when nothing outside it lies below a member."""
-        S = self.mask(subset)
         return not any(self.up[i] & S for i in bits(self.full_mask & ~S))
 
-    def subspace(self, subset: Iterable[str]) -> "Order":
-        """Restriction of the order to ``subset``.
+    def subspace(self, S: int) -> "Order":
+        """Restriction of the order to the points of ``S``.
 
         For Alexandrov spaces this is exactly the subspace-topology order.
         """
-        S = self.mask(subset)
         kept = list(bits(S))
         position = {old: new for new, old in enumerate(kept)}
         return Order(
@@ -162,18 +160,13 @@ class Order:
 
     # -- structure ---------------------------------------------------------
 
-    def maximal_elements(self, within: Iterable[str] | None = None) -> frozenset[str]:
-        S = self.mask(within) if within is not None else self.full_mask
-        return frozenset(self.elements[i] for i in bits(S) if self.up[i] & S == 1 << i)
+    def maximal(self, S: int) -> int:
+        """Mask of the points of ``S`` with nothing of ``S`` strictly above."""
+        return sum(1 << i for i in bits(S) if self.up[i] & S == 1 << i)
 
-    def minimal_elements(self, within: Iterable[str] | None = None) -> frozenset[str]:
-        S = self.mask(within) if within is not None else self.full_mask
-        return frozenset(self.elements[i] for i in bits(S) if self.down[i] & S == 1 << i)
-
-    def is_discrete(self, within: Iterable[str] | None = None) -> bool:
-        """No two points of ``within`` (default: all points) are comparable."""
-        S = self.mask(within) if within is not None else self.full_mask
-        return not any(self.up[i] & S & ~(1 << i) for i in bits(S))
+    def is_discrete(self, S: int) -> bool:
+        """No two points of ``S`` are comparable."""
+        return self.maximal(S) == S
 
 
 def transitive_closure(up: Sequence[int]) -> tuple[int, ...]:
@@ -239,13 +232,13 @@ def longest_chain(order: Order) -> int:
 class CbFiltration:
     """Cantor-Bendixson filtration of a finite T0 Alexandrov space.
 
-    ``layers`` is the strictly increasing chain X_0 < X_1 < ... ending at the
-    full point set; ``rank`` is the number of steps to stabilise, with the
-    convention that the empty space (whose chain starts at the empty set and
-    is already stable) has rank -1.
+    ``layers`` is the strictly increasing chain of masks X_0 < X_1 < ...
+    ending at the full mask; ``rank`` is the number of steps to stabilise,
+    with the convention that the empty space (whose chain starts at the
+    empty set and is already stable) has rank -1.
     """
 
-    layers: tuple[frozenset[str], ...]
+    layers: tuple[int, ...]
     rank: int
 
 
@@ -254,15 +247,12 @@ def cb_filtration(order: Order) -> CbFiltration:
 
     In a finite T0 Alexandrov space the isolated points of a subspace are
     exactly its maximal elements, so each layer adds the maxima of what is
-    left.
-    """
-    layers: list[frozenset[str]] = []
-    accumulated: set[str] = set()
-    remaining = set(order.elements)
-    while remaining:
-        accumulated |= order.maximal_elements(remaining)
-        layers.append(frozenset(accumulated))
-        remaining = set(order.elements) - accumulated
+    left."""
+    layers: list[int] = []
+    accumulated = 0
+    while accumulated != order.full_mask:
+        accumulated |= order.maximal(order.full_mask & ~accumulated)
+        layers.append(accumulated)
     return CbFiltration(tuple(layers), len(layers) - 1)
 
 

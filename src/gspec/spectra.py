@@ -133,9 +133,9 @@ class PrimePoset:
         interval nests inside ``[p, q]`` are carried along.
         """
         i, j = self._interval_ends(p, q)
-        members = self.base.names(self.base.up[i] & self.base.down[j])
+        members = self.base.up[i] & self.base.down[j]
         offset = self.height[p]
-        heights = {r: self.height[r] - offset for r in sorted(members)}
+        heights = {r: self.height[r] - offset for r in sorted(self.base.names(members))}
         kept = {
             key: value for key, value in self.coherence.items()
             if self.base.leq(p, key[0]) and self.base.leq(key[1], q)

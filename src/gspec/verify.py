@@ -51,9 +51,7 @@ def _witness(**kwargs: object) -> tuple[tuple[str, str], ...]:
 
 
 def _show(value: object) -> str:
-    if isinstance(value, frozenset):
-        return "{" + ",".join(sorted(value)) + "}"
-    if isinstance(value, (set, list)):
+    if isinstance(value, (frozenset, set, list)):
         return "{" + ",".join(sorted(map(str, value))) + "}"
     if isinstance(value, tuple):
         return "(" + ",".join(map(str, value)) + ")"
@@ -76,41 +74,47 @@ def check_refinement(pre: mut.ClosureOrder, post: mut.ClosureOrder, name: str = 
     return PropertyReport(name, True)
 
 
+def _least_pair(order: Order, rows: Iterable[tuple[int, int]]) -> tuple[str, str] | None:
+    """The least pair ``(p, q)`` with bit q set in the row of p, from rows
+    ``(index, mask)`` by ascending index; the elements are sorted, so this is
+    the least pair by names."""
+    for i, row in rows:
+        if row:
+            return order.elements[i], order.elements[next(bits(row))]
+    return None
+
+
 def _least_extra_pair(a: Order, b: Order) -> tuple[str, str] | None:
     """The least pair related in ``a`` but not in ``b`` (on the same
     points), or ``None`` when ``a`` is contained in ``b``."""
-    if not any(x & ~y for x, y in zip(a.up, b.up)):
-        return None
-    return min(a.relation - b.relation)
+    return _least_pair(a, enumerate(x & ~y for x, y in zip(a.up, b.up)))
+
+
+def _least_change(a: Order, b: Order, part: int) -> tuple[str, str] | None:
+    """The least pair inside the mask ``part`` related in just one of the two
+    orders (on the same points), or ``None`` when they agree there."""
+    return _least_pair(a, ((i, (a.up[i] ^ b.up[i]) & part) for i in bits(part)))
 
 
 def check_piecewise(
     pre: mut.ClosureOrder,
     post: mut.ClosureOrder,
-    E: Iterable[str],
+    e: int,
     name: str = "piecewise",
 ) -> PropertyReport:
-    """E stays closed and both parts keep their subspace orders."""
+    """The class with mask ``e`` stays closed and both parts keep their
+    subspace orders."""
     _same_elements(pre, post)
-    E = frozenset(E)
-    complement = frozenset(pre.order.elements) - E
-    if not pre.order.is_lower_set(E):
-        return PropertyReport(name, False, _witness(reason="E not closed before", E=E))
-    if not post.order.is_lower_set(E):
-        return PropertyReport(name, False, _witness(reason="E not closed after", E=E))
-    for part, label in ((E, "E"), (complement, "complement")):
-        if _restrictions_differ(pre.order, post.order, pre.order.mask(part)):
-            before = pre.order.subspace(part).relation
-            after = post.order.subspace(part).relation
+    order = pre.order
+    for when, co in (("before", pre), ("after", post)):
+        if not co.order.is_lower_set(e):
             return PropertyReport(
-                name, False, _witness(part=label, pair=min(before ^ after))
-            )
+                name, False, _witness(reason=f"E not closed {when}", E=order.names(e)))
+    for part, label in ((e, "E"), (order.full_mask & ~e, "complement")):
+        pair = _least_change(order, post.order, part)
+        if pair:
+            return PropertyReport(name, False, _witness(part=label, pair=pair))
     return PropertyReport(name, True)
-
-
-def _restrictions_differ(a: Order, b: Order, part: int) -> bool:
-    """The two orders, on the same points, differ on the subspace ``part``."""
-    return any((a.up[i] ^ b.up[i]) & part for i in bits(part))
 
 
 def _smallest_set(order: Order, masks: set[int]) -> frozenset[str]:
@@ -120,14 +124,13 @@ def _smallest_set(order: Order, masks: set[int]) -> frozenset[str]:
 
 def brute_force_discrete_law(
     pre: mut.ClosureOrder,
-    E: Iterable[str],
+    e: int,
     post: mut.ClosureOrder,
     name: str = "discrete-law",
 ) -> PropertyReport:
-    """After a discrete mutation the closed sets are exactly the U whose
-    union with E was closed before."""
+    """After a discrete mutation at the class with mask ``e`` the closed sets
+    are exactly the U whose union with E was closed before."""
     _same_elements(pre, post)
-    e = pre.order.mask(E)
     pre_closed = set(closed_masks(pre.order))
     expected = {U for U in range(1 << len(pre.order.elements)) if U | e in pre_closed}
     actual = set(closed_masks(post.order))
@@ -139,14 +142,14 @@ def brute_force_discrete_law(
 
 def brute_force_perfect_law(
     pre: mut.ClosureOrder,
-    E: Iterable[str],
+    e: int,
     post: mut.ClosureOrder,
     name: str = "perfect-law",
 ) -> PropertyReport:
-    """After a perfect mutation the closed sets are exactly the mixtures of
-    a closed set inside E with a closed set outside it."""
+    """After a perfect mutation at the class with mask ``e`` the closed sets
+    are exactly the mixtures of a closed set inside E with a closed set
+    outside it."""
     _same_elements(pre, post)
-    e = pre.order.mask(E)
     pre_closed = closed_masks(pre.order)
     # A mixture is fixed by its two disjoint halves, so take the product of
     # the distinct halves rather than of all pairs of closed sets.
@@ -205,9 +208,9 @@ def run_suite(
 
 
 def _sandwich(
-    pre: mut.ClosureOrder, E: frozenset[str], exact: mut.ClosureOrder, name: str
+    pre: mut.ClosureOrder, e: int, exact: mut.ClosureOrder, name: str
 ) -> PropertyReport:
-    bracket = mut.mutate_general(pre, E)
+    bracket = mut.mutate_general(pre, e)
     extra = (_least_extra_pair(bracket.lower.order, exact.order)
              or _least_extra_pair(exact.order, bracket.upper.order))
     if extra:
@@ -223,10 +226,10 @@ def _baseline(
     small: bool,
 ) -> list[PropertyReport]:
     tag = f"order-{position}"
-    order = co.order
+    order, base = co.order, poset.base
     out: list[PropertyReport] = []
 
-    extra = _least_extra_pair(order, poset.base)
+    extra = _least_extra_pair(order, base)
     out.append(
         PropertyReport(f"{tag}:refines-inclusion", not extra,
                        _witness(pair=extra) if extra else None)
@@ -253,21 +256,23 @@ def _baseline(
 
     bad_stratum = next(
         (stratum for stratum in map(filt.difference, range(filt.n + 1))
-         if _restrictions_differ(order, poset.base, order.mask(stratum))),
+         if _least_change(order, base, stratum)),
         None,
     )
     out.append(
         PropertyReport(f"{tag}:strata-restriction", bad_stratum is None,
-                       None if bad_stratum is None else _witness(stratum=bad_stratum))
+                       None if bad_stratum is None
+                       else _witness(stratum=order.names(bad_stratum)))
     )
 
-    forced = set(poset.base.maximal_elements())
+    forced = base.maximal(base.full_mask)
     for j in range(position):
-        forced |= poset.base.maximal_elements(filt.difference(j))
-    not_maximal = sorted(p for p in forced if order.spcl(p) != {p})
+        forced |= base.maximal(filt.difference(j))
+    not_maximal = forced & ~order.maximal(order.full_mask)
     out.append(
         PropertyReport(f"{tag}:maximal-difference", not not_maximal,
-                       _witness(point=not_maximal[0]) if not_maximal else None)
+                       _witness(point=order.elements[next(bits(not_maximal))])
+                       if not_maximal else None)
     )
 
     out.append(_cb_sanity(order, f"{tag}:cb"))
@@ -288,8 +293,8 @@ def _cb_sanity(order: Order, name: str) -> PropertyReport:
         isolated = sum(
             1 << i for i in bits(remaining) if order.up[i] & remaining == 1 << i
         )
-        if order.mask(layer) != accumulated | isolated:
-            return PropertyReport(name, False, _witness(layer=layer))
+        if layer != accumulated | isolated:
+            return PropertyReport(name, False, _witness(layer=order.names(layer)))
         accumulated |= isolated
     if accumulated != order.full_mask:
         return PropertyReport(name, False, _witness(layer=order.names(accumulated)))

@@ -3,7 +3,15 @@ from itertools import chain, combinations
 
 import pytest
 
-from gspec import Order, PrimePoset, build_order, covering_pairs, load_prime_poset
+from gspec import (
+    ClosureOrder,
+    Order,
+    PrimePoset,
+    build_order,
+    covering_pairs,
+    load_prime_poset,
+    onestep_order,
+)
 
 
 def powerset(items):
@@ -33,6 +41,11 @@ def strict_pairs(order: Order) -> set[tuple[str, str]]:
 def brute_upper_sets(order: Order) -> set[frozenset[str]]:
     universe = frozenset(order.elements)
     return {universe - S for S in brute_lower_sets(order)}
+
+
+def onestep(poset: PrimePoset, V0, policy: str = "error") -> ClosureOrder:
+    """The one-step order at a level given by its point names."""
+    return onestep_order(poset, poset.base.mask(V0), policy)
 
 
 def poset_from_order(order: Order) -> PrimePoset:

@@ -9,7 +9,7 @@ import random
 from contextlib import contextmanager
 from pathlib import Path
 
-from conftest import poset_from_order, random_monotone_f, random_order
+from conftest import onestep, poset_from_order, random_monotone_f, random_order
 from gspec import (
     chain_order,
     f_to_filtration,
@@ -17,7 +17,6 @@ from gspec import (
     final_order,
     height_filtration,
     longest_chain,
-    onestep_order,
     preset,
     run_suite,
     validate_filtration,
@@ -88,7 +87,7 @@ def test_criterion_1_two_dimensional_figures(tmp_path):
         # every minimal prime still sits below the closed point.
         for name in ("LOC2", "LOC2M"):
             poset = preset(name)
-            order = onestep_order(poset, {"m"}).order
+            order = onestep(poset, {"m"}).order
             for p in poset.base.elements:
                 if poset.height[p] == 1:
                     assert order.spcl(p) == {p}
@@ -111,7 +110,7 @@ def test_criterion_2_three_dimensional_figure(tmp_path):
         assert got == (GOLDEN / "loc3_onestep.dot").read_text(encoding="utf-8")
 
         poset = preset("LOC3")
-        order = onestep_order(poset, {"m", "r1", "r2", "r3"}).order
+        order = onestep(poset, {"m", "r1", "r2", "r3"}).order
         for target in ("r1", "r2", "r3", "m"):
             assert ("o", target) in order.relation
         for q in ("q1", "q2", "q3"):
@@ -120,8 +119,8 @@ def test_criterion_2_three_dimensional_figure(tmp_path):
 
 def test_criterion_3_nagata_contrast():
     with criterion(3, "homeomorphic spectra with opposite coherence differ in (o, m) only"):
-        poly = onestep_order(preset("POLY2"), {"a", "m"}).order
-        nagata = onestep_order(preset("NAGATA2"), {"a", "m"}).order
+        poly = onestep(preset("POLY2"), {"a", "m"}).order
+        nagata = onestep(preset("NAGATA2"), {"a", "m"}).order
         assert nagata.relation - poly.relation == {("o", "m")}
         assert poly.relation < nagata.relation
 
@@ -135,7 +134,8 @@ def test_criterion_4_truncated_slice():
             for step, post in steps:
                 assert step.rule in ("discrete", "perfect"), (name, step.index)
                 assert step.perfect and post.exact, (name, step.index)
-            assert final_order(steps, poset).lower.order.is_discrete(), name
+            final = final_order(steps, poset).lower.order
+            assert final.is_discrete(final.full_mask), name
 
 
 def test_criterion_5_refinement_property():
@@ -208,4 +208,4 @@ def test_criterion_10_cantor_bendixson_correspondence():
         final = final_order(chain_order(poset, filt), poset).lower.order
         cb = cb_filtration(final)
         assert cb.rank == 1 == longest_chain(final)
-        assert cb.layers[0] == {"m", "p1", "p2", "p3", "p4", "p5"}
+        assert final.names(cb.layers[0]) == {"m", "p1", "p2", "p3", "p4", "p5"}

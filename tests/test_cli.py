@@ -220,10 +220,19 @@ class TestClosureCommand:
          "loc2_height_steps.json"),
         (["validate", "--preset", "LOC2M"], "loc2m_validate.json"),
         (["mutate", "--preset", "LOC2", "--at", '["o"]'], "loc2_mutate_o.json"),
+        (["filtration", "--preset", "LOC3", "--height-filtration"],
+         "loc3_height_filtration.json"),
+        (["cb", "--preset", "LOC2", "--levels", '[["m"],["m"]]'], "loc2_twostep_cb.json"),
+        (["check", "--preset", "LOC3", "--height-filtration",
+          "--policy", "assume-noncoherent"], "loc3_height_check.json"),
+        (["check", "--preset", "LOC3", "--levels", '[["m","r1","r2","r3"],["m"]]',
+          "--policy", "assume-noncoherent"], "loc3_inexact_check.json"),
     ])
     def test_golden_json(self, capsys, argv, golden):
         """An inexact final written under both ``steps`` and ``final``, an
-        order with no covers, ``validate`` and one mutation."""
+        order with no covers, ``validate``, one mutation, filtration levels,
+        Cantor-Bendixson layers, and two suites: one with both brute-force
+        laws, one with an inexact step's ``piecewise-upper``."""
         code, out, _ = run(capsys, *argv, "--format", "json")
         assert code == 0
         assert out == (GOLDEN / golden).read_text(encoding="utf-8")

@@ -6,6 +6,7 @@ from gspec import (
     NotCodimensionFunction,
     NotDescending,
     NotSpecializationClosed,
+    UnknownElement,
     classify,
     codim_filtration,
     f_to_filtration,
@@ -18,8 +19,9 @@ from gspec import (
 
 class TestValidate:
     def test_single_level(self):
-        filt = validate_filtration(preset("LOC2"), [{"m"}])
-        assert filt.n == 1 and filt.levels == (frozenset({"m"}),)
+        poset = preset("LOC2")
+        filt = validate_filtration(poset, [{"m"}])
+        assert filt.n == 1 and filt.levels == (poset.base.mask({"m"}),)
 
     def test_repeated_level(self):
         filt = validate_filtration(preset("LOC2"), [{"m"}, {"m"}])
@@ -36,12 +38,18 @@ class TestValidate:
             validate_filtration(poset, [{"m"}, {"p1", "m"}])
         assert err.value.index == 1
 
+    def test_stranger_named(self):
+        """Library callers reach the name boundary here: a name outside the
+        poset is reported, not dropped."""
+        with pytest.raises(UnknownElement, match="zz"):
+            validate_filtration(preset("LOC2"), [{"m", "zz"}])
+
     def test_trivial_levels_stripped_with_warning(self):
         poset = preset("LOC2")
         full = set(poset.base.elements)
         with pytest.warns(FiltrationWarning):
             filt = validate_filtration(poset, [full, {"m"}, set()])
-        assert filt.levels == (frozenset({"m"}),)
+        assert filt.levels == (poset.base.mask({"m"}),)
 
     def test_all_trivial_collapses_to_empty(self):
         poset = preset("DVR1")
@@ -52,8 +60,10 @@ class TestValidate:
     def test_difference_conventions(self):
         poset = preset("LOC2")
         filt = validate_filtration(poset, [{"m"}])
-        assert filt.difference(0) == set(poset.base.elements) - {"m"}
-        assert filt.difference(1) == {"m"}
+        names = poset.base.names
+        assert names(filt.difference(0)) == set(poset.base.elements) - {"m"}
+        assert names(filt.difference(1)) == {"m"}
+        assert filt.level(-1) == poset.base.full_mask and filt.level(1) == 0
 
 
 class TestLevelFunction:
@@ -140,15 +150,17 @@ class TestClassify:
 
 class TestHeightFiltration:
     def test_loc3(self):
-        filt = height_filtration(preset("LOC3"))
-        assert [sorted(level) for level in filt.levels] == [
+        poset = preset("LOC3")
+        filt = height_filtration(poset)
+        assert [sorted(poset.base.names(level)) for level in filt.levels] == [
             ["m", "q1", "q2", "q3", "r1", "r2", "r3"],
             ["m", "r1", "r2", "r3"],
             ["m"],
         ]
 
     def test_dvr1(self):
-        assert height_filtration(preset("DVR1")).levels == (frozenset({"m"}),)
+        poset = preset("DVR1")
+        assert height_filtration(poset).levels == (poset.base.mask({"m"}),)
 
     def test_antichain_empty(self):
         from gspec import load_prime_poset

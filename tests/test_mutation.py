@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import random_order, strict_pairs
+from conftest import onestep, random_order, strict_pairs
 from gspec import (
     POLICY_ASSUME_COHERENT,
     POLICY_ASSUME_NONCOHERENT,
@@ -30,6 +30,11 @@ from gspec import (
 LOC2_HEIGHT_ONE = {"p1", "p2", "p3", "p4", "p5"}
 
 
+def at(co, names) -> int:
+    """The mask of a class given by its names."""
+    return co.order.mask(names)
+
+
 def strict(co) -> set[tuple[str, str]]:
     return strict_pairs(co.order)
 
@@ -44,34 +49,35 @@ class TestStandardOrder:
 
     def test_antichain_discrete(self):
         poset = load_prime_poset({"elements": ["a", "b"], "covers": []})
-        assert standard_order(poset).order.is_discrete()
+        assert standard_order(poset).order.is_discrete(poset.base.full_mask)
 
 
 class TestOnestep:
     def test_loc2_at_closed_point(self):
-        co = onestep_order(preset("LOC2"), {"m"})
+        co = onestep(preset("LOC2"), {"m"})
         assert strict(co) == {("o", "m")} | {("o", p) for p in LOC2_HEIGHT_ONE}
 
     def test_loc3_at_height_two(self):
-        co = onestep_order(preset("LOC3"), {"r1", "r2", "r3", "m"})
+        co = onestep(preset("LOC3"), {"r1", "r2", "r3", "m"})
         assert strict(co) == (
             {("o", x) for x in ("q1", "q2", "q3", "r1", "r2", "r3", "m")}
             | {("r1", "m"), ("r2", "m"), ("r3", "m")}
         )
 
     def test_nagata_keeps_generic_below_top(self):
-        co = onestep_order(preset("NAGATA2"), {"a", "m"})
+        co = onestep(preset("NAGATA2"), {"a", "m"})
         assert strict(co) == {("o", "b"), ("a", "m"), ("o", "m")}
 
     def test_poly_disconnects(self):
-        co = onestep_order(preset("POLY2"), {"a", "m"})
+        co = onestep(preset("POLY2"), {"a", "m"})
         assert strict(co) == {("o", "b"), ("a", "m")}
 
     def test_degenerate_level_is_standard(self):
         poset = preset("LOC2")
-        co = onestep_order(poset, set())
-        assert co.order == poset.base
-        assert "shift" in co.provenance
+        for v in (0, poset.base.full_mask):
+            co = onestep_order(poset, v)
+            assert co.order == poset.base
+            assert "shift" in co.provenance
 
     def test_undetermined_policies(self):
         bare = load_prime_poset({
@@ -79,42 +85,42 @@ class TestOnestep:
             "covers": [["o", "a"], ["o", "b"], ["a", "m"], ["b", "m"]],
         })
         with pytest.raises(UndeterminedCoherence) as err:
-            onestep_order(bare, {"a", "m"})
+            onestep(bare, {"a", "m"})
         assert err.value.pair == ("o", "m")
-        relaxed = onestep_order(bare, {"a", "m"}, POLICY_ASSUME_COHERENT)
+        relaxed = onestep(bare, {"a", "m"}, POLICY_ASSUME_COHERENT)
         assert ("o", "m") not in strict(relaxed)
-        strict_policy = onestep_order(bare, {"a", "m"}, POLICY_ASSUME_NONCOHERENT)
+        strict_policy = onestep(bare, {"a", "m"}, POLICY_ASSUME_NONCOHERENT)
         assert ("o", "m") in strict(strict_policy)
 
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
-            onestep_order(preset("DVR1"), {"m"}, "whatever")
+            onestep(preset("DVR1"), {"m"}, "whatever")
 
 
 class TestMutateDiscrete:
     def test_rejects_non_discrete_class(self):
         poset = preset("LOC2")
-        h1 = onestep_order(poset, {"m"})
+        h1 = onestep(poset, {"m"})
         with pytest.raises(NotDiscrete):
-            mutate_discrete(h1, {"o"} | LOC2_HEIGHT_ONE)
+            mutate_discrete(h1, at(h1, {"o"} | LOC2_HEIGHT_ONE))
 
     def test_rejects_non_closed_class(self):
         poset = preset("LOC2")
         with pytest.raises(NotClosed):
-            mutate_discrete(standard_order(poset), {"m"})
+            mutate_discrete(standard_order(poset), poset.base.mask({"m"}))
 
     def test_antichain_unchanged(self):
         poset = load_prime_poset({"elements": ["a", "b", "c"], "covers": []})
         co = standard_order(poset)
-        assert mutate_discrete(co, {"a", "b"}).order == co.order
+        assert mutate_discrete(co, at(co, {"a", "b"})).order == co.order
 
     def test_three_point_example(self):
         order = build_order(["o", "a", "x"], [("o", "a")])
         co = exact_bounds(standard_order(load_prime_poset(
             {"elements": ["o", "a", "x"], "covers": [["o", "a"]]}
         ))).lower
-        result = mutate_discrete(co, {"o"})
-        assert result.order.is_discrete()
+        result = mutate_discrete(co, at(co, {"o"}))
+        assert result.order.is_discrete(order.full_mask)
         # Brute-force law: the closed sets afterwards are the U with U | E
         # closed beforehand.
         from conftest import brute_lower_sets, powerset
@@ -128,49 +134,85 @@ class TestMutateDiscrete:
 class TestMutatePerfect:
     def test_loc2_second_tilt(self):
         poset = preset("LOC2")
-        h1 = onestep_order(poset, {"m"})
-        result = mutate_perfect(h1, {"o"} | LOC2_HEIGHT_ONE)
+        h1 = onestep(poset, {"m"})
+        result = mutate_perfect(h1, at(h1, {"o"} | LOC2_HEIGHT_ONE))
         assert strict(result) == {("o", p) for p in LOC2_HEIGHT_ONE}
 
     def test_empty_class_unchanged(self):
         poset = preset("LOC2")
-        h1 = onestep_order(poset, {"m"})
-        assert mutate_perfect(h1, set()).order == h1.order
+        h1 = onestep(poset, {"m"})
+        assert mutate_perfect(h1, 0).order == h1.order
 
     def test_full_class_unchanged(self):
         poset = preset("LOC2")
-        h1 = onestep_order(poset, {"m"})
-        assert mutate_perfect(h1, set(poset.base.elements)).order == h1.order
+        h1 = onestep(poset, {"m"})
+        assert mutate_perfect(h1, poset.base.full_mask).order == h1.order
 
 
 class TestMutateGeneral:
     def test_loc2_bounds(self):
         poset = preset("LOC2")
-        h1 = onestep_order(poset, {"m"})
-        bounds = mutate_general(h1, {"o"} | LOC2_HEIGHT_ONE)
+        h1 = onestep(poset, {"m"})
+        bounds = mutate_general(h1, at(h1, {"o"} | LOC2_HEIGHT_ONE))
         assert not bounds.exact
         assert ("o", "m") not in bounds.lower.order.relation
         assert ("o", "m") in bounds.upper.order.relation
 
     def test_empty_class_exact(self):
         poset = preset("LOC2")
-        h1 = onestep_order(poset, {"m"})
-        bounds = mutate_general(h1, set())
+        h1 = onestep(poset, {"m"})
+        bounds = mutate_general(h1, 0)
         assert bounds.exact and bounds.lower.order == h1.order
 
     def test_discrete_order_exact(self):
         poset = load_prime_poset({"elements": ["a", "b"], "covers": []})
         co = standard_order(poset)
-        bounds = mutate_general(co, {"a"})
+        bounds = mutate_general(co, at(co, {"a"}))
         assert bounds.exact and bounds.lower.order == co.order
 
     def test_pruning_removes_forced_sources(self):
         poset = preset("LOC3")
-        h1 = onestep_order(poset, {"r1", "r2", "r3", "m"})
-        E = {"o", "q1", "q2", "q3", "r1", "r2", "r3"}
-        bounds = mutate_general(h1, E, forced_maximal={"r1", "r2", "r3"})
+        h1 = onestep(poset, {"r1", "r2", "r3", "m"})
+        E = at(h1, {"o", "q1", "q2", "q3", "r1", "r2", "r3"})
+        bounds = mutate_general(h1, E, forced_maximal=at(h1, {"r1", "r2", "r3"}))
         assert ("r1", "m") not in bounds.upper.order.relation
         assert ("o", "m") in bounds.upper.order.relation
+
+    @staticmethod
+    def warshall_upper(order, e, forced):
+        """The upper bound as first defined: the pre-order's rows, cut back
+        to E at the claimed points of E, then closed under transitivity."""
+        up = [row & e if (forced & e) >> i & 1 else row for i, row in enumerate(order.up)]
+        for k in range(len(up)):
+            for i in range(len(up)):
+                if up[i] >> k & 1:
+                    up[i] |= up[k]
+        return tuple(up)
+
+    def test_upper_bound_needs_no_closure(self):
+        """With claims on maximal points of E the upper bound is closed as
+        built; other claims are ignored, and the result is still an order
+        between the lower bound and the pre-order."""
+        rng = random.Random(20261021)
+        for _ in range(1000):
+            order = random_order(rng, max_size=11)
+            co = ClosureOrder(order, ("test",))
+            e = 0
+            for i in range(len(order.elements)):
+                if rng.random() < 0.4:
+                    e |= order.down[i]
+            maxima = [i for i in range(len(order.elements))
+                      if e >> i & 1 and order.up[i] & e == 1 << i]
+            true_claims = sum(1 << i for i in maxima if rng.random() < 0.5)
+            bounds = mutate_general(co, e, true_claims)
+            assert bounds.upper.order.up == self.warshall_upper(order, e, true_claims)
+
+            any_claims = rng.getrandbits(len(order.elements))
+            bounds = mutate_general(co, e, any_claims)
+            assert bounds.lower.order.refines(bounds.upper.order)
+            assert bounds.upper.order.refines(order)
+            assert bounds.upper.order == mutate_general(co, e, any_claims & sum(
+                1 << i for i in maxima)).upper.order
 
 
 class TestChain:
@@ -197,13 +239,13 @@ class TestChain:
         steps = chain_order(poset, height_filtration(poset))
         assert [s.rule for s, _ in steps] == ["discrete"] * 3
         assert all(s.perfect and post.exact for s, post in steps)
-        assert steps[-1][1].lower.order.is_discrete()
+        assert steps[-1][1].lower.order.is_discrete(poset.base.full_mask)
 
     def test_dvr1_single_level(self):
         poset = preset("DVR1")
         steps = chain_order(poset, validate_filtration(poset, [{"m"}]))
         assert len(steps) == 1 and steps[0][0].rule == "discrete"
-        assert steps[0][1].lower.order.is_discrete()
+        assert steps[0][1].lower.order.is_discrete(poset.base.full_mask)
 
     def test_empty_filtration_no_steps(self):
         poset = preset("LOC2")
@@ -240,8 +282,8 @@ class TestChain:
         poset = preset("LOC2")
         filt = validate_filtration(poset, [{"m"}, {"m"}])
         steps = chain_order(poset, filt)
-        assert steps[0][0].mutation_class == {"o"} | LOC2_HEIGHT_ONE
-        assert steps[1][0].support == {"m"}
+        assert poset.base.names(steps[0][0].mutation_class) == {"o"} | LOC2_HEIGHT_ONE
+        assert poset.base.names(steps[1][0].support) == {"m"}
 
 
 class TestTheta:
@@ -265,9 +307,9 @@ class TestTheta:
         from gspec import MutationStep
         poset = preset("LOC2")
         co = standard_order(poset)
-        post = exact_bounds(mutate_perfect(co, set()))
-        step = MutationStep(index=1, support=frozenset(poset.base.elements),
-                            mutation_class=frozenset(), rule="perfect",
+        post = exact_bounds(mutate_perfect(co, 0))
+        step = MutationStep(index=1, support=poset.base.full_mask,
+                            mutation_class=0, rule="perfect",
                             perfect=True, pre=exact_bounds(co), post=post)
         for entry in theta_map(step):
             assert entry.closure_before == entry.closure_after
@@ -288,7 +330,7 @@ class TestOnestepConsistency:
             ],
         })
         with pytest.raises(AssertionError):
-            onestep_order(poset, {"s", "q", "r"})
+            onestep(poset, {"s", "q", "r"})
 
     @pytest.mark.parametrize("name,V0", [
         ("LOC2", {"m"}),
@@ -300,7 +342,7 @@ class TestOnestepConsistency:
     def test_onestep_already_transitive_on_presets(self, name, V0):
         # The Order constructor revalidates transitive closedness, so a
         # successful return is itself the assertion.
-        order = onestep_order(preset(name), V0).order
+        order = onestep(preset(name), V0).order
         rel = order.relation
         assert all((p, s) in rel for (p, q) in rel for (r, s) in rel if q == r)
 
@@ -343,7 +385,7 @@ class TestChainInvariants:
         for name, poset, filt, steps in iter_chains():
             for step, post in steps:
                 E = step.mutation_class
-                complement = frozenset(poset.base.elements) - E
+                complement = poset.base.full_mask & ~E
                 for co, pre in ((post.lower, step.pre.lower), (post.upper, step.pre.upper)):
                     assert co.order.is_lower_set(E)
                     for part in (E, complement):
@@ -374,12 +416,14 @@ class TestOneSplit:
             order = random_order(rng)
             co = ClosureOrder(order, ("test",))
             seeds = [p for p in order.elements if rng.random() < 0.3]
-            E = frozenset().union(*(order.gncl(p) for p in seeds))
+            names = frozenset().union(*(order.gncl(p) for p in seeds))
+            E = order.mask(names)
             perfect = mutate_perfect(co, E).order
-            kept = {(p, q) for (p, q) in order.relation if (p in E) == (q in E)}
+            kept = {(p, q) for (p, q) in order.relation if (p in names) == (q in names)}
             assert perfect.relation == kept
             assert mutate_general(co, E).lower.order == perfect
-            if order.subspace(E).is_discrete():
+            sub = order.subspace(E)
+            if sub.is_discrete(sub.full_mask):
                 discrete_seen += 1
                 assert mutate_discrete(co, E).order == perfect
         assert discrete_seen >= 50

@@ -84,56 +84,64 @@ class TestPointQueries:
 class TestSubsets:
     def test_chain_upper_not_lower(self):
         order = build_order(["o", "m"], [("o", "m")])
-        assert order.is_upper_set({"m"})
-        assert not order.is_lower_set({"m"})
+        m = order.mask({"m"})
+        assert order.is_upper_set(m)
+        assert not order.is_lower_set(m)
 
     def test_empty_set_both(self):
         order = build_order(["o", "m"], [("o", "m")])
-        assert order.is_upper_set(set())
-        assert order.is_lower_set(set())
+        assert order.is_upper_set(0)
+        assert order.is_lower_set(0)
 
     def test_diamond_upper_matches_enumeration(self):
         assert frozenset({"a", "m"}) in brute_upper_sets(DIAMOND)
-        assert DIAMOND.is_upper_set({"a", "m"})
+        assert DIAMOND.is_upper_set(DIAMOND.mask({"a", "m"}))
 
     def test_subspace_of_chain(self):
-        sub = CHAIN3.subspace({"o", "m"})
+        sub = CHAIN3.subspace(CHAIN3.mask({"o", "m"}))
         assert sub == build_order(["o", "m"], [("o", "m")])
 
     def test_subspace_identity(self):
-        assert DIAMOND.subspace(DIAMOND.elements) == DIAMOND
+        assert DIAMOND.subspace(DIAMOND.full_mask) == DIAMOND
 
     def test_subspace_antichain(self):
-        sub = DIAMOND.subspace({"a", "b"})
-        assert sub.is_discrete()
+        sub = DIAMOND.subspace(DIAMOND.mask({"a", "b"}))
+        assert sub.is_discrete(sub.full_mask)
 
     def test_is_discrete_within_matches_subspace(self):
         rng = random.Random(20261018)
         for _ in range(300):
             order = random_order(rng, max_size=10)
-            assert order.is_discrete() == (not strict_pairs(order))
+            assert order.is_discrete(order.full_mask) == (not strict_pairs(order))
             for _ in range(5):
-                subset = {p for p in order.elements if rng.random() < 0.5}
-                assert order.is_discrete(subset) == order.subspace(subset).is_discrete()
+                S = order.mask(p for p in order.elements if rng.random() < 0.5)
+                sub = order.subspace(S)
+                assert order.is_discrete(S) == sub.is_discrete(sub.full_mask)
 
-    def test_is_discrete_within_stranger(self):
-        with pytest.raises(UnknownElement, match="zz"):
-            DIAMOND.is_discrete({"a", "zz"})
+    def test_maximal_matches_pairs(self):
+        rng = random.Random(20261020)
+        for _ in range(300):
+            order = random_order(rng, max_size=10)
+            S = order.mask(p for p in order.elements if rng.random() < 0.6)
+            members = order.names(S)
+            expected = {p for p in members
+                        if not any((p, q) in strict_pairs(order) for q in members)}
+            assert order.names(order.maximal(S)) == expected
 
 
 class TestCbFiltration:
     def test_three_chain(self):
         # Layer by layer: first the top, then the middle, then everything.
         cb = cb_filtration(CHAIN3)
-        assert cb.layers == (frozenset({"m"}), frozenset({"m", "p"}),
-                             frozenset({"m", "o", "p"}))
+        assert [CHAIN3.names(layer) for layer in cb.layers] == [
+            {"m"}, {"m", "p"}, {"m", "o", "p"}]
         assert cb.rank == 2
 
     def test_antichain(self):
         order = build_order(["a", "b", "c"], [])
         cb = cb_filtration(order)
         assert cb.rank == 0
-        assert cb.layers == (frozenset({"a", "b", "c"}),)
+        assert cb.layers == (order.full_mask,)
 
     def test_empty(self):
         cb = cb_filtration(build_order([], []))
@@ -217,17 +225,16 @@ class TestProperties:
 
     @given(orders(), st.data())
     def test_lower_iff_complement_upper(self, order, data):
-        S = frozenset(data.draw(st.sets(st.sampled_from(sorted(order.elements)))) if order.elements else set())
-        complement = frozenset(order.elements) - S
-        assert order.is_lower_set(S) == order.is_upper_set(complement)
+        S = data.draw(st.integers(min_value=0, max_value=order.full_mask))
+        assert order.is_lower_set(S) == order.is_upper_set(order.full_mask & ~S)
 
     @given(orders())
     def test_cb_layers_are_maxima_strata(self, order):
         cb = cb_filtration(order)
-        previous = frozenset()
+        previous = 0
         for layer in cb.layers:
-            remaining = frozenset(order.elements) - previous
-            assert layer - previous == order.maximal_elements(remaining)
+            remaining = order.full_mask & ~previous
+            assert layer & ~previous == order.maximal(remaining)
             previous = layer
         assert cb.rank == longest_chain(order)
 
@@ -245,8 +252,8 @@ class TestProperties:
         )
         union = frozenset().union(*family)
         intersection = frozenset.intersection(*family)
-        assert order.is_lower_set(union)
-        assert order.is_lower_set(intersection)
+        assert order.is_lower_set(order.mask(union))
+        assert order.is_lower_set(order.mask(intersection))
 
     @given(orders())
     def test_covers_regenerate_order(self, order):
@@ -280,7 +287,8 @@ class TestMaskRepresentation:
             assert all((p, s) in rel for (p, q) in rel for (r, s) in rel if q == r)
 
             lowers = brute_lower_sets(order)
-            assert {S for S in powerset(order.elements) if order.is_lower_set(S)} == lowers
+            assert {S for S in powerset(order.elements)
+                    if order.is_lower_set(order.mask(S))} == lowers
 
             strict = {(p, q) for (p, q) in rel if p != q}
             reduction = {

@@ -301,8 +301,10 @@ class TestPresets:
     def test_loc2m_shape(self):
         poset = preset("LOC2M")
         assert len(poset.base.elements) == 8
-        assert poset.base.maximal_elements() == {"m"}
-        assert poset.base.minimal_elements() == {"r-1", "r0", "r1"}
+        base = poset.base
+        assert base.names(base.maximal(base.full_mask)) == {"m"}
+        minimal = {base.elements[i] for i, down in enumerate(base.down) if down == 1 << i}
+        assert minimal == {"r-1", "r0", "r1"}
 
     def test_nagata_preset_verdict(self):
         assert preset("NAGATA2").coherent_complement("o", "m", {"a", "m"}).verdict \
