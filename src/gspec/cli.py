@@ -40,7 +40,12 @@ class UsageError(GspecError, ValueError):
     """An option value the CLI's own checks reject."""
 
 
-_VALIDATION_ERRORS = (GspecError, OSError)
+class Inexact(GspecError):
+    """A bounded result where an exact order is required."""
+
+
+# The first class an error belongs to gives its exit code.
+_EXIT_CODES = ((mut.UndeterminedCoherence, 2), (Inexact, 3), (GspecError, 1), (OSError, 1))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -53,12 +58,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if exc.code == 2 else int(exc.code or 0)
     try:
         return args.handler(args)
-    except mut.UndeterminedCoherence as exc:
+    except (GspecError, OSError) as exc:
         print(f"gspec: {exc}", file=sys.stderr)
-        return 2
-    except _VALIDATION_ERRORS as exc:
-        print(f"gspec: {exc}", file=sys.stderr)
-        return 1
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 @functools.cache
@@ -496,8 +498,7 @@ def _cmd_closure(args: argparse.Namespace) -> int:
     steps = mut.chain_order(poset, filt, annotations, args.policy)
     final = mut.final_order(steps, poset)
     if args.require_exact and not final.exact:
-        print("gspec: result is inexact", file=sys.stderr)
-        return 3
+        raise Inexact("result is inexact")
 
     if args.steps:
         if args.format == "json":
@@ -536,8 +537,7 @@ def _cmd_cb(args: argparse.Namespace) -> int:
     poset = _load_poset(args)
     final, warned = _optional_chain(args, poset)
     if not final.exact:
-        print("gspec: cannot take the filtration of an inexact order", file=sys.stderr)
-        return 3
+        raise Inexact("cannot take the filtration of an inexact order")
     cb = cb_filtration(final.lower.order)
     layers = [sorted(poset.base.names(layer)) for layer in cb.layers]
     if args.format == "json":
@@ -555,8 +555,7 @@ def _cmd_mutate(args: argparse.Namespace) -> int:
     poset = _load_poset(args)
     base, warned = _optional_chain(args, poset)
     if not base.exact:
-        print("gspec: cannot mutate an inexact order", file=sys.stderr)
-        return 3
+        raise Inexact("cannot mutate an inexact order")
     at = _read_json("--at", args.at)
     if not isinstance(at, list):
         raise UsageError("--at must be a JSON list of point names")
@@ -573,8 +572,7 @@ def _cmd_mutate(args: argparse.Namespace) -> int:
     else:
         result = mut.mutate_general(current, e)
     if args.require_exact and not result.exact:
-        print("gspec: result is inexact", file=sys.stderr)
-        return 3
+        raise Inexact("result is inexact")
     _emit(args, _render_bounded(args, poset, result))
     return 1 if warned else 0
 
@@ -602,9 +600,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if failed:
         first = failed[0]
         witness = ", ".join(f"{k}={v}" for k, v in first.counterexample)
-        print(f"gspec: first failure: {first.name} ({witness})", file=sys.stderr)
-        return 1
-    return 0 if not warned else 1
+        raise GspecError(f"first failure: {first.name} ({witness})")
+    return 1 if warned else 0
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .poset import GspecError, bits, covering_pairs
-from .spectra import PrimePoset
+from .spectra import PrimePoset, SchemaError
 
 
 class NotSpecializationClosed(GspecError):
@@ -116,18 +116,23 @@ def f_to_filtration(poset: PrimePoset, f: Mapping[str, int]) -> SpFiltration:
     Shifted inputs (constant added to f) normalise to the same filtration:
     the levels run from the first one that can be proper, min f + 1, to the
     last nonempty one, max f.  Every other filtration source is a level
-    function and comes through here.
+    function and comes through here.  A point without a value raises
+    :class:`SchemaError`.
     """
     elements = poset.base.elements
-    missing = set(elements) - set(f)
-    if missing:
-        raise KeyError(f"level function missing {sorted(missing)}")
+    _require_every_point(elements, f)
     values = [f[p] for p in elements] or [-1]
     levels = [{p for p in elements if f[p] >= i}
               for i in range(min(0, min(values) + 1), max(values) + 1)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", FiltrationWarning)
         return validate_filtration(poset, levels)
+
+
+def _require_every_point(elements: tuple[str, ...], f: Mapping[str, int]) -> None:
+    missing = set(elements) - set(f)
+    if missing:
+        raise SchemaError(f"level function missing {sorted(missing)}")
 
 
 def classify(poset: PrimePoset, filt: SpFiltration) -> dict[str, bool]:
@@ -153,8 +158,10 @@ def codim_filtration(poset: PrimePoset, d: Mapping[str, int]) -> SpFiltration:
     """Levels V_i = {p : d(p) > i} for a codimension function d.
 
     d must raise by exactly one along every covering relation; adding a
-    constant to d does not change the normalised result.
+    constant to d does not change the normalised result.  A point without
+    a value raises :class:`SchemaError` before any cover is read.
     """
+    _require_every_point(poset.base.elements, d)
     # Scan covers from the bottom of the poset up so the first offender is
     # the lowest one.
     covers = sorted(covering_pairs(poset.base), key=lambda c: (poset.height[c[0]], c))
@@ -162,3 +169,14 @@ def codim_filtration(poset: PrimePoset, d: Mapping[str, int]) -> SpFiltration:
         if d[q] != d[p] + 1:
             raise NotCodimensionFunction((p, q))
     return f_to_filtration(poset, {p: d[p] - 1 for p in poset.base.elements})
+
+
+def forced_maximal(poset: PrimePoset, filt: SpFiltration, step: int) -> int:
+    """Mask of the points known to be maximal in the order produced by the
+    given step of the chain: the inclusion-maxima of the strata cut out by
+    this and the earlier steps, plus the inclusion-maximal primes."""
+    base = poset.base
+    forced = base.maximal(base.full_mask)
+    for j in range(step):
+        forced |= base.maximal(filt.difference(j))
+    return forced

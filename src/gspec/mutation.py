@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from . import filtration as spf
-from .poset import GspecError, Order, bits, longest_chain, transitive_closure
+from .poset import GspecError, Order, bits, longest_chain
 from .spectra import COHERENT, NOT_COHERENT, UNDETERMINED, PrimePoset
 
 POLICY_ERROR = "error"
@@ -89,19 +89,22 @@ class MutationStep:
 
     ``support`` is the mask of the level the step tilts towards and
     ``mutation_class`` the mask of its complement E, which is closed in the
-    pre-order.  ``perfect`` records whether the step's torsion pair is known
-    perfect.  ``pre`` is the previous step's bounds (the inclusion order for
-    step 1), so an inexact step is compared bound for bound with the one
-    before.
+    pre-order.  ``pre`` is the previous step's bounds (the inclusion order
+    for step 1), so an inexact step is compared bound for bound with the
+    one before.
     """
 
     index: int
     support: int
     mutation_class: int
     rule: str
-    perfect: bool
     pre: BoundedOrder
     post: BoundedOrder
+
+    @property
+    def perfect(self) -> bool:
+        """Whether the step's torsion pair is known perfect."""
+        return self.rule in (RULE_DISCRETE, RULE_PERFECT)
 
 
 def standard_order(poset: PrimePoset) -> ClosureOrder:
@@ -141,13 +144,16 @@ def onestep_order(poset: PrimePoset, v: int, policy: str = POLICY_ERROR) -> Clos
             if verdict == NOT_COHERENT:
                 kept |= 1 << j
         up.append(kept)
-    up = tuple(up)
-    if transitive_closure(up) != up:
+    # The rows are base rows with bits removed, so the constructor can only
+    # reject them for transitivity.
+    try:
+        order = Order(els, tuple(up))
+    except ValueError:
         raise AssertionError(
             "one-step relation not transitively closed; the coherence data is "
             "inconsistent with a ring"
-        )
-    return ClosureOrder(Order(base.elements, up), (f"{RULE_ONESTEP} at {_label(base, v)}",))
+        ) from None
+    return ClosureOrder(order, (f"{RULE_ONESTEP} at {_label(base, v)}",))
 
 
 def mutate_discrete(co: ClosureOrder, e: int) -> ClosureOrder:
@@ -245,10 +251,9 @@ def chain_order(
             post = _each_bound(current, lambda co: exact_bounds(mutate_perfect(co, e)))
         else:
             rule = RULE_BOUNDED
-            pruned = _forced_maximal(poset, filt, i)
+            pruned = spf.forced_maximal(poset, filt, i)
             post = _each_bound(current, lambda co: mutate_general(co, e, pruned))
-        perfect = rule in (RULE_DISCRETE, RULE_PERFECT)
-        step = MutationStep(i, support, e, rule, perfect, current, post)
+        step = MutationStep(i, support, e, rule, current, post)
         steps.append((step, post))
         current = post
     return steps
@@ -337,13 +342,3 @@ def _vanishing_pattern(poset: PrimePoset, level: int) -> bool:
     maxima = poset.base.maximal(poset.base.full_mask)
     return maxima.bit_count() == 1 and level == maxima and longest_chain(poset.base) <= 2
 
-
-def _forced_maximal(poset: PrimePoset, filt: spf.SpFiltration, step_index: int) -> int:
-    """Mask of the points already known to be maximal in the order produced
-    by this step: inclusion-maxima of the strata cut out by this and the
-    earlier steps, plus the inclusion-maximal primes themselves."""
-    base = poset.base
-    forced = base.maximal(base.full_mask)
-    for j in range(step_index):
-        forced |= base.maximal(filt.difference(j))
-    return forced

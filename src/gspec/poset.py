@@ -25,9 +25,9 @@ class GspecError(Exception):
     """Base class of the errors gspec raises for bad input."""
 
 
-class CycleError(GspecError):
-    """The transitive closure of the generators relates two distinct points
-    both ways, so the result would not be antisymmetric (not T0)."""
+class CycleError(GspecError, ValueError):
+    """A relation holds between two distinct points both ways, so it is not
+    antisymmetric (not T0)."""
 
 
 class UnknownElement(GspecError):
@@ -52,7 +52,10 @@ class Order:
 
     ``elements`` is the sorted tuple of point names; bit ``j`` of ``up[i]``
     is set exactly when ``elements[i] <= elements[j]``.  Instances are
-    immutable; every derived object is a fresh value.
+    immutable; every derived object is a fresh value.  The constructor is
+    the one check that the masks are a partial order: it raises
+    :class:`CycleError` on a pair related both ways and :class:`ValueError`
+    on any other failure.
     """
 
     elements: tuple[str, ...]
@@ -70,7 +73,7 @@ class Order:
                 raise ValueError(f"relation not reflexive at {els[i]!r}")
             for j in bits(m & ~(1 << i)):
                 if up[j] >> i & 1:
-                    raise ValueError(f"relation not antisymmetric on {els[i]!r}, {els[j]!r}")
+                    raise CycleError(f"{els[i]!r} and {els[j]!r} are related both ways")
                 if up[j] & ~m:
                     raise ValueError("relation not transitively closed")
 
@@ -183,9 +186,10 @@ def transitive_closure(up: Sequence[int]) -> tuple[int, ...]:
 def build_order(elements: Iterable[str], relations: Iterable[tuple[str, str]]) -> Order:
     """Reflexive-transitive closure of generating relations.
 
-    Raises :class:`CycleError` if the closure would relate two distinct
-    points both ways, and :class:`UnknownElement` if a generator mentions a
-    name outside ``elements``.
+    Raises :class:`UnknownElement` if a generator mentions a name outside
+    ``elements``.  The closure is reflexive and transitive, so the
+    constructor can only reject it for antisymmetry, with
+    :class:`CycleError`.
     """
     els = tuple(sorted(set(elements)))
     index = {e: i for i, e in enumerate(els)}
@@ -195,12 +199,7 @@ def build_order(elements: Iterable[str], relations: Iterable[tuple[str, str]]) -
             if p not in index:
                 raise UnknownElement(f"{p!r} is not one of the elements")
         up[index[a]] |= 1 << index[b]
-    up = transitive_closure(up)
-    for i, m in enumerate(up):
-        for j in bits(m >> (i + 1) << (i + 1)):
-            if up[j] >> i & 1:
-                raise CycleError(f"{els[i]!r} and {els[j]!r} are related both ways")
-    return Order(els, up)
+    return Order(els, transitive_closure(up))
 
 
 def cover_masks(order: Order) -> tuple[int, ...]:
@@ -233,13 +232,16 @@ class CbFiltration:
     """Cantor-Bendixson filtration of a finite T0 Alexandrov space.
 
     ``layers`` is the strictly increasing chain of masks X_0 < X_1 < ...
-    ending at the full mask; ``rank`` is the number of steps to stabilise,
-    with the convention that the empty space (whose chain starts at the
-    empty set and is already stable) has rank -1.
+    ending at the full mask.
     """
 
     layers: tuple[int, ...]
-    rank: int
+
+    @property
+    def rank(self) -> int:
+        """The number of steps to stabilise; the empty space (whose chain
+        starts at the empty set and is already stable) has rank -1."""
+        return len(self.layers) - 1
 
 
 def cb_filtration(order: Order) -> CbFiltration:
@@ -253,7 +255,7 @@ def cb_filtration(order: Order) -> CbFiltration:
     while accumulated != order.full_mask:
         accumulated |= order.maximal(order.full_mask & ~accumulated)
         layers.append(accumulated)
-    return CbFiltration(tuple(layers), len(layers) - 1)
+    return CbFiltration(tuple(layers))
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,6 @@ COHERENT = "coherent"
 NOT_COHERENT = "not-coherent"
 UNDETERMINED = "undetermined"
 
-PRESET_NAMES = ("DVR1", "LOC2", "LOC2M", "LOC3", "POLY2", "NAGATA2")
-
 
 class SchemaError(GspecError):
     """The input document does not match the expected JSON shape."""
@@ -327,6 +325,7 @@ _PRESET_DOCUMENTS: dict[str, dict] = {
     "POLY2": _diamond_document(coherent=True),
     "NAGATA2": _diamond_document(coherent=False),
 }
+PRESET_NAMES = tuple(_PRESET_DOCUMENTS)
 
 
 def preset(name: str) -> PrimePoset:

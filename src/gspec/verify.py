@@ -31,13 +31,14 @@ class ElementMismatch(GspecError):
 
 @dataclass(frozen=True)
 class PropertyReport:
+    """A law's outcome: it failed exactly when it carries a counterexample."""
+
     name: str
-    passed: bool
     counterexample: tuple[tuple[str, str], ...] | None = None
 
-    def __post_init__(self) -> None:
-        if not self.passed and self.counterexample is None:
-            raise ValueError("failing reports must carry a counterexample")
+    @property
+    def passed(self) -> bool:
+        return self.counterexample is None
 
     def to_json(self) -> dict:
         out: dict = {"name": self.name, "passed": self.passed}
@@ -70,8 +71,8 @@ def check_refinement(pre: mut.ClosureOrder, post: mut.ClosureOrder, name: str = 
     _same_elements(pre, post)
     extra = _least_extra_pair(post.order, pre.order)
     if extra:
-        return PropertyReport(name, False, _witness(pair=extra))
-    return PropertyReport(name, True)
+        return PropertyReport(name, _witness(pair=extra))
+    return PropertyReport(name)
 
 
 def _least_pair(order: Order, rows: Iterable[tuple[int, int]]) -> tuple[str, str] | None:
@@ -109,12 +110,12 @@ def check_piecewise(
     for when, co in (("before", pre), ("after", post)):
         if not co.order.is_lower_set(e):
             return PropertyReport(
-                name, False, _witness(reason=f"E not closed {when}", E=order.names(e)))
+                name, _witness(reason=f"E not closed {when}", E=order.names(e)))
     for part, label in ((e, "E"), (order.full_mask & ~e, "complement")):
         pair = _least_change(order, post.order, part)
         if pair:
-            return PropertyReport(name, False, _witness(part=label, pair=pair))
-    return PropertyReport(name, True)
+            return PropertyReport(name, _witness(part=label, pair=pair))
+    return PropertyReport(name)
 
 
 def _smallest_set(order: Order, masks: set[int]) -> frozenset[str]:
@@ -136,8 +137,8 @@ def brute_force_discrete_law(
     actual = set(closed_masks(post.order))
     if expected != actual:
         offender = _smallest_set(pre.order, expected ^ actual)
-        return PropertyReport(name, False, _witness(set=offender))
-    return PropertyReport(name, True)
+        return PropertyReport(name, _witness(set=offender))
+    return PropertyReport(name)
 
 
 def brute_force_perfect_law(
@@ -159,8 +160,8 @@ def brute_force_perfect_law(
     actual = set(closed_masks(post.order))
     if expected != actual:
         offender = _smallest_set(pre.order, expected ^ actual)
-        return PropertyReport(name, False, _witness(set=offender))
-    return PropertyReport(name, True)
+        return PropertyReport(name, _witness(set=offender))
+    return PropertyReport(name)
 
 
 def run_suite(
@@ -214,8 +215,8 @@ def _sandwich(
     extra = (_least_extra_pair(bracket.lower.order, exact.order)
              or _least_extra_pair(exact.order, bracket.upper.order))
     if extra:
-        return PropertyReport(name, False, _witness(pair=extra))
-    return PropertyReport(name, True)
+        return PropertyReport(name, _witness(pair=extra))
+    return PropertyReport(name)
 
 
 def _baseline(
@@ -230,50 +231,34 @@ def _baseline(
     out: list[PropertyReport] = []
 
     extra = _least_extra_pair(order, base)
-    out.append(
-        PropertyReport(f"{tag}:refines-inclusion", not extra,
-                       _witness(pair=extra) if extra else None)
-    )
+    out.append(PropertyReport(f"{tag}:refines-inclusion",
+                              _witness(pair=extra) if extra else None))
 
     if small:
         axioms = check_axioms(order)
-        out.append(
-            PropertyReport(f"{tag}:t0", axioms.t0,
-                           None if axioms.t0 else _witness(failures=set(axioms.failures)))
-        )
-        out.append(
-            PropertyReport(f"{tag}:sober", axioms.sober,
-                           None if axioms.sober else _witness(failures=set(axioms.failures)))
-        )
+        failures = _witness(failures=set(axioms.failures))
+        out.append(PropertyReport(f"{tag}:t0", None if axioms.t0 else failures))
+        out.append(PropertyReport(f"{tag}:sober", None if axioms.sober else failures))
 
     bad_level = next(
         (i for i in range(filt.n) if not order.is_upper_set(filt.level(i))), None
     )
-    out.append(
-        PropertyReport(f"{tag}:levels-open", bad_level is None,
-                       None if bad_level is None else _witness(level=bad_level))
-    )
+    out.append(PropertyReport(f"{tag}:levels-open",
+                              None if bad_level is None else _witness(level=bad_level)))
 
     bad_stratum = next(
         (stratum for stratum in map(filt.difference, range(filt.n + 1))
          if _least_change(order, base, stratum)),
         None,
     )
-    out.append(
-        PropertyReport(f"{tag}:strata-restriction", bad_stratum is None,
-                       None if bad_stratum is None
-                       else _witness(stratum=order.names(bad_stratum)))
-    )
+    out.append(PropertyReport(
+        f"{tag}:strata-restriction",
+        None if bad_stratum is None else _witness(stratum=order.names(bad_stratum))))
 
-    forced = base.maximal(base.full_mask)
-    for j in range(position):
-        forced |= base.maximal(filt.difference(j))
-    not_maximal = forced & ~order.maximal(order.full_mask)
-    out.append(
-        PropertyReport(f"{tag}:maximal-difference", not not_maximal,
-                       _witness(point=order.elements[next(bits(not_maximal))])
-                       if not_maximal else None)
-    )
+    not_maximal = spf.forced_maximal(poset, filt, position) & ~order.maximal(order.full_mask)
+    out.append(PropertyReport(
+        f"{tag}:maximal-difference",
+        _witness(point=order.elements[next(bits(not_maximal))]) if not_maximal else None))
 
     out.append(_cb_sanity(order, f"{tag}:cb"))
     return out
@@ -285,7 +270,7 @@ def _cb_sanity(order: Order, name: str) -> PropertyReport:
     cb = cb_filtration(order)
     if cb.rank != longest_chain(order):
         return PropertyReport(
-            name, False, _witness(rank=cb.rank, chain=longest_chain(order))
+            name, _witness(rank=cb.rank, chain=longest_chain(order))
         )
     accumulated = 0
     for layer in cb.layers:
@@ -294,8 +279,8 @@ def _cb_sanity(order: Order, name: str) -> PropertyReport:
             1 << i for i in bits(remaining) if order.up[i] & remaining == 1 << i
         )
         if layer != accumulated | isolated:
-            return PropertyReport(name, False, _witness(layer=order.names(layer)))
+            return PropertyReport(name, _witness(layer=order.names(layer)))
         accumulated |= isolated
     if accumulated != order.full_mask:
-        return PropertyReport(name, False, _witness(layer=order.names(accumulated)))
-    return PropertyReport(name, True)
+        return PropertyReport(name, _witness(layer=order.names(accumulated)))
+    return PropertyReport(name)

@@ -7,8 +7,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_order, strict_pairs
-from gspec import POLICIES, PRESET_NAMES, PrimePoset, build_order, covering_pairs, preset
+from gspec import (
+    POLICIES,
+    PRESET_NAMES,
+    Order,
+    PrimePoset,
+    build_order,
+    covering_pairs,
+    preset,
+)
 from gspec import mutation as mut
+from gspec import verify
 from gspec.cli import _bounded_json, _dumps, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -431,6 +440,22 @@ class TestCheckCommand:
             capsys, "check", "--preset", "NAGATA2", "--levels", '[["a","m"]]',
         )
         assert code == 0
+
+    @pytest.mark.parametrize("fmt,out", [
+        ("text", "FAIL refinement (pair=(o,m))\n"),
+        ("json", '{\n  "passed": false,\n  "reports": [\n    {\n      "counterexample": '
+                 '{\n        "pair": "(o,m)"\n      },\n      "name": "refinement",\n'
+                 '      "passed": false\n    }\n  ]\n}\n'),
+    ], ids=("text", "json"))
+    def test_failure_written_then_reported(self, capsys, monkeypatch, fmt, out):
+        """The report is written in full, then one stderr line names the
+        first failure and the exit code is 1."""
+        pre = mut.ClosureOrder(Order(("m", "o"), (0b01, 0b10)), ())
+        failing = verify.check_refinement(pre, mut.standard_order(preset("DVR1")))
+        monkeypatch.setattr(verify, "run_suite", lambda *args: [failing])
+        code, stdout, err = run(capsys, "check", "--preset", "DVR1", "--levels", '[["m"]]',
+                                "--format", fmt)
+        assert (code, stdout, err) == (1, out, "gspec: first failure: refinement (pair=(o,m))\n")
 
     def test_above_enumeration_bound_runs_polynomial_reports(self, capsys, tmp_path):
         code, out, _ = run(capsys, "check", "--file", write_wide(tmp_path),

@@ -6,6 +6,7 @@ from gspec import (
     NotCodimensionFunction,
     NotDescending,
     NotSpecializationClosed,
+    SchemaError,
     UnknownElement,
     classify,
     codim_filtration,
@@ -96,8 +97,14 @@ class TestLevelFunction:
             f_to_filtration(poset, {"o": 1, "m": 0})
 
     def test_missing_element_rejected(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(SchemaError, match=r"^level function missing \['o'\]$"):
             f_to_filtration(preset("DVR1"), {"m": 0})
+
+    def test_codim_missing_element_rejected(self):
+        # Checked before any cover is read, so the error is typed.
+        missing = r"^level function missing \['m', 'p1', 'p2', 'p3', 'p4', 'p5'\]$"
+        with pytest.raises(SchemaError, match=missing):
+            codim_filtration(preset("LOC2"), {"o": 0})
 
     def test_round_trips_random(self, rng):
         for _ in range(300):

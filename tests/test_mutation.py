@@ -1,12 +1,16 @@
 import random
+import warnings
 
 import pytest
 
-from conftest import onestep, random_order, strict_pairs
+from conftest import onestep, poset_from_order, random_order, strict_pairs
 from gspec import (
+    POLICIES,
     POLICY_ASSUME_COHERENT,
     POLICY_ASSUME_NONCOHERENT,
     ClosureOrder,
+    FiltrationWarning,
+    GspecError,
     NotClosed,
     NotDiscrete,
     Order,
@@ -310,10 +314,22 @@ class TestTheta:
         post = exact_bounds(mutate_perfect(co, 0))
         step = MutationStep(index=1, support=poset.base.full_mask,
                             mutation_class=0, rule="perfect",
-                            perfect=True, pre=exact_bounds(co), post=post)
+                            pre=exact_bounds(co), post=post)
         for entry in theta_map(step):
             assert entry.closure_before == entry.closure_after
             assert entry.open_before == entry.open_after
+
+
+ONESTEP_NOT_TRANSITIVE = (
+    "one-step relation not transitively closed; the coherence data is "
+    "inconsistent with a ring"
+)
+
+REPRO_ITEM_2 = {
+    "elements": [f"x{i}" for i in range(8)],
+    "covers": [["x0", "x1"], ["x0", "x3"], ["x0", "x5"], ["x2", "x4"],
+               ["x3", "x4"], ["x4", "x7"], ["x5", "x7"]],
+}
 
 
 class TestOnestepConsistency:
@@ -331,6 +347,17 @@ class TestOnestepConsistency:
         })
         with pytest.raises(AssertionError):
             onestep(poset, {"s", "q", "r"})
+
+    def test_assume_coherent_contradiction_pinned(self):
+        # A blanket "coherent" answer contradicts the deep-minimal verdict on
+        # x3 < x7: x0 < x3 then forces x0 < x7.  The constructor rejects the
+        # relation as not transitive and onestep_order reports it with this
+        # exact AssertionError, which the benchmark attributes by type and
+        # text.  ROADMAP item 2 (sound policies) replaces it with a bracket.
+        poset = load_prime_poset(REPRO_ITEM_2)
+        with pytest.raises(AssertionError) as caught:
+            onestep(poset, {"x5", "x7"}, POLICY_ASSUME_COHERENT)
+        assert str(caught.value) == ONESTEP_NOT_TRANSITIVE
 
     @pytest.mark.parametrize("name,V0", [
         ("LOC2", {"m"}),
@@ -427,3 +454,68 @@ class TestOneSplit:
                 discrete_seen += 1
                 assert mutate_discrete(co, E).order == perfect
         assert discrete_seen >= 50
+
+
+def assert_valid_order(order, base):
+    """A partial order refining inclusion, judged from the ``relation``
+    pairs alone rather than by the constructor."""
+    rel = order.relation
+    assert order.elements == base.elements
+    assert all((p, p) in rel for p in order.elements)
+    assert not any((q, p) in rel for p, q in rel if p != q)
+    above = {p: {q for r, q in rel if r == p} for p in order.elements}
+    assert all(above[q] <= above[p] for p, q in rel)
+    assert rel <= base.relation
+
+
+def random_upper_set(rng, order, within):
+    """The upper closure of a random subset of the upper set ``within``."""
+    v = 0
+    for i in range(len(order.elements)):
+        if within >> i & 1 and rng.random() < 0.3:
+            v |= order.up[i]
+    return v
+
+
+class TestEngineOutputFence:
+    """Every order the engine returns is valid without the constructor's
+    check; the engine raises nothing but a GspecError, or the pinned
+    AssertionError under assume-coherent."""
+
+    def test_random_chains_and_claims(self):
+        rng = random.Random(20261019)
+        rules_seen, contradictions = set(), 0
+        for _ in range(2500):
+            poset = poset_from_order(random_order(rng, max_size=8))
+            base = poset.base
+            levels, v = [], base.full_mask
+            for _ in range(rng.randint(1, 4)):
+                v = random_upper_set(rng, base, v)
+                levels.append(sorted(base.names(v)))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", FiltrationWarning)
+                filt = validate_filtration(poset, levels)
+            annotations = {i: rng.random() < 0.5 for i in range(2, filt.n + 1)
+                           if rng.random() < 0.7}
+            for policy in POLICIES:
+                try:
+                    steps = chain_order(poset, filt, annotations, policy)
+                except GspecError:
+                    continue
+                except AssertionError as exc:
+                    assert policy == POLICY_ASSUME_COHERENT
+                    assert str(exc) == ONESTEP_NOT_TRANSITIVE
+                    contradictions += 1
+                    continue
+                for step, post in steps:
+                    rules_seen.add(step.rule)
+                    for co in (post.lower, post.upper):
+                        assert_valid_order(co.order, base)
+                    assert post.lower.order.relation <= post.upper.order.relation
+                    claims = rng.getrandbits(len(base.elements))
+                    bracket = mutate_general(step.pre.lower, step.mutation_class, claims)
+                    assert_valid_order(bracket.lower.order, base)
+                    assert_valid_order(bracket.upper.order, base)
+                    assert bracket.lower.order.relation <= bracket.upper.order.relation
+        assert rules_seen == {"onestep", "discrete", "perfect", "bounded"}
+        assert contradictions > 0

@@ -51,8 +51,33 @@ class TestBuildOrder:
             build_order(["a", "b"], [("a", "b"), ("b", "a")])
 
     def test_longer_cycle(self):
-        with pytest.raises(CycleError):
+        with pytest.raises(CycleError, match="^'a' and 'b' are related both ways$"):
             build_order(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
+
+    def test_cycle_reports_least_pair(self):
+        """The constructor names the pair a scan of the closed relation by
+        ascending rows finds first (reference written here from pairs)."""
+        rng = random.Random(20261018)
+        cyclic = 0
+        for _ in range(500):
+            names = [f"x{i}" for i in range(rng.randint(2, 7))]
+            gens = [(rng.choice(names), rng.choice(names)) for _ in range(rng.randint(0, 9))]
+            closed = {(p, p) for p in names} | set(gens)
+            while True:
+                more = {(p, s) for p, q in closed for r, s in closed if q == r} - closed
+                if not more:
+                    break
+                closed |= more
+            both = sorted((p, q) for p, q in closed if p < q and (q, p) in closed)
+            if both:
+                cyclic += 1
+                with pytest.raises(CycleError) as caught:
+                    build_order(names, gens)
+                p, q = both[0]
+                assert str(caught.value) == f"{p!r} and {q!r} are related both ways"
+            else:
+                assert build_order(names, gens).relation == closed
+        assert cyclic > 100
 
     def test_unknown_endpoint(self):
         with pytest.raises(UnknownElement):
@@ -305,12 +330,15 @@ class TestMaskRepresentation:
 
     @pytest.mark.parametrize("elements,up,message", [
         (("a",), (0b0,), "relation not reflexive at 'a'"),
-        (("a", "b"), (0b11, 0b11), "relation not antisymmetric on 'a', 'b'"),
+        (("a", "b"), (0b11, 0b11), "'a' and 'b' are related both ways"),
         (("a", "b", "c"), (0b011, 0b110, 0b100), "relation not transitively closed"),
         (("a",), (0b11,), "need one up-set mask per element"),
         (("a", "b"), (0b1,), "need one up-set mask per element"),
         (("b", "a"), (0b1, 0b10), "elements must be a sorted tuple"),
     ])
     def test_constructor_rejects(self, elements, up, message):
-        with pytest.raises(ValueError, match=message):
+        """Every rejection is a ValueError; exactly the antisymmetry one is
+        a CycleError."""
+        with pytest.raises(ValueError, match=message) as caught:
             Order(elements, up)
+        assert isinstance(caught.value, CycleError) == message.endswith("both ways")

@@ -324,8 +324,3 @@ class TestRunSuite:
             reports = run_suite(poset, filt, annotations, POLICY_ASSUME_NONCOHERENT)
             assert [r.name for r in reports if not r.passed] == [], filt.levels
         assert perfect_after_inexact > 0
-
-    def test_failing_report_requires_witness(self):
-        from gspec import PropertyReport
-        with pytest.raises(ValueError):
-            PropertyReport("broken", False)
