@@ -26,12 +26,11 @@ from .poset import (
     GspecError,
     Order,
     UnknownElement,
-    bits,
     cb_filtration,
     check_axioms,
-    cover_masks,
     covering_pairs,
     is_t0,
+    select,
 )
 from .spectra import PRESET_NAMES, PrimePoset, load_prime_poset, preset
 
@@ -93,53 +92,33 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="JSON step annotations {\"steps\":[{\"i\":2,\"perfect\":true}]}")
         p.add_argument("--policy", choices=mut.POLICIES, default=mut.POLICY_ERROR)
 
-    p = sub.add_parser("presets", help="list the built-in posets")
-    p.set_defaults(handler=_cmd_presets)
+    def dot_output_args(p: argparse.ArgumentParser) -> None:
+        output_args(p, ("json", "dot", "text"))
 
-    p = sub.add_parser("validate", help="load a poset and check its axioms")
-    poset_args(p)
-    output_args(p)
-    p.set_defaults(handler=_cmd_validate)
+    def command(name: str, help: str, handler, *groups) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        for group in groups:
+            group(p)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("filtration", help="normalise and classify a filtration")
-    poset_args(p)
-    filtration_args(p)
-    output_args(p)
-    p.set_defaults(handler=_cmd_filtration)
-
-    p = sub.add_parser("closure", help="closure order of the heart of a filtration")
-    poset_args(p)
-    filtration_args(p)
-    engine_args(p)
-    output_args(p, ("json", "dot", "text"))
+    engine = (poset_args, filtration_args, engine_args)
+    command("presets", "list the built-in posets", _cmd_presets)
+    command("validate", "load a poset and check its axioms", _cmd_validate,
+            poset_args, output_args)
+    command("filtration", "normalise and classify a filtration", _cmd_filtration,
+            poset_args, filtration_args, output_args)
+    p = command("closure", "closure order of the heart of a filtration", _cmd_closure,
+                *engine, dot_output_args)
     p.add_argument("--steps", action="store_true", help="emit every chain step")
     p.add_argument("--require-exact", action="store_true")
-    p.set_defaults(handler=_cmd_closure)
-
-    p = sub.add_parser("cb", help="Cantor-Bendixson filtration of an order")
-    poset_args(p)
-    filtration_args(p)
-    engine_args(p)
-    output_args(p)
-    p.set_defaults(handler=_cmd_cb)
-
-    p = sub.add_parser("mutate", help="apply one mutation to an order")
-    poset_args(p)
-    filtration_args(p)
-    engine_args(p)
-    output_args(p, ("json", "dot", "text"))
+    command("cb", "Cantor-Bendixson filtration of an order", _cmd_cb, *engine, output_args)
+    p = command("mutate", "apply one mutation to an order", _cmd_mutate, *engine, dot_output_args)
     p.add_argument("--at", required=True, help="JSON list: the closed class to mutate at")
     p.add_argument("--rule", choices=("auto", "discrete", "perfect", "general"),
                    default="auto")
     p.add_argument("--require-exact", action="store_true")
-    p.set_defaults(handler=_cmd_mutate)
-
-    p = sub.add_parser("check", help="run the brute-force property suite")
-    poset_args(p)
-    filtration_args(p)
-    engine_args(p)
-    output_args(p)
-    p.set_defaults(handler=_cmd_check)
+    command("check", "run the brute-force property suite", _cmd_check, *engine, output_args)
 
     return parser
 
@@ -352,16 +331,18 @@ def _list_fragment(items: list[str]) -> _Fragment:
 def _order_fragments(order: Order, relations: bool = True) -> dict[str, _Fragment]:
     """``elements``, ``covers`` and, if asked, ``relations`` (the strict
     pairs) as JSON text.  Each name is escaped once; a pair is the text of
-    its smaller point's opening and its larger point's closing, and
-    ascending indices give sorted pairs because the elements are sorted."""
+    its smaller point's opening and its larger point's closing, so a
+    point's pairs are one join of closings, and ascending indices give
+    sorted pairs because the elements are sorted."""
     names = list(map(_escape, order.elements))
     lead = ["[\n    " + name + ",\n    " for name in names]
     tail = [name + "\n  ]" for name in names]
 
     def pairs(masks: Iterable[int]) -> _Fragment:
-        return _list_fragment([lead[i] + tail[j] for i, m in enumerate(masks) for j in bits(m)])
+        return _list_fragment([opening + (",\n  " + opening).join(select(tail, m))
+                               for opening, m in zip(lead, masks) if m])
 
-    fields = {"elements": _list_fragment(names), "covers": pairs(cover_masks(order))}
+    fields = {"elements": _list_fragment(names), "covers": pairs(order.covers)}
     if relations:
         fields["relations"] = pairs(m & ~(1 << i) for i, m in enumerate(order.up))
     return fields
@@ -375,8 +356,8 @@ def hasse_dot(order: Order, heights: dict[str, int]) -> str:
     for h in sorted(set(heights[p] for p in order.elements)):
         group = " ".join(f"{q};" for p, q in zip(order.elements, quoted) if heights[p] == h)
         lines.append(f"  {{ rank=same; {group} }}")
-    for i, m in enumerate(cover_masks(order)):
-        lines.extend(f"  {quoted[i]} -> {quoted[j]};" for j in bits(m))
+    for q, m in zip(quoted, order.covers):
+        lines.extend(f"  {q} -> {r};" for r in select(quoted, m))
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -458,8 +439,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         }
         _emit(args, _dumps(payload))
     else:
-        lines = [f"{len(poset.base.elements)} primes, "
-                 f"{len(covering_pairs(poset.base))} covers"]
+        covers = sum(m.bit_count() for m in poset.base.covers)
+        lines = [f"{len(poset.base.elements)} primes, {covers} covers"]
         for axiom, holds in axioms.items():
             lines.append(f"{axiom}: {'pass' if holds else 'FAIL'}")
         _emit(args, "\n".join(lines) + "\n")
@@ -589,19 +570,16 @@ def _cmd_check(args: argparse.Namespace) -> int:
         }
         _emit(args, _dumps(payload))
     else:
-        lines = []
-        for r in reports:
-            if r.passed:
-                lines.append(f"PASS {r.name}")
-            else:
-                witness = ", ".join(f"{k}={v}" for k, v in r.counterexample)
-                lines.append(f"FAIL {r.name} ({witness})")
+        lines = [f"PASS {r.name}" if r.passed else f"FAIL {_failure(r)}" for r in reports]
         _emit(args, "\n".join(lines) + "\n")
     if failed:
-        first = failed[0]
-        witness = ", ".join(f"{k}={v}" for k, v in first.counterexample)
-        raise GspecError(f"first failure: {first.name} ({witness})")
+        raise GspecError(f"first failure: {_failure(failed[0])}")
     return 1 if warned else 0
+
+
+def _failure(report: verify.PropertyReport) -> str:
+    """A failed report's name and its witness."""
+    return f"{report.name} ({', '.join(f'{k}={v}' for k, v in report.counterexample)})"
 
 
 if __name__ == "__main__":

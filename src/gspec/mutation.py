@@ -45,6 +45,10 @@ class UnknownStep(GspecError):
     """A step annotation whose index is not a step of the chain."""
 
 
+class UnknownPolicy(GspecError, ValueError):
+    """A coherence policy that is not one of :data:`POLICIES`."""
+
+
 class UndeterminedCoherence(GspecError):
     """The oracle could not decide a coherence question under policy=error."""
 
@@ -303,7 +307,7 @@ def theta_map(step: MutationStep) -> tuple[ThetaEntry, ...]:
 
 def _check_policy(policy: str) -> None:
     if policy not in POLICIES:
-        raise ValueError(f"unknown policy {policy!r} (choose from {POLICIES})")
+        raise UnknownPolicy(f"unknown policy {policy!r} (choose from {POLICIES})")
 
 
 def _label(order: Order, e: int) -> str:

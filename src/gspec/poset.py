@@ -14,9 +14,10 @@ points lexicographically so that repeated runs are byte-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from itertools import compress
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 DEFAULT_ENUMERATION_BOUND = 16
 
@@ -46,6 +47,15 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def select(items: Sequence, mask: int) -> Iterator:
+    """The items at the set bits of ``mask``, in index order; for masks
+    within ``items``, the same as ``(items[j] for j in bits(mask))``."""
+    return compress(items, bin(mask)[:1:-1].encode().translate(_BIT_FLAGS))
+
+
 @dataclass(frozen=True)
 class Order:
     """A finite partial order, stored as per-point up-set bitmasks.
@@ -55,11 +65,13 @@ class Order:
     immutable; every derived object is a fresh value.  The constructor is
     the one check that the masks are a partial order: it raises
     :class:`CycleError` on a pair related both ways and :class:`ValueError`
-    on any other failure.
+    on any other failure.  The same walk yields ``covers``, the transitive
+    reduction: per point, the mask of the points covering it.
     """
 
     elements: tuple[str, ...]
     up: tuple[int, ...]
+    covers: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         els, up = self.elements, self.up
@@ -67,15 +79,31 @@ class Order:
             raise ValueError("elements must be a sorted tuple of distinct names")
         if len(up) != len(els) or any(m >> len(els) for m in up):
             raise ValueError("need one up-set mask per element, within the elements")
-        # Transitive exactly when every up-set contains the up-sets of its members.
-        for i, m in enumerate(up):
-            if not m >> i & 1:
-                raise ValueError(f"relation not reflexive at {els[i]!r}")
-            for j in bits(m & ~(1 << i)):
-                if up[j] >> i & 1:
-                    raise CycleError(f"{els[i]!r} and {els[j]!r} are related both ways")
-                if up[j] & ~m:
-                    raise ValueError("relation not transitively closed")
+        # A row is a partial order's exactly when it is reflexive and its
+        # members' strict up-sets reach nothing beyond its own (a stray bit at
+        # the point is a cycle); what no member reaches covers the point.
+        strict = [m & ~(1 << i) for i, m in enumerate(up)]
+        covers = []
+        for i, s in enumerate(strict):
+            beyond = 0
+            for t in select(strict, s):
+                beyond |= t
+            if beyond & ~s or s == up[i]:
+                self._reject(i)
+            covers.append(s & ~beyond)
+        object.__setattr__(self, "covers", tuple(covers))
+
+    def _reject(self, i: int) -> NoReturn:
+        """Raise the error of point ``i``'s failing row, member by member."""
+        els, up, m = self.elements, self.up, self.up[i]
+        if not m >> i & 1:
+            raise ValueError(f"relation not reflexive at {els[i]!r}")
+        for j in bits(m & ~(1 << i)):
+            if up[j] >> i & 1:
+                raise CycleError(f"{els[i]!r} and {els[j]!r} are related both ways")
+            if up[j] & ~m:
+                raise ValueError("relation not transitively closed")
+        raise AssertionError(f"row {i} rejected, but every member passed")
 
     @cached_property
     def index(self) -> dict[str, int]:
@@ -84,11 +112,13 @@ class Order:
 
     @cached_property
     def down(self) -> tuple[int, ...]:
-        """Per-point down-set masks (closures of the points)."""
-        down = [0] * len(self.elements)
-        for i, m in enumerate(self.up):
-            for j in bits(m):
-                down[j] |= 1 << i
+        """Per-point down-set masks (closures of the points): each point's
+        down-set is pushed up its covers, bottom first (by up-set size)."""
+        up, covers = self.up, self.covers
+        down = [1 << i for i in range(len(up))]
+        for i in sorted(range(len(up)), key=lambda i: -up[i].bit_count()):
+            for j in bits(covers[i]):
+                down[j] |= down[i]
         return tuple(down)
 
     @cached_property
@@ -202,24 +232,11 @@ def build_order(elements: Iterable[str], relations: Iterable[tuple[str, str]]) -
     return Order(els, transitive_closure(up))
 
 
-def cover_masks(order: Order) -> tuple[int, ...]:
-    """The transitive reduction: per point, the mask of the points that
-    cover it (its strict up-set minus what lies strictly above a member)."""
-    strict = [m & ~(1 << i) for i, m in enumerate(order.up)]
-    covers = []
-    for m in strict:
-        beyond = 0
-        for j in bits(m):
-            beyond |= strict[j]
-        covers.append(m & ~beyond)
-    return tuple(covers)
-
-
 def covering_pairs(order: Order) -> tuple[tuple[str, str], ...]:
     """The Hasse diagram edges as name pairs, sorted: ascending indices give
     sorted pairs because the elements are sorted."""
     els = order.elements
-    return tuple((els[i], els[j]) for i, m in enumerate(cover_masks(order)) for j in bits(m))
+    return tuple((p, q) for p, m in zip(els, order.covers) for q in select(els, m))
 
 
 def longest_chain(order: Order) -> int:
@@ -353,11 +370,13 @@ def enumerate_closed_sets(order: Order) -> tuple[frozenset[str], ...]:
 
 
 def heights_by_longest_chain(order: Order) -> dict[str, int]:
-    """Height of each point as the longest chain strictly below it."""
-    down = order.down
-    height = [0] * len(down)
-    # Everything strictly below a point has a smaller down-set, so it is
-    # finished first.
-    for i in sorted(range(len(down)), key=lambda i: down[i].bit_count()):
-        height[i] = max((height[j] + 1 for j in bits(down[i] & ~(1 << i))), default=0)
+    """Height of each point as the longest chain strictly below it: a
+    longest chain climbs by covers, so heights are pushed along them."""
+    up, covers = order.up, order.covers
+    height = [0] * len(up)
+    # Everything strictly below a point has a larger up-set, so the point's
+    # height is final before it is pushed on.
+    for i in sorted(range(len(up)), key=lambda i: -up[i].bit_count()):
+        for j in bits(covers[i]):
+            height[j] = max(height[j], height[i] + 1)
     return dict(zip(order.elements, height))

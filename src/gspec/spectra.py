@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .poset import GspecError, Order, bits, build_order, covering_pairs, heights_by_longest_chain
+from .poset import GspecError, Order, bits, build_order, heights_by_longest_chain
 
 COHERENT = "coherent"
 NOT_COHERENT = "not-coherent"
@@ -77,12 +77,15 @@ class PrimePoset:
         init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for p in self.base.elements:
+        els = self.base.elements
+        for p in els:
             if p not in self.height:
                 raise SchemaError(f"missing height for {p!r}")
-        for p, q in covering_pairs(self.base):
-            if self.height[q] < self.height[p] + 1:
-                raise SchemaError(f"height not compatible with cover {p!r} < {q!r}")
+        heights = [self.height[p] for p in els]
+        for i, m in enumerate(self.base.covers):  # ascending: sorted pairs
+            for j in bits(m):
+                if heights[j] <= heights[i]:
+                    raise SchemaError(f"height not compatible with cover {els[i]!r} < {els[j]!r}")
         keyed = {self._validate_annotation_key(p, q, W): known
                  for (p, q, W), known in self.coherence.items()}
         object.__setattr__(self, "_annotation_masks", keyed)

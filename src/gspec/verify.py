@@ -69,10 +69,12 @@ def _same_elements(pre: mut.ClosureOrder, post: mut.ClosureOrder) -> None:
 def check_refinement(pre: mut.ClosureOrder, post: mut.ClosureOrder, name: str = "refinement") -> PropertyReport:
     """Mutation only removes relations: post must be contained in pre."""
     _same_elements(pre, post)
-    extra = _least_extra_pair(post.order, pre.order)
-    if extra:
-        return PropertyReport(name, _witness(pair=extra))
-    return PropertyReport(name)
+    return _pair_report(name, _least_extra_pair(post.order, pre.order))
+
+
+def _pair_report(name: str, pair: tuple[str, str] | None) -> PropertyReport:
+    """Passes without a pair, fails with the pair as its witness."""
+    return PropertyReport(name, _witness(pair=pair) if pair else None)
 
 
 def _least_pair(order: Order, rows: Iterable[tuple[int, int]]) -> tuple[str, str] | None:
@@ -118,9 +120,15 @@ def check_piecewise(
     return PropertyReport(name)
 
 
-def _smallest_set(order: Order, masks: set[int]) -> frozenset[str]:
-    """The first of the sets by size, then by sorted member names."""
-    return min(map(order.names, masks), key=lambda s: (len(s), sorted(s)))
+def _closed_sets_report(name: str, pre: Order, post: Order, expected: set[int]) -> PropertyReport:
+    """Passes when ``post``'s closed sets are exactly ``expected``; the
+    witness is the first set in only one of them, by size, then by sorted
+    member names."""
+    wrong = expected ^ set(closed_masks(post))
+    if not wrong:
+        return PropertyReport(name)
+    offender = min(map(pre.names, wrong), key=lambda s: (len(s), sorted(s)))
+    return PropertyReport(name, _witness(set=offender))
 
 
 def brute_force_discrete_law(
@@ -134,11 +142,7 @@ def brute_force_discrete_law(
     _same_elements(pre, post)
     pre_closed = set(closed_masks(pre.order))
     expected = {U for U in range(1 << len(pre.order.elements)) if U | e in pre_closed}
-    actual = set(closed_masks(post.order))
-    if expected != actual:
-        offender = _smallest_set(pre.order, expected ^ actual)
-        return PropertyReport(name, _witness(set=offender))
-    return PropertyReport(name)
+    return _closed_sets_report(name, pre.order, post.order, expected)
 
 
 def brute_force_perfect_law(
@@ -157,11 +161,7 @@ def brute_force_perfect_law(
     inside = {V & e for V in pre_closed}
     outside = {V & ~e for V in pre_closed}
     expected = {A | B for A in inside for B in outside}
-    actual = set(closed_masks(post.order))
-    if expected != actual:
-        offender = _smallest_set(pre.order, expected ^ actual)
-        return PropertyReport(name, _witness(set=offender))
-    return PropertyReport(name)
+    return _closed_sets_report(name, pre.order, post.order, expected)
 
 
 def run_suite(
@@ -212,11 +212,8 @@ def _sandwich(
     pre: mut.ClosureOrder, e: int, exact: mut.ClosureOrder, name: str
 ) -> PropertyReport:
     bracket = mut.mutate_general(pre, e)
-    extra = (_least_extra_pair(bracket.lower.order, exact.order)
-             or _least_extra_pair(exact.order, bracket.upper.order))
-    if extra:
-        return PropertyReport(name, _witness(pair=extra))
-    return PropertyReport(name)
+    return _pair_report(name, _least_extra_pair(bracket.lower.order, exact.order)
+                        or _least_extra_pair(exact.order, bracket.upper.order))
 
 
 def _baseline(
@@ -230,9 +227,7 @@ def _baseline(
     order, base = co.order, poset.base
     out: list[PropertyReport] = []
 
-    extra = _least_extra_pair(order, base)
-    out.append(PropertyReport(f"{tag}:refines-inclusion",
-                              _witness(pair=extra) if extra else None))
+    out.append(_pair_report(f"{tag}:refines-inclusion", _least_extra_pair(order, base)))
 
     if small:
         axioms = check_axioms(order)

@@ -1,4 +1,5 @@
 import random
+import re
 import warnings
 
 import pytest
@@ -15,6 +16,7 @@ from gspec import (
     NotDiscrete,
     Order,
     UndeterminedCoherence,
+    UnknownPolicy,
     UnknownStep,
     build_order,
     chain_order,
@@ -97,8 +99,17 @@ class TestOnestep:
         assert ("o", "m") in strict(strict_policy)
 
     def test_unknown_policy(self):
-        with pytest.raises(ValueError):
-            onestep(preset("DVR1"), {"m"}, "whatever")
+        """A bad policy is a typed gspec error, still a ValueError, from
+        both entry points."""
+        loc2 = preset("LOC2")
+        message = ("unknown policy 'bogus' (choose from ('error', 'assume-coherent', "
+                   "'assume-noncoherent'))")
+        with pytest.raises(UnknownPolicy) as caught:
+            onestep_order(loc2, loc2.base.mask({"m"}), "bogus")
+        assert isinstance(caught.value, ValueError) and str(caught.value) == message
+        filt = validate_filtration(loc2, [{"m"}])
+        with pytest.raises(GspecError, match=re.escape(message)):
+            chain_order(loc2, filt, policy="bogus")
 
 
 class TestMutateDiscrete:

@@ -17,7 +17,13 @@ from gspec import (
     enumerate_closed_sets,
     longest_chain,
 )
-from gspec.poset import closed_masks, cover_masks, heights_by_longest_chain
+from gspec.poset import (
+    bits,
+    closed_masks,
+    heights_by_longest_chain,
+    select,
+    transitive_closure,
+)
 
 
 @st.composite
@@ -321,7 +327,9 @@ class TestMaskRepresentation:
                 if not any((p, r) in strict and (r, q) in strict for r in order.elements)
             }
             assert covering_pairs(order) == tuple(sorted(reduction))
-            assert [order.names(m) for m in cover_masks(order)] == [
+            assert [order.names(m) for m in order.down] == [
+                {p for (p, r) in rel if r == q} for q in order.elements]
+            assert [order.names(m) for m in order.covers] == [
                 {q for (r, q) in reduction if r == p} for p in order.elements]
 
             heights = self.pair_heights(order)
@@ -342,3 +350,81 @@ class TestMaskRepresentation:
         with pytest.raises(ValueError, match=message) as caught:
             Order(elements, up)
         assert isinstance(caught.value, CycleError) == message.endswith("both ways")
+
+    def test_covers_leave_value_alone(self):
+        """``covers`` is derived, so it changes neither ``==``, ``hash``
+        nor ``repr``."""
+        order = Order(("a", "b", "c"), (0b111, 0b110, 0b100))
+        twin = Order(("a", "b", "c"), (0b111, 0b110, 0b100))
+        assert order.covers == (0b010, 0b100, 0)
+        assert repr(order) == "Order(elements=('a', 'b', 'c'), up=(7, 6, 4))"
+        object.__setattr__(twin, "covers", ())
+        assert order == twin and hash(order) == hash(twin) and repr(order) == repr(twin)
+
+    def test_select_matches_bits(self):
+        rng = random.Random(20261118)
+        for n in range(9):
+            items = [f"x{i}" for i in range(n)]
+            for m in [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(20)]:
+                assert list(select(items, m)) == [items[j] for j in bits(m)]
+
+
+def reference_constructor(elements, up):
+    """The constructor's per-member scan of every row, as it stood before
+    the constructor also computed the covers: the fence for its outcome."""
+    els = tuple(elements)
+    if list(els) != sorted(set(els)):
+        raise ValueError("elements must be a sorted tuple of distinct names")
+    if len(up) != len(els) or any(m >> len(els) for m in up):
+        raise ValueError("need one up-set mask per element, within the elements")
+    for i, m in enumerate(up):
+        if not m >> i & 1:
+            raise ValueError(f"relation not reflexive at {els[i]!r}")
+        for j in bits(m & ~(1 << i)):
+            if up[j] >> i & 1:
+                raise CycleError(f"{els[i]!r} and {els[j]!r} are related both ways")
+            if up[j] & ~m:
+                raise ValueError("relation not transitively closed")
+
+
+def _outcome(build, elements, up):
+    try:
+        build(elements, up)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_constructor_fence():
+    """On seeded random masks of up to 7 points (valid, cyclic,
+    non-transitive and non-reflexive), the constructor fails exactly as the
+    per-member scan does, with the same type and text, or succeeds."""
+    rng = random.Random(20261119)
+    seen = set()
+    for _ in range(20_000):
+        n = rng.randint(0, 7)
+        els = tuple(f"x{i}" for i in range(n))
+        kind = rng.randrange(4)
+        if kind == 0:
+            # A partial order: generators along a random linear extension.
+            rank = rng.sample(range(n), n)
+            up = [1 << i for i in range(n)]
+            for a in range(n):
+                for b in range(a + 1, n):
+                    if rng.random() < 0.3:
+                        up[rank[a]] |= 1 << rank[b]
+            up = list(transitive_closure(up))
+            if n and rng.random() < 0.5:
+                # Drop one relation or one reflexive bit.
+                i, j = rng.randrange(n), rng.randrange(n)
+                up[i] &= ~(1 << j)
+        else:
+            # Reflexive random masks; closed ones are transitive, so any
+            # failure there is a cycle.
+            up = [rng.getrandbits(n) | 1 << i for i in range(n)]
+            if kind == 1:
+                up = list(transitive_closure(up))
+        expected = _outcome(reference_constructor, els, up)
+        assert _outcome(Order, els, tuple(up)) == expected, (els, up)
+        seen.add(expected and expected[1].split()[-1])
+    assert seen == {None, "ways", "closed"} | {f"'x{i}'" for i in range(7)}

@@ -66,6 +66,21 @@ class TestLoad:
         with pytest.raises(UnknownElement, match="'zz' is not one of the elements"):
             load_prime_poset({"elements": ["o"], "covers": [["o", "zz"]]})
 
+    @pytest.mark.parametrize("heights,cover", [
+        ({"o": 0, "a": 1, "b": 2, "m": 2}, "'b' < 'm'"),
+        ({"o": 0, "a": 1, "b": 1, "m": 1}, "'a' < 'm'"),
+        ({"o": 1, "a": 1, "b": 0, "m": 2}, "'o' < 'a'"),
+    ])
+    def test_height_against_cover(self, heights, cover):
+        """Heights must rise along every cover; the first offending cover in
+        sorted order is named."""
+        document = {"elements": ["o", "a", "b", "m"],
+                    "covers": [["o", "a"], ["o", "b"], ["a", "m"], ["b", "m"]],
+                    "heights": heights}
+        with pytest.raises(SchemaError) as caught:
+            load_prime_poset(document)
+        assert str(caught.value) == f"height not compatible with cover {cover}"
+
     def test_explicit_heights_kept(self):
         poset = load_prime_poset(
             {"elements": ["o", "m"], "covers": [["o", "m"]],
