@@ -15,8 +15,7 @@ import argparse
 import functools
 import json
 import sys
-import warnings
-from typing import Collection, Iterable
+from typing import Collection, Iterable, Mapping
 
 from . import filtration as spf
 from . import mutation as mut
@@ -172,7 +171,7 @@ def _level_function(flag: str, value: object, order: Order) -> dict[str, int]:
 def _parse_filtration(
     args: argparse.Namespace, poset: PrimePoset, required: bool = True
 ) -> tuple[spf.SpFiltration | None, bool]:
-    """Returns the filtration and whether normalisation warnings fired."""
+    """Returns the filtration and whether ``--levels`` lost trivial levels."""
     given = args.height_filtration + sum(
         source is not None for source in (args.levels, args.f, args.codim))
     if given > 1:
@@ -184,32 +183,32 @@ def _parse_filtration(
             )
         return None, False
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", spf.FiltrationWarning)
-        if args.levels is not None:
-            levels = _read_json("--levels", args.levels)
-            if not isinstance(levels, list) or not all(isinstance(l, list) for l in levels):
-                raise UsageError("--levels must be a JSON list of lists")
-            _check_points("--levels", [p for level in levels for p in level], poset.base)
-            filt = spf.validate_filtration(poset, levels)
-        elif args.f is not None:
-            f = _level_function("--f", _read_json("--f", args.f), poset.base)
-            filt = spf.f_to_filtration(poset, f)
-        elif args.height_filtration:
-            filt = spf.height_filtration(poset)
-        else:
-            d = _read_json("--codim", args.codim, path=True)
-            filt = spf.codim_filtration(poset, _level_function("--codim", d, poset.base))
-    for warning in caught:
-        print(f"gspec: warning: {warning.message}", file=sys.stderr)
-    return filt, bool(caught)
+    stripped = 0
+    if args.levels is not None:
+        levels = _read_json("--levels", args.levels)
+        if not isinstance(levels, list) or not all(isinstance(l, list) for l in levels):
+            raise UsageError("--levels must be a JSON list of lists")
+        _check_points("--levels", [p for level in levels for p in level], poset.base)
+        filt = spf.validate_filtration(poset, levels)
+        stripped = len(levels) - filt.n
+        if stripped:
+            print(f"gspec: warning: stripped {stripped} trivial level(s)", file=sys.stderr)
+    elif args.f is not None:
+        f = _level_function("--f", _read_json("--f", args.f), poset.base)
+        filt = spf.f_to_filtration(poset, f)
+    elif args.height_filtration:
+        filt = spf.height_filtration(poset)
+    else:
+        d = _read_json("--codim", args.codim, path=True)
+        filt = spf.codim_filtration(poset, _level_function("--codim", d, poset.base))
+    return filt, bool(stripped)
 
 
 def _optional_chain(
     args: argparse.Namespace, poset: PrimePoset
 ) -> tuple[mut.BoundedOrder, bool]:
     """The final order of the chain of the optional filtration (the standard
-    order without one), and whether normalisation warnings fired."""
+    order without one), and whether trivial levels were stripped."""
     filt, warned = _parse_filtration(args, poset, required=False)
     steps = [] if filt is None else mut.chain_order(
         poset, filt, _parse_annotations(args), args.policy
@@ -348,7 +347,7 @@ def _order_fragments(order: Order, relations: bool = True) -> dict[str, _Fragmen
     return fields
 
 
-def hasse_dot(order: Order, heights: dict[str, int]) -> str:
+def hasse_dot(order: Order, heights: Mapping[str, int]) -> str:
     """Hasse diagram as deterministic DOT: transitive reduction, nodes in
     rank groups by height, edges from the smaller prime to the larger."""
     quoted = [_quote(p) for p in order.elements]
@@ -391,24 +390,16 @@ def _order_text(order: Order) -> str:
 
 def _render_bounded(args: argparse.Namespace, poset: PrimePoset,
                     bounded: mut.BoundedOrder) -> str:
-    heights = dict(poset.height)
-    if args.format == "dot":
-        if bounded.exact:
-            return hasse_dot(bounded.lower.order, heights)
-        return (
-            "// inexact result: lower bound\n"
-            + hasse_dot(bounded.lower.order, heights)
-            + "// inexact result: upper bound\n"
-            + hasse_dot(bounded.upper.order, heights)
-        )
     if args.format == "json":
         return _dumps(_bounded_json(bounded))
+    if args.format == "dot":
+        render, heads = (lambda order: hasse_dot(order, poset.height)), (
+            "// inexact result: lower bound\n", "// inexact result: upper bound\n")
+    else:
+        render, heads = _order_text, ("inexact; lower bound:\n", "upper bound:\n")
     if bounded.exact:
-        return _order_text(bounded.lower.order)
-    return (
-        "inexact; lower bound:\n" + _order_text(bounded.lower.order)
-        + "upper bound:\n" + _order_text(bounded.upper.order)
-    )
+        return render(bounded.lower.order)
+    return heads[0] + render(bounded.lower.order) + heads[1] + render(bounded.upper.order)
 
 
 # -- subcommands -------------------------------------------------------------

@@ -13,7 +13,6 @@ and forth losslessly on normal forms.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -39,10 +38,6 @@ class NotCodimensionFunction(GspecError):
             f"cover {cover[0]!r} < {cover[1]!r} does not raise the value by exactly one"
         )
         self.cover = cover
-
-
-class FiltrationWarning(UserWarning):
-    """Tolerated-but-normalised input, e.g. explicit trivial levels."""
 
 
 @dataclass(frozen=True)
@@ -75,11 +70,15 @@ def validate_filtration(poset: PrimePoset, levels: Iterable[Iterable[str]]) -> S
 
     Raises :class:`UnknownElement` for a stranger, then
     :class:`NotSpecializationClosed` or :class:`NotDescending` with the
-    offending index; explicit full or empty levels are stripped with a
-    :class:`FiltrationWarning`.
+    offending index.  Explicit full or empty levels are stripped silently,
+    so a chain of k levels lost ``k - n`` of them.
     """
+    return _normal_form(poset, [poset.base.mask(level) for level in levels])
+
+
+def _normal_form(poset: PrimePoset, chain: list[int]) -> SpFiltration:
+    """Check level masks; strip leading full and trailing empty levels."""
     base = poset.base
-    chain = [base.mask(level) for level in levels]
     for i, level in enumerate(chain):
         if not base.is_upper_set(level):
             raise NotSpecializationClosed(i)
@@ -92,12 +91,6 @@ def validate_filtration(poset: PrimePoset, levels: Iterable[Iterable[str]]) -> S
     stop = len(chain)
     while stop > start and not chain[stop - 1]:
         stop -= 1
-    if (start, stop) != (0, len(chain)):
-        warnings.warn(
-            f"stripped {start + len(chain) - stop} trivial level(s)",
-            FiltrationWarning,
-            stacklevel=2,
-        )
     return SpFiltration(base.elements, tuple(chain[start:stop]))
 
 
@@ -122,11 +115,8 @@ def f_to_filtration(poset: PrimePoset, f: Mapping[str, int]) -> SpFiltration:
     elements = poset.base.elements
     _require_every_point(elements, f)
     values = [f[p] for p in elements] or [-1]
-    levels = [{p for p in elements if f[p] >= i}
-              for i in range(min(0, min(values) + 1), max(values) + 1)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", FiltrationWarning)
-        return validate_filtration(poset, levels)
+    return _normal_form(poset, [sum(1 << k for k, x in enumerate(values) if x >= i)
+                                for i in range(min(0, min(values) + 1), max(values) + 1)])
 
 
 def _require_every_point(elements: tuple[str, ...], f: Mapping[str, int]) -> None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from . import filtration as spf
-from .poset import GspecError, Order, bits, longest_chain
+from .poset import GspecError, InvalidArgument, Order, bits, longest_chain
 from .spectra import COHERENT, NOT_COHERENT, UNDETERMINED, PrimePoset
 
 POLICY_ERROR = "error"
@@ -78,9 +78,9 @@ class BoundedOrder:
 
     def __post_init__(self) -> None:
         if not self.lower.order.refines(self.upper.order):
-            raise ValueError("lower bound exceeds upper bound")
+            raise InvalidArgument("lower bound exceeds upper bound")
         if self.exact and self.lower.order != self.upper.order:
-            raise ValueError("exact flag set but bounds differ")
+            raise InvalidArgument("exact flag set but bounds differ")
 
 
 def exact_bounds(co: ClosureOrder) -> BoundedOrder:
@@ -288,7 +288,7 @@ class ThetaEntry:
 def theta_map(step: MutationStep) -> tuple[ThetaEntry, ...]:
     """The identity-on-points bijection of an exact step, documented."""
     if not step.post.exact:
-        raise ValueError("theta map is only documented for exact steps")
+        raise InvalidArgument("theta map is only documented for exact steps")
     pre, post = step.pre.lower.order, step.post.lower.order
     return tuple(
         ThetaEntry(

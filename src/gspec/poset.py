@@ -26,7 +26,11 @@ class GspecError(Exception):
     """Base class of the errors gspec raises for bad input."""
 
 
-class CycleError(GspecError, ValueError):
+class InvalidArgument(GspecError, ValueError):
+    """An argument a library call rejects, such as masks that are not a partial order."""
+
+
+class CycleError(InvalidArgument):
     """A relation holds between two distinct points both ways, so it is not
     antisymmetric (not T0)."""
 
@@ -64,9 +68,10 @@ class Order:
     is set exactly when ``elements[i] <= elements[j]``.  Instances are
     immutable; every derived object is a fresh value.  The constructor is
     the one check that the masks are a partial order: it raises
-    :class:`CycleError` on a pair related both ways and :class:`ValueError`
-    on any other failure.  The same walk yields ``covers``, the transitive
-    reduction: per point, the mask of the points covering it.
+    :class:`CycleError` on a pair related both ways and
+    :class:`InvalidArgument` on any other failure.  The same walk yields
+    ``covers``, the transitive reduction: per point, the mask of the points
+    covering it.
     """
 
     elements: tuple[str, ...]
@@ -76,9 +81,9 @@ class Order:
     def __post_init__(self) -> None:
         els, up = self.elements, self.up
         if list(els) != sorted(set(els)):
-            raise ValueError("elements must be a sorted tuple of distinct names")
+            raise InvalidArgument("elements must be a sorted tuple of distinct names")
         if len(up) != len(els) or any(m >> len(els) for m in up):
-            raise ValueError("need one up-set mask per element, within the elements")
+            raise InvalidArgument("need one up-set mask per element, within the elements")
         # A row is a partial order's exactly when it is reflexive and its
         # members' strict up-sets reach nothing beyond its own (a stray bit at
         # the point is a cycle); what no member reaches covers the point.
@@ -97,12 +102,12 @@ class Order:
         """Raise the error of point ``i``'s failing row, member by member."""
         els, up, m = self.elements, self.up, self.up[i]
         if not m >> i & 1:
-            raise ValueError(f"relation not reflexive at {els[i]!r}")
+            raise InvalidArgument(f"relation not reflexive at {els[i]!r}")
         for j in bits(m & ~(1 << i)):
             if up[j] >> i & 1:
                 raise CycleError(f"{els[i]!r} and {els[j]!r} are related both ways")
             if up[j] & ~m:
-                raise ValueError("relation not transitively closed")
+                raise InvalidArgument("relation not transitively closed")
         raise AssertionError(f"row {i} rejected, but every member passed")
 
     @cached_property

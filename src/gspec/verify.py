@@ -1,8 +1,11 @@
-"""Brute-force oracles for the mutation engine.
+"""Property reports for the mutation engine.
 
-Every law here is checked by exhaustive enumeration over subsets of a small
-point set, with no code shared with the rewrite rules being validated, so
-agreement between the two is evidence rather than tautology.
+The two laws, ``t0`` and ``sober`` enumerate closed sets and share no code
+with the rewrite rules.  Refinement, piecewise, refines-inclusion,
+levels-open, strata-restriction and cb are direct mask checks.  Sandwich
+(through ``mutation.mutate_general``, whose lower bound is the rules' split)
+and maximal-difference (through ``filtration.forced_maximal``, which the
+bracket's pruning also reads) reuse engine definitions.
 """
 
 from __future__ import annotations

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -618,3 +621,32 @@ class TestJsonWriter:
                                      "--policy", policy, "--steps", "--format", "json")
                     assert code in (0, 2)
         assert calls
+
+
+SEED_RUNS = [
+    (0, ["closure", "--preset", "LOC2M", "--levels", '[["q1","q2","m"],["m"]]', "--steps",
+         "--policy", "assume-noncoherent", "--format", "json"]),
+    (0, ["check", "--preset", "LOC3", "--height-filtration", "--format", "json"]),
+    (2, ["closure", "--preset", "LOC2M", "--levels", '[["q1","q2","m"],["m"]]', "--steps",
+         "--policy", "error", "--format", "json"]),
+    (1, ["closure", "--preset", "LOC2", "--levels",
+         '[["m","o","p1","p2","p3","p4","p5"],["m"],["m"]]', "--steps", "--format", "dot"]),
+]
+
+
+def test_output_bytes_do_not_depend_on_hash_seed():
+    """In-process tests share one hash seed, so a set-order dependence can
+    only show across interpreters: each run's exit code, stdout and stderr
+    must be the same under two seeds."""
+    root = Path(__file__).resolve().parents[1]
+    for expected, argv in SEED_RUNS:
+        outcomes = []
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(root / "src")}
+            proc = subprocess.run([sys.executable, "-m", "gspec.cli", *argv], env=env,
+                                  capture_output=True, timeout=60)
+            outcomes.append((proc.returncode, proc.stdout, proc.stderr))
+        assert outcomes[0] == outcomes[1], argv
+        assert outcomes[0][0] == expected, outcomes[0][2]
+        if expected == 1:
+            assert outcomes[0][2] == b"gspec: warning: stripped 1 trivial level(s)\n"

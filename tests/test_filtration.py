@@ -1,8 +1,9 @@
+import warnings
+
 import pytest
 
 from conftest import poset_from_order, random_monotone_f, random_order
 from gspec import (
-    FiltrationWarning,
     NotCodimensionFunction,
     NotDescending,
     NotSpecializationClosed,
@@ -45,18 +46,20 @@ class TestValidate:
         with pytest.raises(UnknownElement, match="zz"):
             validate_filtration(preset("LOC2"), [{"m", "zz"}])
 
-    def test_trivial_levels_stripped_with_warning(self):
+    def test_trivial_levels_stripped(self):
+        """Explicit full and empty levels are stripped without a warning;
+        the caller reads how many from ``n``."""
         poset = preset("LOC2")
-        full = set(poset.base.elements)
-        with pytest.warns(FiltrationWarning):
-            filt = validate_filtration(poset, [full, {"m"}, set()])
+        levels = [set(poset.base.elements), {"m"}, set()]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            filt = validate_filtration(poset, levels)
         assert filt.levels == (poset.base.mask({"m"}),)
+        assert len(levels) - filt.n == 2
 
     def test_all_trivial_collapses_to_empty(self):
-        poset = preset("DVR1")
-        with pytest.warns(FiltrationWarning):
-            filt = validate_filtration(poset, [set()])
-        assert filt.n == 0
+        filt = validate_filtration(preset("DVR1"), [set()])
+        assert filt.n == 0 and filt.levels == ()
 
     def test_difference_conventions(self):
         poset = preset("LOC2")

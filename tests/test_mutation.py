@@ -1,6 +1,5 @@
 import random
 import re
-import warnings
 
 import pytest
 
@@ -9,9 +8,10 @@ from gspec import (
     POLICIES,
     POLICY_ASSUME_COHERENT,
     POLICY_ASSUME_NONCOHERENT,
+    BoundedOrder,
     ClosureOrder,
-    FiltrationWarning,
     GspecError,
+    InvalidArgument,
     NotClosed,
     NotDiscrete,
     Order,
@@ -301,6 +301,22 @@ class TestChain:
         assert poset.base.names(steps[1][0].support) == {"m"}
 
 
+class TestBoundedOrder:
+    @pytest.mark.parametrize("lower,upper,exact,message", [
+        ("chain", "flat", False, "lower bound exceeds upper bound"),
+        ("flat", "chain", True, "exact flag set but bounds differ"),
+    ])
+    def test_rejects(self, lower, upper, exact, message):
+        """A bracket that is not one is an InvalidArgument, so a GspecError
+        and a ValueError."""
+        orders = {"chain": build_order(["m", "o"], [("o", "m")]),
+                  "flat": build_order(["m", "o"], [])}
+        with pytest.raises(InvalidArgument, match=f"^{message}$") as caught:
+            BoundedOrder(ClosureOrder(orders[lower], (lower,)),
+                         ClosureOrder(orders[upper], (upper,)), exact)
+        assert isinstance(caught.value, GspecError) and isinstance(caught.value, ValueError)
+
+
 class TestTheta:
     def test_identity_with_shrinking_closure(self):
         poset = preset("LOC2")
@@ -315,8 +331,10 @@ class TestTheta:
         poset = preset("LOC3")
         filt = validate_filtration(poset, [{"r1", "r2", "r3", "m"}, {"m"}])
         step = chain_order(poset, filt)[1][0]
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgument,
+                           match="^theta map is only documented for exact steps$") as caught:
             theta_map(step)
+        assert isinstance(caught.value, GspecError) and isinstance(caught.value, ValueError)
 
     def test_empty_class_keeps_neighbourhoods(self):
         from gspec import MutationStep
@@ -503,9 +521,7 @@ class TestEngineOutputFence:
             for _ in range(rng.randint(1, 4)):
                 v = random_upper_set(rng, base, v)
                 levels.append(sorted(base.names(v)))
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", FiltrationWarning)
-                filt = validate_filtration(poset, levels)
+            filt = validate_filtration(poset, levels)
             annotations = {i: rng.random() < 0.5 for i in range(2, filt.n + 1)
                            if rng.random() < 0.7}
             for policy in POLICIES:

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from conftest import brute_lower_sets, brute_upper_sets, powerset, random_order, strict_pairs
 from gspec import (
     CycleError,
+    GspecError,
+    InvalidArgument,
     Order,
     SizeExceeded,
     UnknownElement,
@@ -345,10 +347,11 @@ class TestMaskRepresentation:
         (("b", "a"), (0b1, 0b10), "elements must be a sorted tuple"),
     ])
     def test_constructor_rejects(self, elements, up, message):
-        """Every rejection is a ValueError; exactly the antisymmetry one is
-        a CycleError."""
-        with pytest.raises(ValueError, match=message) as caught:
+        """Every rejection is an InvalidArgument, so a GspecError and a
+        ValueError; exactly the antisymmetry one is a CycleError."""
+        with pytest.raises(InvalidArgument, match=message) as caught:
             Order(elements, up)
+        assert isinstance(caught.value, GspecError) and isinstance(caught.value, ValueError)
         assert isinstance(caught.value, CycleError) == message.endswith("both ways")
 
     def test_covers_leave_value_alone(self):
@@ -374,17 +377,17 @@ def reference_constructor(elements, up):
     the constructor also computed the covers: the fence for its outcome."""
     els = tuple(elements)
     if list(els) != sorted(set(els)):
-        raise ValueError("elements must be a sorted tuple of distinct names")
+        raise InvalidArgument("elements must be a sorted tuple of distinct names")
     if len(up) != len(els) or any(m >> len(els) for m in up):
-        raise ValueError("need one up-set mask per element, within the elements")
+        raise InvalidArgument("need one up-set mask per element, within the elements")
     for i, m in enumerate(up):
         if not m >> i & 1:
-            raise ValueError(f"relation not reflexive at {els[i]!r}")
+            raise InvalidArgument(f"relation not reflexive at {els[i]!r}")
         for j in bits(m & ~(1 << i)):
             if up[j] >> i & 1:
                 raise CycleError(f"{els[i]!r} and {els[j]!r} are related both ways")
             if up[j] & ~m:
-                raise ValueError("relation not transitively closed")
+                raise InvalidArgument("relation not transitively closed")
 
 
 def _outcome(build, elements, up):
