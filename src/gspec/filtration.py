@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .poset import GspecError, bits, covering_pairs
+from .poset import GspecError, InvalidArgument, bits, covering_pairs
 from .spectra import PrimePoset, SchemaError
 
 
@@ -68,12 +68,18 @@ class SpFiltration:
 def validate_filtration(poset: PrimePoset, levels: Iterable[Iterable[str]]) -> SpFiltration:
     """Check and normalise a chain of sets of names into an :class:`SpFiltration`.
 
-    Raises :class:`UnknownElement` for a stranger, then
+    Raises :class:`InvalidArgument` for a level given as one string and
+    :class:`UnknownElement` for a stranger, level by level, then
     :class:`NotSpecializationClosed` or :class:`NotDescending` with the
     offending index.  Explicit full or empty levels are stripped silently,
     so a chain of k levels lost ``k - n`` of them.
     """
-    return _normal_form(poset, [poset.base.mask(level) for level in levels])
+    masks = []
+    for i, level in enumerate(levels):
+        if isinstance(level, str):
+            raise InvalidArgument(f"level {i} is a string, not a collection of point names")
+        masks.append(poset.base.mask(level))
+    return _normal_form(poset, masks)
 
 
 def _normal_form(poset: PrimePoset, chain: list[int]) -> SpFiltration:

@@ -72,6 +72,10 @@ class Order:
     :class:`InvalidArgument` on any other failure.  The same walk yields
     ``covers``, the transitive reduction: per point, the mask of the points
     covering it.
+
+    Every order is T0, as the constructor rejects a pair related both ways,
+    and sober, as a finite lower set with a single maximal point is that
+    point's closure.
     """
 
     elements: tuple[str, ...]
@@ -282,62 +286,34 @@ def cb_filtration(order: Order) -> CbFiltration:
 
 @dataclass(frozen=True)
 class AxiomReport:
-    """Which separation axioms hold, with the witnessing data.
-
-    ``irreducibles`` pairs every irreducible closed set with the unique point
-    whose closure it is.
-    """
+    """Which separation axioms hold; ``failures`` names each failing one."""
 
     t0: bool
     sober: bool
-    irreducibles: tuple[tuple[frozenset[str], str], ...]
     failures: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def is_t0(order: Order) -> bool:
-    """Distinct points have distinct closures: no other point lies both
-    above and below a point.  Polynomial, unlike soberness."""
-    return all(u & d == 1 << i for i, (u, d) in enumerate(zip(order.up, order.down)))
 
 
 def check_axioms(order: Order) -> AxiomReport:
-    """Check T0 and soberness.
-
-    Soberness is decided by the unique-maximal-element criterion: a closed
-    set is irreducible exactly when it has a single maximal point, and it
-    must then be the closure of that point.
-    """
+    """Check T0 (no other point lies both above and below a point) and
+    soberness, by the unique-maximal-element criterion: a closed set is
+    irreducible exactly when it has a single maximal point, and it must
+    then be the closure of that point."""
     failures: list[str] = []
-    t0 = is_t0(order)
+    t0 = all(u & d == 1 << i for i, (u, d) in enumerate(zip(order.up, order.down)))
     if not t0:
         failures.append("t0")
 
     # A point outside a set never passes the test, so no member scan is needed.
     points = [(u, 1 << i) for i, u in enumerate(order.up)]
-    irreducibles: list[tuple[frozenset[str], str]] = []
     reducible: list[frozenset[str]] = []
     for closed in closed_masks(order):
         maxima = [bit for u, bit in points if u & closed == bit]
-        if len(maxima) == 1:
-            point = maxima[0].bit_length() - 1
-            if closed == order.down[point]:
-                irreducibles.append((order.names(closed), order.elements[point]))
-            else:
-                reducible.append(order.names(closed))
-    irreducibles.sort(key=lambda pair: _by_size_then_names(pair[0]))
+        if len(maxima) == 1 and closed != order.down[maxima[0].bit_length() - 1]:
+            reducible.append(order.names(closed))
     reducible.sort(key=_by_size_then_names)
     failures.extend(f"sober:{sorted(closed)}" for closed in reducible)
 
-    return AxiomReport(
-        t0=t0,
-        sober=not reducible,
-        irreducibles=tuple(irreducibles),
-        failures=tuple(failures),
-    )
+    return AxiomReport(t0=t0, sober=not reducible, failures=tuple(failures))
 
 
 def closed_masks(order: Order) -> list[int]:

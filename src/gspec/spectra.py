@@ -13,7 +13,6 @@ per-interval annotations supplied with the model.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -195,10 +194,10 @@ class PrimePoset:
         return _NO_RULE
 
 
-def load_prime_poset(document: Mapping | str) -> PrimePoset:
-    """Build a validated :class:`PrimePoset` from a JSON document.
+def load_prime_poset(document: Mapping) -> PrimePoset:
+    """Build a validated :class:`PrimePoset` from a parsed JSON document.
 
-    Accepts either a parsed mapping or a JSON string.  Expected shape::
+    Anything but a mapping raises :class:`SchemaError`.  Expected shape::
 
         {
           "elements": [str],
@@ -210,11 +209,6 @@ def load_prime_poset(document: Mapping | str) -> PrimePoset:
 
     Heights default to longest-chain-below when omitted.
     """
-    if isinstance(document, str):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"not valid JSON: {exc}") from exc
     if not isinstance(document, Mapping):
         raise SchemaError("document must be a JSON object")
     unknown = set(document) - {"elements", "covers", "heights", "coherence"}

@@ -13,6 +13,13 @@ from gspec import (
     onestep_order,
 )
 
+# The text of the AssertionError ``onestep_order`` raises when a blanket
+# assume-coherent answer contradicts the oracle (a known defect, pinned).
+ONESTEP_NOT_TRANSITIVE = (
+    "one-step relation not transitively closed; the coherence data is "
+    "inconsistent with a ring"
+)
+
 
 def powerset(items):
     items = sorted(items)
@@ -77,6 +84,15 @@ def random_monotone_f(rng: random.Random, order: Order) -> dict[str, int]:
             f[q] += 1
     low = min(f.values())
     return {p: v - low - 1 for p, v in f.items()}
+
+
+def random_upper_set(rng, order, within):
+    """The upper closure of a random subset of the upper set ``within``."""
+    v = 0
+    for i in range(len(order.elements)):
+        if within >> i & 1 and rng.random() < 0.3:
+            v |= order.up[i]
+    return v
 
 
 @pytest.fixture

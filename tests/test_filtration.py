@@ -4,6 +4,7 @@ import pytest
 
 from conftest import poset_from_order, random_monotone_f, random_order
 from gspec import (
+    InvalidArgument,
     NotCodimensionFunction,
     NotDescending,
     NotSpecializationClosed,
@@ -45,6 +46,17 @@ class TestValidate:
         poset is reported, not dropped."""
         with pytest.raises(UnknownElement, match="zz"):
             validate_filtration(preset("LOC2"), [{"m", "zz"}])
+
+    @pytest.mark.parametrize("name,levels,index", [
+        ("DVR1", ["om"], 0),
+        ("LOC2", ["mo"], 0),
+        ("LOC2", [{"m"}, "m"], 1),
+    ], ids=["DVR1-om", "LOC2-mo", "LOC2-second"])
+    def test_string_level_rejected(self, name, levels, index):
+        """A bare string is one level, not its characters: "om" on DVR1 would
+        be the whole spectrum and vanish, "mo" on LOC2 would fail as {m, o}."""
+        with pytest.raises(InvalidArgument, match=f"^level {index} is a string"):
+            validate_filtration(preset(name), levels)
 
     def test_trivial_levels_stripped(self):
         """Explicit full and empty levels are stripped without a warning;

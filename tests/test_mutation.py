@@ -3,7 +3,14 @@ import re
 
 import pytest
 
-from conftest import onestep, poset_from_order, random_order, strict_pairs
+from conftest import (
+    ONESTEP_NOT_TRANSITIVE,
+    onestep,
+    poset_from_order,
+    random_order,
+    random_upper_set,
+    strict_pairs,
+)
 from gspec import (
     POLICIES,
     POLICY_ASSUME_COHERENT,
@@ -349,11 +356,6 @@ class TestTheta:
             assert entry.open_before == entry.open_after
 
 
-ONESTEP_NOT_TRANSITIVE = (
-    "one-step relation not transitively closed; the coherence data is "
-    "inconsistent with a ring"
-)
-
 REPRO_ITEM_2 = {
     "elements": [f"x{i}" for i in range(8)],
     "covers": [["x0", "x1"], ["x0", "x3"], ["x0", "x5"], ["x2", "x4"],
@@ -495,15 +497,6 @@ def assert_valid_order(order, base):
     above = {p: {q for r, q in rel if r == p} for p in order.elements}
     assert all(above[q] <= above[p] for p, q in rel)
     assert rel <= base.relation
-
-
-def random_upper_set(rng, order, within):
-    """The upper closure of a random subset of the upper set ``within``."""
-    v = 0
-    for i in range(len(order.elements)):
-        if within >> i & 1 and rng.random() < 0.3:
-            v |= order.up[i]
-    return v
 
 
 class TestEngineOutputFence:

@@ -35,9 +35,13 @@ class TestLoad:
         with pytest.raises(CycleError):
             load_prime_poset({"elements": ["a", "b"], "covers": [["a", "b"], ["b", "a"]]})
 
-    def test_json_string_accepted(self):
-        poset = load_prime_poset('{"elements": ["a"], "covers": []}')
-        assert poset.base.elements == ("a",)
+    @pytest.mark.parametrize("text", ['{"elements": ["a"], "covers": []}',
+                                      "[" * 100_000, "9" * 5000],
+                             ids=["object", "deep", "long-int"])
+    def test_json_string_rejected(self, text):
+        """Decoding is the caller's: text is not a document, however it would parse."""
+        with pytest.raises(SchemaError, match="^document must be a JSON object$"):
+            load_prime_poset(text)
 
     @pytest.mark.parametrize("document", [
         {"elements": "a"},
