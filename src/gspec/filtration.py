@@ -20,6 +20,11 @@ from .poset import GspecError, InvalidArgument, bits, covering_pairs
 from .spectra import PrimePoset, SchemaError
 
 
+# The most levels a level function may span: each level is one mutation
+# step, and the chain's cost grows with their number.
+MAX_LEVELS = 1000
+
+
 class NotSpecializationClosed(GspecError):
     def __init__(self, index: int):
         super().__init__(f"level {index} is not specialisation-closed")
@@ -116,13 +121,19 @@ def f_to_filtration(poset: PrimePoset, f: Mapping[str, int]) -> SpFiltration:
     the levels run from the first one that can be proper, min f + 1, to the
     last nonempty one, max f.  Every other filtration source is a level
     function and comes through here.  A point without a value raises
-    :class:`SchemaError`.
+    :class:`SchemaError`, and a span max f - min f above
+    :data:`MAX_LEVELS` raises :class:`InvalidArgument` before any level is
+    built.  Repeated levels are kept: a repeated step can change the result.
     """
     elements = poset.base.elements
     _require_every_point(elements, f)
     values = [f[p] for p in elements] or [-1]
+    low, high = min(values), max(values)
+    if high - low > MAX_LEVELS:
+        raise InvalidArgument(
+            f"level function spans {high - low} levels, above the bound of {MAX_LEVELS}")
     return _normal_form(poset, [sum(1 << k for k, x in enumerate(values) if x >= i)
-                                for i in range(min(0, min(values) + 1), max(values) + 1)])
+                                for i in range(low + 1, high + 1)])
 
 
 def _require_every_point(elements: tuple[str, ...], f: Mapping[str, int]) -> None:

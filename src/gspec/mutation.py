@@ -123,7 +123,7 @@ def onestep_order(poset: PrimePoset, v: int, policy: str = POLICY_ERROR) -> Clos
     Within V0 and within its complement the order is inclusion; a cross pair
     p outside V0 below q inside V0 is related exactly when the restriction
     of V0 to the interval [p, q] has a non-coherent complement.  The oracle
-    is consulted lazily, for cross pairs only.
+    is consulted row by row, for cross pairs only.
     """
     _check_policy(policy)
     base = poset.base
@@ -139,14 +139,14 @@ def onestep_order(poset: PrimePoset, v: int, policy: str = POLICY_ERROR) -> Clos
             up.append(row)
             continue
         kept = row & ~v
-        for j in bits(row & v):
-            verdict = poset.verdict_at(i, j, v).verdict
-            if verdict == UNDETERMINED:
+        for verdict, m in poset.row_verdicts(i, v):
+            answer = verdict.verdict
+            if answer == UNDETERMINED and m:
                 if policy == POLICY_ERROR:
-                    raise UndeterminedCoherence(els[i], els[j])
-                verdict = COHERENT if policy == POLICY_ASSUME_COHERENT else NOT_COHERENT
-            if verdict == NOT_COHERENT:
-                kept |= 1 << j
+                    raise UndeterminedCoherence(els[i], els[next(bits(m))])
+                answer = COHERENT if policy == POLICY_ASSUME_COHERENT else NOT_COHERENT
+            if answer == NOT_COHERENT:
+                kept |= m
         up.append(kept)
     # The rows are base rows with bits removed, so the constructor can only
     # reject them for transitivity.
@@ -205,7 +205,7 @@ def mutate_general(co: ClosureOrder, e: int, forced_maximal: int = 0) -> Bounded
     label = _label(order, e)
     return BoundedOrder(
         ClosureOrder(lower, co.provenance + (f"{RULE_BOUNDED} at {label} (lower)",)),
-        ClosureOrder(Order(order.elements, upper),
+        ClosureOrder(order if upper == order.up else Order(order.elements, upper),
                      co.provenance + (f"{RULE_BOUNDED} at {label} (upper)",)),
         exact=lower.up == upper,
     )
@@ -323,10 +323,14 @@ def _require_closed(order: Order, e: int) -> None:
 def _split(order: Order, e: int) -> Order:
     """Keep the relations inside E and inside its complement, drop the ones
     that cross.  At a closed E this is the perfect rule, the discrete rule
-    when E is discrete, and the lower bound of the general bracket."""
-    return Order(order.elements, tuple(
-        row & (e if e >> i & 1 else ~e) for i, row in enumerate(order.up)
-    ))
+    when E is discrete, and the lower bound of the general bracket.
+
+    E must be closed.  A lower set and its complement are then convex, so
+    the covers of each part are the order's covers inside it."""
+    parts = [e if e >> i & 1 else ~e for i in range(len(order.up))]
+    return Order._derived(order.elements,
+                          tuple(map(int.__and__, order.up, parts)),
+                          tuple(map(int.__and__, order.covers, parts)))
 
 
 def _each_bound(

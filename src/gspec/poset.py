@@ -102,6 +102,19 @@ class Order:
             covers.append(s & ~beyond)
         object.__setattr__(self, "covers", tuple(covers))
 
+    @classmethod
+    def _derived(cls, elements: tuple[str, ...], up: tuple[int, ...],
+                 covers: tuple[int, ...]) -> "Order":
+        """An order whose masks and covers the caller derived from an order
+        already checked, so the constructor's walk is skipped: the masks
+        must be a partial order on ``elements`` and ``covers`` its
+        transitive reduction."""
+        order = cls.__new__(cls)
+        object.__setattr__(order, "elements", elements)
+        object.__setattr__(order, "up", up)
+        object.__setattr__(order, "covers", covers)
+        return order
+
     def _reject(self, i: int) -> NoReturn:
         """Raise the error of point ``i``'s failing row, member by member."""
         els, up, m = self.elements, self.up, self.up[i]
@@ -226,19 +239,47 @@ def build_order(elements: Iterable[str], relations: Iterable[tuple[str, str]]) -
     """Reflexive-transitive closure of generating relations.
 
     Raises :class:`UnknownElement` if a generator mentions a name outside
-    ``elements``.  The closure is reflexive and transitive, so the
-    constructor can only reject it for antisymmetry, with
-    :class:`CycleError`.
+    ``elements``.  The rows are closed in reverse topological order (Kahn,
+    CACM 1962): a point's row is itself and the closed rows of its
+    generators, and its covers are the generators no other generator's row
+    reaches.  Generators with a cycle leave points unclosed; they are closed
+    by :func:`transitive_closure` and rejected by the constructor with
+    :class:`CycleError`, which names the pair it finds there.
     """
     els = tuple(sorted(set(elements)))
     index = {e: i for i, e in enumerate(els)}
-    up = [1 << i for i in range(len(els))]
+    succ = [0] * len(els)
+    # Per point, its generators' sources, and how many of its own
+    # generators (repeats counted, as in ``preds``) are not closed yet.
+    preds: list[list[int]] = [[] for _ in els]
+    waiting = [0] * len(els)
     for a, b in relations:
         for p in (a, b):
             if p not in index:
                 raise UnknownElement(f"{p!r} is not one of the elements")
-        up[index[a]] |= 1 << index[b]
-    return Order(els, transitive_closure(up))
+        if a != b:
+            i, j = index[a], index[b]
+            succ[i] |= 1 << j
+            preds[j].append(i)
+            waiting[i] += 1
+    ready = [i for i, w in enumerate(waiting) if not w]
+    strict = [0] * len(els)
+    covers = [0] * len(els)
+    for i in ready:  # grows while it is read
+        s = succ[i]
+        beyond = 0
+        for t in select(strict, s):
+            beyond |= t
+        covers[i] = s & ~beyond
+        strict[i] = s | beyond
+        for k in preds[i]:
+            waiting[k] -= 1
+            if not waiting[k]:
+                ready.append(k)
+    if len(ready) < len(els):
+        return Order(els, transitive_closure([1 << i | s for i, s in enumerate(succ)]))
+    return Order._derived(els, tuple(m | 1 << i for i, m in enumerate(strict)),
+                          tuple(covers))
 
 
 def covering_pairs(order: Order) -> tuple[tuple[str, str], ...]:

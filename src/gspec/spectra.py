@@ -17,7 +17,15 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .poset import GspecError, Order, bits, build_order, heights_by_longest_chain
+from .poset import (
+    GspecError,
+    InvalidArgument,
+    Order,
+    bits,
+    build_order,
+    heights_by_longest_chain,
+    select,
+)
 
 COHERENT = "coherent"
 NOT_COHERENT = "not-coherent"
@@ -119,8 +127,14 @@ class PrimePoset:
     def _shallow(self) -> tuple[int, ...]:
         """Per point p, the mask of points of height below h(p) + 2."""
         heights = [self.height[p] for p in self.base.elements]
-        below = {h: sum(1 << r for r, g in enumerate(heights) if g < h + 2)
-                 for h in set(heights)}
+        rising = sorted(range(len(heights)), key=heights.__getitem__)
+        below: dict[int, int] = {}
+        mask = k = 0
+        for h in sorted(set(heights)):
+            while k < len(rising) and heights[rising[k]] < h + 2:
+                mask |= 1 << rising[k]
+                k += 1
+            below[h] = mask
         return tuple(below[h] for h in heights)
 
     def interval(self, p: str, q: str) -> "PrimePoset":
@@ -146,52 +160,82 @@ class PrimePoset:
         """Decide whether ``V0`` restricted to ``[p, q]`` has coherent complement.
 
         The name-based entry point to :meth:`verdict_at`: raises
-        :class:`NotComparable` unless p <= q and :class:`UnknownElement` for
-        a name of ``V0`` outside the poset.
+        :class:`NotComparable` unless p <= q, :class:`UnknownElement` for
+        a name of ``V0`` outside the poset and :class:`InvalidArgument`
+        unless ``V0`` is specialisation-closed.
         """
         i, j = self._interval_ends(p, q)
-        return self.verdict_at(i, j, self.base.mask(V0))
+        v = self.base.mask(V0)
+        if not self.base.is_upper_set(v):
+            raise InvalidArgument(f"{sorted(V0)} is not specialisation-closed")
+        return self.verdict_at(i, j, v)
 
     def verdict_at(self, i: int, j: int, v: int) -> CoherenceVerdict:
-        """The oracle on point indices ``i <= j`` and the mask ``v`` of V0.
-
-        ``V0`` must be specialisation-closed in the ambient poset.  The rules,
-        in order, on its restriction W to the interval ``[p, q]``:
-
-        1. empty or full restriction: trivially coherent;
-        2. the interval has Krull dimension at most one: every subset of such
-           a spectrum is coherent;
-        3. the complement is exactly the generic point of the interval:
-           localisation at the generic point is a perfect (flat)
-           localisation, so the complement is coherent;
-        4. some minimal element of the restriction has re-based height at
-           least two: violates the necessary height condition, not coherent;
-        5. otherwise the question is ring-dependent: consult the annotations,
-           else undetermined.
-        """
-        up = self.base.up
-        members = up[i] & self.base.down[j]
+        """The oracle on point indices ``i <= j`` and the mask ``v`` of V0,
+        which must be specialisation-closed: a trivial restriction, or the
+        entry of ``j`` in :meth:`row_verdicts` of ``i``."""
+        members = self.base.up[i] & self.base.down[j]
         W = members & v
         if not W or W == members:
             return _TRIVIAL
-        # With no point strictly between p and q the longest chain is p < q.
-        if members.bit_count() <= 2:
-            return _DIMENSION_ONE
-        if W == members & ~(1 << i):
-            return _GENERIC_COMPLEMENT
-        # A deep minimal point of W (height >= h(p) + 2) lies above no
-        # shallow point of W, and a point of W above no shallow one lies above
-        # a deep minimal one: so there is one exactly when W escapes the
-        # up-sets of its shallow points.
-        reach = 0
-        for r in bits(W & self._shallow[i]):
-            reach |= up[r]
-        if W & ~reach:
-            return _DEEP_MINIMAL
-        known = self._annotation_masks.get((i, j, W))
-        if known is not None:
-            return _ANNOTATED[known]
-        return _NO_RULE
+        return next(verdict for verdict, m in self.row_verdicts(i, v) if m >> j & 1)
+
+    def row_verdicts(self, i: int, v: int) -> tuple[tuple[CoherenceVerdict, int], ...]:
+        """The oracle on every cross pair of row ``i``: the pairs p < q with
+        p = point ``i`` outside the specialisation-closed V0 (mask ``v``) and
+        q inside it.
+
+        Returns one ``(verdict, mask)`` per rule below, the masks disjoint
+        and together the cross pairs.  The rules, in order, on the
+        restriction W of V0 to the interval ``[p, q]``, which is neither
+        empty (it holds q) nor full (it misses p):
+
+        1. the interval has Krull dimension at most one, so q covers p:
+           every subset of such a spectrum is coherent;
+        2. the complement is exactly the generic point of the interval, so
+           q lies above no point outside V0 but p: localisation at the
+           generic point is a perfect (flat) localisation, so the
+           complement is coherent;
+        3. some minimal element of W has re-based height at least two:
+           violates the necessary height condition, not coherent;
+        4. otherwise the question is ring-dependent: consult the
+           annotations, else undetermined.
+        """
+        up = self.base.up
+        cross = up[i] & v
+        dimension_one = cross & self.base.covers[i]
+        left = cross & ~dimension_one
+        # Every point above p outside V0 lies above a cover of p outside V0,
+        # as V0 is specialisation-closed.
+        outside = 0
+        for t in select(up, self.base.covers[i] & ~v):
+            outside |= t
+        generic = left & ~outside
+        left &= outside
+        # W = cross & down[q].  A deep minimal point of W (height >= h(p) + 2)
+        # lies above no shallow point of W, and a point of W above no
+        # shallow one lies above a deep minimal one; a point below q lies
+        # above a shallow point of cross only if that point is in W too.
+        deep = 0
+        if left:
+            reach = 0
+            for t in select(up, cross & self._shallow[i]):
+                reach |= t
+            for t in select(up, cross & ~reach):
+                deep |= t
+            deep &= left
+            left &= ~deep
+        annotated = {True: 0, False: 0}
+        if self._annotation_masks and left:
+            down = self.base.down
+            for j in bits(left):
+                known = self._annotation_masks.get((i, j, cross & down[j]))
+                if known is not None:
+                    annotated[known] |= 1 << j
+        no_rule = left & ~annotated[True] & ~annotated[False]
+        return ((_DIMENSION_ONE, dimension_one), (_GENERIC_COMPLEMENT, generic),
+                (_DEEP_MINIMAL, deep), (_ANNOTATED[True], annotated[True]),
+                (_ANNOTATED[False], annotated[False]), (_NO_RULE, no_rule))
 
 
 def load_prime_poset(document: Mapping) -> PrimePoset:
@@ -223,7 +267,8 @@ def load_prime_poset(document: Mapping) -> PrimePoset:
         raise SchemaError(f"element {repeated!r} is listed more than once")
     covers = document.get("covers", [])
     if not isinstance(covers, list) or not all(
-        isinstance(c, (list, tuple)) and len(c) == 2 and all(isinstance(x, str) for x in c)
+        isinstance(c, (list, tuple)) and len(c) == 2
+        and isinstance(c[0], str) and isinstance(c[1], str)
         for c in covers
     ):
         raise SchemaError("'covers' must be a list of [string, string] pairs")

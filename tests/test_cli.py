@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import random_order, strict_pairs
 from gspec import (
+    MAX_LEVELS,
     POLICIES,
     PRESET_NAMES,
     Order,
@@ -21,7 +22,7 @@ from gspec import (
 )
 from gspec import mutation as mut
 from gspec import verify
-from gspec.cli import _bounded_json, _dumps, main
+from gspec.cli import _bounded_json, _dumps, _OrderWriter, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -217,6 +218,36 @@ class TestFiltrationCommand:
                              "--format", "dot")
         assert code == 1 and out == ""
         assert "invalid choice: 'dot'" in err
+
+    def test_level_function_span_bounded(self, capsys):
+        code, out, err = run(capsys, "closure", "--preset", "DVR1",
+                             "--f", '{"o": 0, "m": %d}' % 10**30)
+        assert (code, out) == (1, "")
+        assert err == (f"gspec: level function spans {10**30} levels, "
+                       f"above the bound of {MAX_LEVELS}\n")
+
+
+class TestUsageErrors:
+    """A usage error argparse finds is one ``gspec:`` line and exit 1."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["closure", "--preset", "LOC2", "--format", "xml"],
+         "argument --format: invalid choice: "),
+        (["closure", "--preset", "LOC2", "--levels"],
+         "argument --levels: expected one argument"),
+        (["closure", "--preset", "LOC2", "--bogus"], "unrecognized arguments: --bogus"),
+        (["bogus"], "argument command: invalid choice: "),
+        ([], "the following arguments are required: command"),
+    ])
+    def test_one_line(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"gspec: {message}") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["closure", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and out.startswith("usage: gspec") and err == ""
 
 
 class TestClosureCommand:
@@ -563,13 +594,16 @@ class TestJsonWriter:
             kept = [c for c in covering_pairs(order) if rng.random() < 0.5]
             upper = mut.ClosureOrder(order, ("standard", 'discrete at {"x"}'))
             lower = mut.ClosureOrder(build_order(order.elements, kept), ("lower",))
+            # One writer for every output of the order: rows written for
+            # one output are reused by the next.
+            writer = _OrderWriter(order.elements)
             for bounded, expected in [
                 (mut.exact_bounds(upper), {"exact": True, "order": plain(upper)}),
                 (mut.BoundedOrder(lower, upper, False),
                  {"exact": False, "lower": plain(lower), "upper": plain(upper)}),
             ]:
                 for wrap in (lambda x: x, lambda x: {"steps": [{"result": x}], "final": x}):
-                    assert _dumps(wrap(_bounded_json(bounded))) == \
+                    assert _dumps(wrap(_bounded_json(bounded, writer))) == \
                         json.dumps(wrap(expected), indent=2, sort_keys=True) + "\n"
 
     def test_every_json_output_is_canonical(self, capsys):
@@ -608,16 +642,16 @@ class TestJsonWriter:
         assert not [o for o in orders if "relation" in o.__dict__]
 
     def test_engine_never_calls_the_name_based_oracle(self, capsys, monkeypatch):
-        calls, verdict_at = [], PrimePoset.verdict_at
+        calls, row_verdicts = [], PrimePoset.row_verdicts
 
         def counted(self, *args):
             calls.append(args)
-            return verdict_at(self, *args)
+            return row_verdicts(self, *args)
 
         def refuse(*args):
             raise AssertionError("the engine called PrimePoset.coherent_complement")
 
-        monkeypatch.setattr(PrimePoset, "verdict_at", counted)
+        monkeypatch.setattr(PrimePoset, "row_verdicts", counted)
         monkeypatch.setattr(PrimePoset, "coherent_complement", refuse)
         for name in PRESET_NAMES:
             base = preset(name).base

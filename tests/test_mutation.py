@@ -39,6 +39,7 @@ from gspec import (
     theta_map,
     validate_filtration,
 )
+from gspec import mutation as mut
 
 LOC2_HEIGHT_ONE = {"p1", "p2", "p3", "p4", "p5"}
 
@@ -539,3 +540,59 @@ class TestEngineOutputFence:
                     assert bracket.lower.order.relation <= bracket.upper.order.relation
         assert rules_seen == {"onestep", "discrete", "perfect", "bounded"}
         assert contradictions > 0
+
+
+class TestDerivedOrders:
+    """Orders built from covers derived from a checked parent are the
+    orders the constructor's walk would build."""
+
+    def test_split_covers_match_full_walk(self):
+        rng = random.Random(20261021)
+        for _ in range(3000):
+            order = random_order(rng, max_size=12)
+            e = order.full_mask & ~random_upper_set(rng, order, order.full_mask)
+            split = mut._split(order, e)
+            walked = Order(split.elements, split.up)
+            assert split.covers == walked.covers, (order, e)
+
+    def test_every_derived_order_passes_the_constructor(self, monkeypatch):
+        """With the full constructor run on every derived order, random
+        chains under every rule and policy, and brackets with random
+        maximality claims, derive the covers the walk finds."""
+        derived, wrong, built = [], [], Order._derived.__func__
+
+        def checked(cls, elements, up, covers):
+            # Recorded rather than asserted: the engine's pinned
+            # AssertionError is skipped below.
+            derived.append(elements)
+            if Order(elements, up).covers != covers:
+                wrong.append((elements, up, covers))
+            return built(cls, elements, up, covers)
+
+        monkeypatch.setattr(Order, "_derived", classmethod(checked))
+        rng = random.Random(20261022)
+        rules_seen = set()
+        for _ in range(1000):
+            poset = poset_from_order(random_order(rng, max_size=9))
+            base = poset.base
+            levels, v = [], base.full_mask
+            for _ in range(rng.randint(1, 4)):
+                v = random_upper_set(rng, base, v)
+                levels.append(sorted(base.names(v)))
+            filt = validate_filtration(poset, levels)
+            annotations = {i: rng.random() < 0.5 for i in range(2, filt.n + 1)
+                           if rng.random() < 0.7}
+            for policy in POLICIES:
+                try:
+                    steps = chain_order(poset, filt, annotations, policy)
+                except (GspecError, AssertionError):
+                    continue
+                for step, _ in steps:
+                    rules_seen.add(step.rule)
+                    pre = step.pre.lower
+                    claims = rng.getrandbits(len(base.elements))
+                    mutate_general(pre, step.mutation_class, claims)
+                    assert mutate_general(pre, step.mutation_class).upper.order is pre.order
+        assert not wrong
+        assert rules_seen == {"onestep", "discrete", "perfect", "bounded"}
+        assert len(derived) > 5000

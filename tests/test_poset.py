@@ -88,6 +88,35 @@ class TestBuildOrder:
                 assert build_order(names, gens).relation == closed
         assert cyclic > 100
 
+    def test_matches_closure_then_constructor(self):
+        """On seeded random generator sets, acyclic (drawn along a random
+        linear extension) or not, build_order gives the up-sets and covers
+        of the constructor's walk over Warshall's closure, or raises the
+        same error."""
+        rng = random.Random(20261020)
+        cyclic = 0
+        for _ in range(4000):
+            n = rng.randint(0, 10)
+            names = [f"x{i}" for i in range(n)]
+            rank, acyclic = rng.sample(range(n), n), rng.random() < 0.5
+            gens = []
+            for _ in range(rng.randint(0, 14) if n > 1 else 0):
+                a, b = rng.sample(rank, 2)
+                if acyclic and rank.index(a) > rank.index(b):
+                    a, b = b, a
+                gens.append((names[a], names[b]))
+            up = [1 << i for i in range(n)]
+            for a, b in gens:
+                up[names.index(a)] |= 1 << names.index(b)
+            expected = _outcome(Order, tuple(names), transitive_closure(up))
+            if expected:
+                cyclic += 1
+                assert _outcome(build_order, names, gens) == expected, gens
+                continue
+            order, walked = build_order(names, gens), Order(tuple(names), transitive_closure(up))
+            assert (order.up, order.covers) == (walked.up, walked.covers), gens
+        assert cyclic > 500
+
     def test_unknown_endpoint(self):
         with pytest.raises(UnknownElement):
             build_order(["a"], [("a", "zz")])

@@ -11,6 +11,7 @@ from gspec import (
     UNDETERMINED,
     AnnotationKeyError,
     CycleError,
+    InvalidArgument,
     NotComparable,
     SchemaError,
     UnknownElement,
@@ -19,7 +20,7 @@ from gspec import (
     load_prime_poset,
     preset,
 )
-from gspec.poset import heights_by_longest_chain
+from gspec.poset import bits, heights_by_longest_chain
 
 
 class TestLoad:
@@ -304,6 +305,68 @@ class TestVerdictAgainstReference:
         assert seen["dimension-one over an annotation"] > 0
         assert seen["deep-minimal off the longest-chain heights"] > 0
         assert seen["no-rule off the longest-chain heights"] > 0
+
+
+def per_pair_verdict(poset, i, j, v):
+    """The oracle on one pair (i, j) and the mask v of V0, decided pair by
+    pair from masks, with the shallow points and the annotation key worked
+    out here."""
+    base = poset.base
+    up, p = base.up, base.elements[i]
+    members = up[i] & base.down[j]
+    W = members & v
+    if not W or W == members:
+        return COHERENT, "trivial"
+    if members.bit_count() <= 2:
+        return COHERENT, "dimension-one"
+    if W == members & ~(1 << i):
+        return COHERENT, "generic-complement"
+    shallow = sum(1 << r for r, q in enumerate(base.elements)
+                  if poset.height[q] < poset.height[p] + 2)
+    reach = 0
+    for r in bits(W & shallow):
+        reach |= up[r]
+    if W & ~reach:
+        return NOT_COHERENT, "deep-minimal"
+    known = poset.coherence.get((p, base.elements[j], base.names(W)))
+    if known is not None:
+        return (COHERENT if known else NOT_COHERENT), "annotation"
+    return UNDETERMINED, "no-rule"
+
+
+class TestRowOracle:
+    def test_rows_match_per_pair_oracle(self):
+        """Over random models, upper sets and annotations, each row's masks
+        split its cross pairs, and every pair gets the per-pair verdict and
+        reason, from the row and from ``verdict_at``."""
+        rng = random.Random(20261020)
+        seen = Counter()
+        for _ in range(400):
+            poset, uppers = random_model(rng)
+            base = poset.base
+            for V0 in uppers:
+                v = base.mask(V0)
+                for i, row in enumerate(base.up):
+                    for j in bits(row):
+                        got = poset.verdict_at(i, j, v)
+                        assert (got.verdict, got.reason) == per_pair_verdict(poset, i, j, v)
+                    if v >> i & 1:
+                        continue
+                    masks = [m for _, m in poset.row_verdicts(i, v)]
+                    assert sum(masks) == row & v
+                    assert sum(m.bit_count() for m in masks) == (row & v).bit_count()
+                    for verdict, m in poset.row_verdicts(i, v):
+                        for j in bits(m):
+                            assert (verdict.verdict, verdict.reason) == \
+                                per_pair_verdict(poset, i, j, v), (poset, i, j, v)
+                            seen[verdict.reason] += 1
+        for reason in ("dimension-one", "generic-complement", "deep-minimal", "annotation",
+                       "no-rule"):
+            assert seen[reason] > 0, reason
+
+    def test_name_based_oracle_needs_an_upper_set(self):
+        with pytest.raises(InvalidArgument, match="not specialisation-closed"):
+            preset("LOC2").coherent_complement("o", "m", {"p1"})
 
 
 class TestPresets:
