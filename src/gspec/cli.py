@@ -329,41 +329,24 @@ def _list_fragment(items: list[str]) -> _Fragment:
     return _Fragment("[\n  " + ",\n  ".join(items) + "\n]" if items else "[]")
 
 
-class _OrderWriter:
-    """JSON text of orders on one tuple of points: ``elements``, ``covers``
-    and, if asked, ``relations`` (the strict pairs).
+def _order_fragments(order: Order, relations: bool = True) -> dict[str, _Fragment]:
+    """``elements``, ``covers`` and, if asked, ``relations`` (the strict
+    pairs) as JSON text.  Each name is escaped once; a pair is the text of
+    its smaller point's opening and its larger point's closing, so a
+    point's pairs are one join of closings, and ascending indices give
+    sorted pairs because the elements are sorted."""
+    names = list(map(_escape, order.elements))
+    lead = ["[\n    " + name + ",\n    " for name in names]
+    tail = [name + "\n  ]" for name in names]
 
-    Each name is escaped once; a pair is the text of its smaller point's
-    opening and its larger point's closing, so a point's pairs are one join
-    of closings, and ascending indices give sorted pairs because the
-    elements are sorted.  A row's text depends only on its point and mask,
-    so one writer builds it once and reuses it: the orders of one chain
-    share most of their rows.  A writer serves one output.
-    """
+    def pairs(masks: Iterable[int]) -> _Fragment:
+        return _list_fragment([opening + (",\n  " + opening).join(select(tail, m))
+                               for opening, m in zip(lead, masks) if m])
 
-    def __init__(self, elements: tuple[str, ...]):
-        names = list(map(_escape, elements))
-        self.elements = _list_fragment(names)
-        self._lead = ["[\n    " + name + ",\n    " for name in names]
-        self._tail = [name + "\n  ]" for name in names]
-        self._rows: dict[tuple[int, int], str] = {}
-
-    def _pairs(self, masks: Iterable[int]) -> _Fragment:
-        rows, lead, tail = self._rows, self._lead, self._tail
-        items = []
-        for i, m in enumerate(masks):
-            if m:
-                text = rows.get((i, m))
-                if text is None:
-                    text = rows[i, m] = lead[i] + (",\n  " + lead[i]).join(select(tail, m))
-                items.append(text)
-        return _list_fragment(items)
-
-    def fields(self, order: Order, relations: bool = True) -> dict[str, _Fragment]:
-        fields = {"elements": self.elements, "covers": self._pairs(order.covers)}
-        if relations:
-            fields["relations"] = self._pairs(m & ~(1 << i) for i, m in enumerate(order.up))
-        return fields
+    fields = {"elements": _list_fragment(names), "covers": pairs(order.covers)}
+    if relations:
+        fields["relations"] = pairs(m & ~(1 << i) for i, m in enumerate(order.up))
+    return fields
 
 
 def hasse_dot(order: Order, heights: Mapping[str, int]) -> str:
@@ -385,17 +368,17 @@ def _quote(name: str) -> str:
     return f'"{escaped}"'
 
 
-def _order_json(co: mut.ClosureOrder, writer: _OrderWriter) -> dict:
-    return {**writer.fields(co.order), "provenance": co.provenance}
+def _order_json(co: mut.ClosureOrder) -> dict:
+    return {**_order_fragments(co.order), "provenance": co.provenance}
 
 
-def _bounded_json(bounded: mut.BoundedOrder, writer: _OrderWriter) -> dict:
+def _bounded_json(bounded: mut.BoundedOrder) -> dict:
     if bounded.exact:
-        return {"exact": True, "order": _order_json(bounded.lower, writer)}
+        return {"exact": True, "order": _order_json(bounded.lower)}
     return {
         "exact": False,
-        "lower": _order_json(bounded.lower, writer),
-        "upper": _order_json(bounded.upper, writer),
+        "lower": _order_json(bounded.lower),
+        "upper": _order_json(bounded.upper),
     }
 
 
@@ -410,7 +393,7 @@ def _order_text(order: Order) -> str:
 def _render_bounded(args: argparse.Namespace, poset: PrimePoset,
                     bounded: mut.BoundedOrder) -> str:
     if args.format == "json":
-        return _dumps(_bounded_json(bounded, _OrderWriter(poset.base.elements)))
+        return _dumps(_bounded_json(bounded))
     if args.format == "dot":
         render, heads = (lambda order: hasse_dot(order, poset.height)), (
             "// inexact result: lower bound\n", "// inexact result: upper bound\n")
@@ -435,8 +418,7 @@ def _cmd_presets(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     poset = _load_poset(args)
     if args.format == "json":
-        writer = _OrderWriter(poset.base.elements)
-        _emit(args, _dumps({**writer.fields(poset.base, relations=False),
+        _emit(args, _dumps({**_order_fragments(poset.base, relations=False),
                             "heights": dict(sorted(poset.height.items()))}))
     else:
         covers = sum(m.bit_count() for m in poset.base.covers)
@@ -481,8 +463,7 @@ def _cmd_closure(args: argparse.Namespace) -> int:
     if args.steps:
         if args.format == "json":
             # The final order is the last step's result: build its dict once.
-            writer = _OrderWriter(poset.base.elements)
-            results = [_bounded_json(post, writer) for _, post in steps]
+            results = [_bounded_json(post) for _, post in steps]
             payload = {
                 "steps": [
                     {
@@ -495,7 +476,7 @@ def _cmd_closure(args: argparse.Namespace) -> int:
                     }
                     for (step, _), result in zip(steps, results)
                 ],
-                "final": results[-1] if steps else _bounded_json(final, writer),
+                "final": results[-1] if steps else _bounded_json(final),
             }
             text = _dumps(payload)
         else:

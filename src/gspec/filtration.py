@@ -20,8 +20,10 @@ from .poset import GspecError, InvalidArgument, bits, covering_pairs
 from .spectra import PrimePoset, SchemaError
 
 
-# The most levels a level function may span: each level is one mutation
-# step, and the chain's cost grows with their number.
+# The most levels a level function may span, unless the poset has more
+# points: each level is one mutation step, and the chain's cost grows with
+# their number.  Height and codimension functions of a connected poset span
+# fewer levels than it has points.
 MAX_LEVELS = 1000
 
 
@@ -121,17 +123,19 @@ def f_to_filtration(poset: PrimePoset, f: Mapping[str, int]) -> SpFiltration:
     the levels run from the first one that can be proper, min f + 1, to the
     last nonempty one, max f.  Every other filtration source is a level
     function and comes through here.  A point without a value raises
-    :class:`SchemaError`, and a span max f - min f above
-    :data:`MAX_LEVELS` raises :class:`InvalidArgument` before any level is
-    built.  Repeated levels are kept: a repeated step can change the result.
+    :class:`SchemaError`, and a span max f - min f above both
+    :data:`MAX_LEVELS` and the number of points raises
+    :class:`InvalidArgument` before any level is built.  Repeated levels are
+    kept: a repeated step can change the result.
     """
     elements = poset.base.elements
     _require_every_point(elements, f)
     values = [f[p] for p in elements] or [-1]
     low, high = min(values), max(values)
-    if high - low > MAX_LEVELS:
+    bound = max(MAX_LEVELS, len(elements))
+    if high - low > bound:
         raise InvalidArgument(
-            f"level function spans {high - low} levels, above the bound of {MAX_LEVELS}")
+            f"level function spans {high - low} levels, above the bound of {bound}")
     return _normal_form(poset, [sum(1 << k for k, x in enumerate(values) if x >= i)
                                 for i in range(low + 1, high + 1)])
 

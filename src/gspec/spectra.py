@@ -127,14 +127,8 @@ class PrimePoset:
     def _shallow(self) -> tuple[int, ...]:
         """Per point p, the mask of points of height below h(p) + 2."""
         heights = [self.height[p] for p in self.base.elements]
-        rising = sorted(range(len(heights)), key=heights.__getitem__)
-        below: dict[int, int] = {}
-        mask = k = 0
-        for h in sorted(set(heights)):
-            while k < len(rising) and heights[rising[k]] < h + 2:
-                mask |= 1 << rising[k]
-                k += 1
-            below[h] = mask
+        below = {h: sum(1 << r for r, g in enumerate(heights) if g < h + 2)
+                 for h in set(heights)}
         return tuple(below[h] for h in heights)
 
     def interval(self, p: str, q: str) -> "PrimePoset":
@@ -160,20 +154,20 @@ class PrimePoset:
         """Decide whether ``V0`` restricted to ``[p, q]`` has coherent complement.
 
         The name-based entry point to :meth:`verdict_at`: raises
-        :class:`NotComparable` unless p <= q, :class:`UnknownElement` for
-        a name of ``V0`` outside the poset and :class:`InvalidArgument`
-        unless ``V0`` is specialisation-closed.
+        :class:`NotComparable` unless p <= q and :class:`UnknownElement` for
+        a name of ``V0`` outside the poset.
         """
         i, j = self._interval_ends(p, q)
-        v = self.base.mask(V0)
-        if not self.base.is_upper_set(v):
-            raise InvalidArgument(f"{sorted(V0)} is not specialisation-closed")
-        return self.verdict_at(i, j, v)
+        return self.verdict_at(i, j, self.base.mask(V0))
 
     def verdict_at(self, i: int, j: int, v: int) -> CoherenceVerdict:
-        """The oracle on point indices ``i <= j`` and the mask ``v`` of V0,
-        which must be specialisation-closed: a trivial restriction, or the
-        entry of ``j`` in :meth:`row_verdicts` of ``i``."""
+        """The oracle on point indices ``i <= j`` and the mask ``v`` of V0: a
+        trivial restriction, or the entry of ``j`` in :meth:`row_verdicts`
+        of ``i``.  Raises :class:`InvalidArgument` unless V0 is
+        specialisation-closed."""
+        if not self.base.is_upper_set(v):
+            raise InvalidArgument(
+                f"{sorted(self.base.names(v))} is not specialisation-closed")
         members = self.base.up[i] & self.base.down[j]
         W = members & v
         if not W or W == members:

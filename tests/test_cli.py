@@ -22,7 +22,7 @@ from gspec import (
 )
 from gspec import mutation as mut
 from gspec import verify
-from gspec.cli import _bounded_json, _dumps, _OrderWriter, main
+from gspec.cli import _bounded_json, _dumps, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -225,6 +225,28 @@ class TestFiltrationCommand:
         assert (code, out) == (1, "")
         assert err == (f"gspec: level function spans {10**30} levels, "
                        f"above the bound of {MAX_LEVELS}\n")
+
+    def test_tall_chain_spans_more_than_max_levels(self, capsys, tmp_path):
+        """A poset's own height and codimension functions are never refused,
+        however tall it is: the bound is at least the number of points."""
+        n = MAX_LEVELS + 2
+        names = [f"c{k:04d}" for k in range(n)]
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps({"elements": names,
+                                    "covers": [list(c) for c in zip(names, names[1:])]}),
+                        encoding="utf-8")
+        codim = tmp_path / "d.json"
+        codim.write_text(json.dumps({p: k for k, p in enumerate(names)}), encoding="utf-8")
+        for source in (["--height-filtration"], ["--codim", str(codim)]):
+            code, out, err = run(capsys, "filtration", "--file", str(path), *source,
+                                 "--format", "json")
+            assert (code, err) == (0, "")
+            assert len(json.loads(out)["levels"]) == n - 1
+        code, out, err = run(capsys, "filtration", "--file", str(path), "--f",
+                             json.dumps({p: 2 * k for k, p in enumerate(names)}))
+        assert (code, out) == (1, "")
+        assert err == (f"gspec: level function spans {2 * (n - 1)} levels, "
+                       f"above the bound of {n}\n")
 
 
 class TestUsageErrors:
@@ -594,16 +616,13 @@ class TestJsonWriter:
             kept = [c for c in covering_pairs(order) if rng.random() < 0.5]
             upper = mut.ClosureOrder(order, ("standard", 'discrete at {"x"}'))
             lower = mut.ClosureOrder(build_order(order.elements, kept), ("lower",))
-            # One writer for every output of the order: rows written for
-            # one output are reused by the next.
-            writer = _OrderWriter(order.elements)
             for bounded, expected in [
                 (mut.exact_bounds(upper), {"exact": True, "order": plain(upper)}),
                 (mut.BoundedOrder(lower, upper, False),
                  {"exact": False, "lower": plain(lower), "upper": plain(upper)}),
             ]:
                 for wrap in (lambda x: x, lambda x: {"steps": [{"result": x}], "final": x}):
-                    assert _dumps(wrap(_bounded_json(bounded, writer))) == \
+                    assert _dumps(wrap(_bounded_json(bounded))) == \
                         json.dumps(wrap(expected), indent=2, sort_keys=True) + "\n"
 
     def test_every_json_output_is_canonical(self, capsys):

@@ -364,9 +364,16 @@ class TestRowOracle:
                        "no-rule"):
             assert seen[reason] > 0, reason
 
-    def test_name_based_oracle_needs_an_upper_set(self):
-        with pytest.raises(InvalidArgument, match="not specialisation-closed"):
-            preset("LOC2").coherent_complement("o", "m", {"p1"})
+    def test_oracle_needs_an_upper_set(self):
+        """Both entry points refuse a V0 that is not specialisation-closed,
+        also where the pair's end lies outside it (o and m, with p1 between
+        them inside)."""
+        poset = preset("LOC2")
+        base = poset.base
+        with pytest.raises(InvalidArgument, match=r"\['p1'\] is not specialisation-closed"):
+            poset.coherent_complement("o", "m", {"p1"})
+        with pytest.raises(InvalidArgument, match=r"\['p1'\] is not specialisation-closed"):
+            poset.verdict_at(base.index["o"], base.index["m"], base.mask({"p1"}))
 
 
 class TestPresets:
