@@ -70,21 +70,22 @@ class ClosureOrder:
 
 @dataclass(frozen=True)
 class BoundedOrder:
-    """Bracket for an under-determined order: lower <= truth <= upper."""
+    """Bracket for an under-determined order: lower <= truth <= upper, exact when they meet."""
 
     lower: ClosureOrder
     upper: ClosureOrder
-    exact: bool
 
     def __post_init__(self) -> None:
         if not self.lower.order.refines(self.upper.order):
             raise InvalidArgument("lower bound exceeds upper bound")
-        if self.exact and self.lower.order != self.upper.order:
-            raise InvalidArgument("exact flag set but bounds differ")
+
+    @property
+    def exact(self) -> bool:
+        return self.lower.order == self.upper.order
 
 
 def exact_bounds(co: ClosureOrder) -> BoundedOrder:
-    return BoundedOrder(co, co, True)
+    return BoundedOrder(co, co)
 
 
 @dataclass(frozen=True)
@@ -207,7 +208,6 @@ def mutate_general(co: ClosureOrder, e: int, forced_maximal: int = 0) -> Bounded
         ClosureOrder(lower, co.provenance + (f"{RULE_BOUNDED} at {label} (lower)",)),
         ClosureOrder(order if upper == order.up else Order(order.elements, upper),
                      co.provenance + (f"{RULE_BOUNDED} at {label} (upper)",)),
-        exact=lower.up == upper,
     )
 
 
@@ -286,8 +286,8 @@ class ThetaEntry:
 
 
 def theta_map(step: MutationStep) -> tuple[ThetaEntry, ...]:
-    """The identity-on-points bijection of an exact step, documented."""
-    if not step.post.exact:
+    """The identity-on-points bijection of a step between exact orders, documented."""
+    if not (step.pre.exact and step.post.exact):
         raise InvalidArgument("theta map is only documented for exact steps")
     pre, post = step.pre.lower.order, step.post.lower.order
     return tuple(
@@ -338,10 +338,10 @@ def _each_bound(
 ) -> BoundedOrder:
     """Apply a step's rule to the current bounds: to the order itself when it
     is exact, otherwise the rule's lower bound from the lower bound and its
-    upper bound from the upper bound."""
+    upper bound from the upper bound.  The result is exact when those meet."""
     if current.exact:
         return rule(current.lower)
-    return BoundedOrder(rule(current.lower).lower, rule(current.upper).upper, exact=False)
+    return BoundedOrder(rule(current.lower).lower, rule(current.upper).upper)
 
 
 def _vanishing_pattern(poset: PrimePoset, level: int) -> bool:

@@ -193,7 +193,7 @@ def run_suite(
         if not post.exact:
             reports.append(check_piecewise(pre.upper, post.upper, E, f"{tag}:piecewise-upper"))
             continue
-        # An exact step follows an exact one, so pre.lower is the whole pre-order.
+        # Even where an inexact pre collapses, post.lower is rule(pre.lower), which the laws check.
         if small and step.rule == mut.RULE_DISCRETE:
             reports.append(
                 brute_force_discrete_law(pre.lower, E, post.lower, f"{tag}:discrete-law")

@@ -43,6 +43,15 @@ def write_wide(tmp_path):
     return str(path)
 
 
+def collapsed_bracket(tmp_path):
+    """LOC3 tilting at its top three times with step 3 annotated perfect:
+    step 2 is a bracket, and step 3 splits both its bounds into one order."""
+    path = tmp_path / "steps.json"
+    path.write_text(json.dumps({"steps": [{"i": 3, "perfect": True}]}), encoding="utf-8")
+    f = {"o": 0, "q1": 0, "q2": 0, "q3": 0, "r1": 0, "r2": 0, "r3": 0, "m": 3}
+    return ["--preset", "LOC3", "--f", json.dumps(f), "--annotations", str(path)]
+
+
 class TestPresetsAndValidate:
     def test_presets_lists_all(self, capsys):
         code, out, _ = run(capsys, "presets")
@@ -356,6 +365,14 @@ class TestClosureCommand:
         )
         assert code == 3 and "inexact" in err
 
+    def test_require_exact_takes_bounds_that_meet(self, capsys, tmp_path):
+        code, out, err = run(capsys, "closure", *collapsed_bracket(tmp_path), "--require-exact")
+        assert (code, err) == (0, "")
+        assert out == "order on 8 points (9 covers)\n" + "".join(
+            f"{p} < {q}\n" for p, q in [("o", "q1"), ("o", "q2"), ("o", "q3"),
+                                        ("q1", "r1"), ("q1", "r3"), ("q2", "r1"),
+                                        ("q2", "r2"), ("q3", "r2"), ("q3", "r3")])
+
     def test_inexact_json_has_bounds(self, capsys):
         code, out, _ = run(
             capsys, "closure", "--preset", "LOC3",
@@ -456,6 +473,10 @@ class TestCbCommand:
         assert payload["rank"] == 1
         assert payload["layers"][0] == ["m", "p1", "p2", "p3", "p4", "p5"]
 
+    def test_bounds_that_meet_have_a_rank(self, capsys, tmp_path):
+        code, out, err = run(capsys, "cb", *collapsed_bracket(tmp_path))
+        assert (code, err) == (0, "") and out.startswith("rank 2\n")
+
     def test_discrete_rank_zero(self, capsys):
         code, out, _ = run(
             capsys, "cb", "--preset", "LOC3", "--height-filtration",
@@ -499,6 +520,17 @@ class TestCheckCommand:
         code, out, _ = run(capsys, "check", "--preset", "LOC3", "--height-filtration")
         assert code == 0
         assert "FAIL" not in out and "PASS" in out
+
+    def test_bounds_that_meet_get_the_laws_and_a_baseline(self, capsys, tmp_path):
+        """The collapsed step 3 is checked like any exact step: its law and
+        sandwich, and the seven baseline checks of its order."""
+        code, out, err = run(capsys, "check", *collapsed_bracket(tmp_path))
+        assert (code, err) == (0, "")
+        rows = out.splitlines()
+        assert len(rows) == 31 and all(row.startswith("PASS ") for row in rows)
+        names = {row.removeprefix("PASS ") for row in rows}
+        assert {"step-3:perfect-law", "step-3:sandwich"} <= names
+        assert len({name for name in names if name.startswith("order-3:")}) == 7
 
     def test_nagata_passes(self, capsys):
         code, out, _ = run(
@@ -616,10 +648,11 @@ class TestJsonWriter:
             kept = [c for c in covering_pairs(order) if rng.random() < 0.5]
             upper = mut.ClosureOrder(order, ("standard", 'discrete at {"x"}'))
             lower = mut.ClosureOrder(build_order(order.elements, kept), ("lower",))
+            bracket = ({"exact": True, "order": plain(lower)} if lower.order == order else
+                       {"exact": False, "lower": plain(lower), "upper": plain(upper)})
             for bounded, expected in [
                 (mut.exact_bounds(upper), {"exact": True, "order": plain(upper)}),
-                (mut.BoundedOrder(lower, upper, False),
-                 {"exact": False, "lower": plain(lower), "upper": plain(upper)}),
+                (mut.BoundedOrder(lower, upper), bracket),
             ]:
                 for wrap in (lambda x: x, lambda x: {"steps": [{"result": x}], "final": x}):
                     assert _dumps(wrap(_bounded_json(bounded))) == \

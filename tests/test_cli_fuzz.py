@@ -4,8 +4,11 @@ reads a poset, run in-process through ``cli.main``.
 Documents have up to 8 points and 0 to 4 valid coherence annotations, or one
 defect: a dropped key, a wrong type or a repeated name.  Options draw
 ``--levels`` (sometimes with trivial, non-closed, non-descending or unknown
-levels), ``--f`` with values in -3..3, ``--height-filtration``,
-``--annotations``, every policy, ``--steps`` and ``--require-exact``.
+levels), ``--f`` with values in -3..3, stretched by 2 or 3 so that levels
+repeat, shifted far outside that range or spanning more levels than the
+bound, ``--height-filtration``, ``--annotations``, every policy, ``--steps``
+and ``--require-exact``.  Some invocations carry a malformed flag: an unknown
+choice, a missing value or an unknown option.
 """
 
 import json
@@ -19,7 +22,7 @@ from conftest import (
     random_upper_set,
     strict_pairs,
 )
-from gspec import POLICIES, POLICY_ASSUME_COHERENT, covering_pairs
+from gspec import MAX_LEVELS, POLICIES, POLICY_ASSUME_COHERENT, covering_pairs
 from gspec.cli import main
 from gspec.poset import heights_by_longest_chain
 
@@ -89,17 +92,39 @@ def _levels(rng, order):
 
 
 def _level_function(rng, order):
+    """A level function and whether its span is above the bound."""
     if rng.random() < 0.7:
-        f = {p: min(v, 3) for p, v in random_monotone_f(rng, order).items()}
+        stretch = rng.choice((1, 1, 2, 3))
+        f = {p: stretch * min(v, 3) for p, v in random_monotone_f(rng, order).items()}
     else:
         f = {p: rng.randint(-3, 3) for p in order.elements}
-    return json.dumps(f)
+    shift = rng.random()
+    if shift < 0.1:
+        f = {p: v + rng.choice((-1, 1)) * 10 ** rng.randint(2, 30) for p, v in f.items()}
+    elif shift < 0.15:
+        bound = max(MAX_LEVELS, len(order.elements))
+        f[rng.choice(order.elements)] = max(f.values()) + bound + 10 ** rng.randint(0, 30)
+        return json.dumps(f), True
+    return json.dumps(f), False
+
+
+def _malform(rng, argv):
+    """The invocation with one malformed flag appended."""
+    flaw = rng.choice(["choice", "missing", "unknown"])
+    if flaw == "choice":
+        return argv + ["--format", "xml"]
+    if flaw == "missing":
+        return argv + [rng.choice(["--format", "--out", "--preset"])]
+    return argv + ["--no-such-option"]
 
 
 def _argv(rng, tmp_path):
-    """One invocation; returns its argv and whether its document is damaged."""
+    """One invocation; returns its argv, whether it is damaged (a damaged
+    document or a malformed flag) and whether its level function spans too
+    many levels."""
     order = random_order(rng, max_size=8)
     doc, damaged = _document(rng, order)
+    too_wide = False
     poset_path = tmp_path / "poset.json"
     poset_path.write_text(json.dumps(doc), encoding="utf-8")
     command = rng.choice(COMMANDS)
@@ -110,7 +135,8 @@ def _argv(rng, tmp_path):
         if source == "levels":
             argv += ["--levels", _levels(rng, order)]
         elif source == "f":
-            argv += ["--f", _level_function(rng, order)]
+            f, too_wide = _level_function(rng, order)
+            argv += ["--f", f]
         elif source == "height":
             argv.append("--height-filtration")
     if command in ENGINE_COMMANDS:
@@ -131,7 +157,21 @@ def _argv(rng, tmp_path):
         argv.append("--require-exact")
     formats = ["json", "dot", "text"] if command in ("closure", "mutate") else ["json", "text"]
     argv += ["--format", rng.choice(formats)]
-    return argv, damaged
+    if rng.random() < 0.05:
+        return _malform(rng, argv), True, too_wide
+    return argv, damaged, too_wide
+
+
+def _brackets(node):
+    """Every result in a JSON payload: each object with an ``exact`` key."""
+    if isinstance(node, dict):
+        if "exact" in node:
+            yield node
+        for value in node.values():
+            yield from _brackets(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _brackets(value)
 
 
 def _invoke(capsys, argv):
@@ -146,9 +186,9 @@ def _invoke(capsys, argv):
 
 def test_every_command_exits_with_a_documented_code(capsys, tmp_path):
     rng = random.Random(20261020)
-    codes, commands = Counter(), Counter()
+    codes, commands, inexact = Counter(), Counter(), 0
     for _ in range(DRAWS):
-        argv, damaged = _argv(rng, tmp_path)
+        argv, damaged, too_wide = _argv(rng, tmp_path)
         first = code, out, err = _invoke(capsys, argv)
         assert _invoke(capsys, argv) == first, argv
         commands[argv[0]] += 1
@@ -167,5 +207,12 @@ def test_every_command_exits_with_a_documented_code(capsys, tmp_path):
         assert bool(lines) == (code != 0), (argv, err)
         if damaged:
             assert (code, out, len(errors)) == (1, "", 1), (argv, err)
+        elif too_wide:
+            assert code == 1 and "above the bound" in err, (argv, err)
+        if code == 0 and argv[-1] == "json":
+            for bracket in _brackets(json.loads(out)):
+                if not bracket["exact"]:
+                    inexact += 1
+                    assert bracket["lower"]["relations"] != bracket["upper"]["relations"], argv
     assert set(commands) == set(COMMANDS)
-    assert set(codes) == {0, 1, 2, 3}
+    assert set(codes) == {0, 1, 2, 3} and inexact > 0

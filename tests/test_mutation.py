@@ -310,19 +310,21 @@ class TestChain:
 
 
 class TestBoundedOrder:
-    @pytest.mark.parametrize("lower,upper,exact,message", [
-        ("chain", "flat", False, "lower bound exceeds upper bound"),
-        ("flat", "chain", True, "exact flag set but bounds differ"),
-    ])
-    def test_rejects(self, lower, upper, exact, message):
+    def test_rejects(self):
         """A bracket that is not one is an InvalidArgument, so a GspecError
         and a ValueError."""
-        orders = {"chain": build_order(["m", "o"], [("o", "m")]),
-                  "flat": build_order(["m", "o"], [])}
-        with pytest.raises(InvalidArgument, match=f"^{message}$") as caught:
-            BoundedOrder(ClosureOrder(orders[lower], (lower,)),
-                         ClosureOrder(orders[upper], (upper,)), exact)
+        chain, flat = build_order(["m", "o"], [("o", "m")]), build_order(["m", "o"], [])
+        with pytest.raises(InvalidArgument, match="^lower bound exceeds upper bound$") as caught:
+            BoundedOrder(ClosureOrder(chain, ("chain",)), ClosureOrder(flat, ("flat",)))
         assert isinstance(caught.value, GspecError) and isinstance(caught.value, ValueError)
+
+    def test_exact_when_bounds_are_one_order(self):
+        """Exactness is read off the bounds: equal orders built apart, with
+        different provenance, are exact; different orders are not."""
+        chain, flat = build_order(["m", "o"], [("o", "m")]), build_order(["m", "o"], [])
+        again = build_order(["m", "o"], [("o", "m")])
+        assert BoundedOrder(ClosureOrder(chain, ("a",)), ClosureOrder(again, ("b",))).exact
+        assert not BoundedOrder(ClosureOrder(flat, ("a",)), ClosureOrder(chain, ("b",))).exact
 
 
 class TestTheta:
@@ -343,6 +345,18 @@ class TestTheta:
                            match="^theta map is only documented for exact steps$") as caught:
             theta_map(step)
         assert isinstance(caught.value, GspecError) and isinstance(caught.value, ValueError)
+
+    def test_rejects_step_whose_bounds_meet_after_an_inexact_one(self):
+        """On LOC3 tilting at the top three times, step 2 is bracketed and the
+        annotated perfect step 3 splits both bounds into one order: an exact
+        result with no single order before it."""
+        poset = preset("LOC3")
+        filt = validate_filtration(poset, [{"m"}, {"m"}, {"m"}])
+        step = chain_order(poset, filt, step_annotations={3: True})[2][0]
+        assert step.rule == "perfect" and step.post.exact and not step.pre.exact
+        with pytest.raises(InvalidArgument,
+                           match="^theta map is only documented for exact steps$"):
+            theta_map(step)
 
     def test_empty_class_keeps_neighbourhoods(self):
         from gspec import MutationStep

@@ -294,17 +294,22 @@ class TestRunSuite:
     def test_random_chains_all_pass(self):
         """Every step's pre is the previous step's bounds, the rule dispatch
         follows the filtration's class and the annotations, a perfect step
-        maps each bound to its own image, and run_suite's reports all pass,
-        also after two bracketed steps in a row."""
+        maps each bound to its own image, a step is exact exactly when its
+        bounds are one order, and run_suite's reports all pass, also after
+        two bracketed steps in a row and where a perfect step collapses a
+        bracket.  Level functions are stretched by 1, 2 or 3, so that levels
+        repeat."""
         import random
 
         from conftest import poset_from_order, random_monotone_f, random_order
         from gspec import POLICY_ASSUME_NONCOHERENT, chain_order, classify, f_to_filtration
         rng = random.Random(20261018)
-        perfect_after_inexact = 0
-        for _ in range(200):
+        perfect_after_inexact = collapsed = 0
+        for _ in range(400):
             poset = poset_from_order(random_order(rng, 8))
-            filt = f_to_filtration(poset, random_monotone_f(rng, poset.base))
+            stretch = rng.randint(1, 3)
+            f = {p: stretch * v for p, v in random_monotone_f(rng, poset.base).items()}
+            filt = f_to_filtration(poset, f)
             annotations = {i: True for i in range(2, filt.n + 1) if rng.random() < 0.3}
             steps = chain_order(poset, filt, annotations, POLICY_ASSUME_NONCOHERENT)
             rules = [step.rule for step, _ in steps]
@@ -314,6 +319,8 @@ class TestRunSuite:
                 assert rules[0] == "onestep"
             for step, post in steps:
                 assert step.post is post
+                assert post.exact == (post.lower.order == post.upper.order)
+                collapsed += post.exact and not step.pre.exact
             for (_, before), (step, _) in zip(steps, steps[1:]):
                 assert step.pre is before
                 if step.rule == "perfect" and not before.exact:
@@ -323,4 +330,4 @@ class TestRunSuite:
                     assert step.post.upper.order == mutate_perfect(before.upper, E).order
             reports = run_suite(poset, filt, annotations, POLICY_ASSUME_NONCOHERENT)
             assert [r.name for r in reports if not r.passed] == [], filt.levels
-        assert perfect_after_inexact > 0
+        assert perfect_after_inexact > 0 and collapsed > 0
