@@ -45,8 +45,17 @@ _EXIT_CODES = ((mut.UndeterminedCoherence, 2), (Inexact, 3), (GspecError, 1), (O
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = _build_parser().parse_args(argv)
+        parser, commands = _build_parser()
+        # A command's own parser reads the rest of its argv; the top-level
+        # parser would classify every word before handing them to it, so it
+        # reads only an argv that names no command (and prints its help).
+        if argv and argv[0] in commands:
+            args = commands[argv[0]].parse_args(argv[1:])
+        else:
+            args = parser.parse_args(argv)
         return args.handler(args)
     except SystemExit as exc:  # --help; usage errors raise UsageError
         return int(exc.code or 0)
@@ -64,7 +73,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, Mapping[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's own parser by name."""
     parser = _Parser(
         prog="gspec",
         description="Closure orders of tilted hearts over finite prime posets.",
@@ -121,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--require-exact", action="store_true")
     command("check", "run the brute-force property suite", _cmd_check, *engine, output_args)
 
-    return parser
+    return parser, sub.choices
 
 
 # -- input plumbing ----------------------------------------------------------
@@ -265,7 +275,8 @@ def _dumps(value: object) -> str:
     That module uses its C encoder only when ``indent`` is None, so the
     indented form is written here, joining lists of strings in one step.
     Takes dicts with string keys, lists, tuples, strings, ints, booleans,
-    None and :class:`_Fragment`; anything else raises :class:`TypeError`.
+    None and :class:`_Fragment`; anything else raises :class:`TypeError`
+    (a key that is not a string fails to sort or to escape).
     """
     out: list[str] = []
     _write(value, "\n", out)
@@ -289,8 +300,6 @@ def _write(value: object, newline: str, out: list[str]) -> None:
         if not value:
             out.append("{}")
             return
-        if not all(isinstance(key, str) for key in value):
-            raise TypeError("JSON object keys must be strings")
         inner = newline + "  "
         sep = "{" + inner
         for key in sorted(value):
@@ -431,7 +440,7 @@ def _cmd_filtration(args: argparse.Namespace) -> int:
     filt, warned = _parse_filtration(args, poset)
     flags = spf.classify(poset, filt)
     f = spf.filtration_to_f(filt)
-    levels = [sorted(poset.base.names(level)) for level in filt.levels]
+    levels = [list(select(poset.base.elements, level)) for level in filt.levels]
     if args.format == "json":
         payload = {
             "levels": levels,
@@ -470,8 +479,8 @@ def _cmd_closure(args: argparse.Namespace) -> int:
                         "index": step.index,
                         "rule": step.rule,
                         "perfect": step.perfect,
-                        "support": sorted(poset.base.names(step.support)),
-                        "class": sorted(poset.base.names(step.mutation_class)),
+                        "support": list(select(poset.base.elements, step.support)),
+                        "class": list(select(poset.base.elements, step.mutation_class)),
                         "result": result,
                     }
                     for (step, _), result in zip(steps, results)
@@ -499,7 +508,7 @@ def _cmd_cb(args: argparse.Namespace) -> int:
     if not final.exact:
         raise Inexact("cannot take the filtration of an inexact order")
     cb = cb_filtration(final.lower.order)
-    layers = [sorted(poset.base.names(layer)) for layer in cb.layers]
+    layers = [list(select(poset.base.elements, layer)) for layer in cb.layers]
     if args.format == "json":
         payload = {"rank": cb.rank, "layers": layers}
         _emit(args, _dumps(payload))

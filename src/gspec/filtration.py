@@ -109,10 +109,17 @@ def _normal_form(poset: PrimePoset, chain: list[int]) -> SpFiltration:
 
 def filtration_to_f(filt: SpFiltration) -> dict[str, int]:
     """Level function: f(p) = max index i with p in V_i (so -1 off V_0)."""
-    f = {p: -1 for p in filt.elements}
-    for i, level in enumerate(filt.levels):
-        for j in bits(level):
-            f[filt.elements[j]] = i
+    return dict(zip(filt.elements, level_indices(filt)))
+
+
+def level_indices(filt: SpFiltration) -> list[int]:
+    """The level function by point index.  The last level V_i holding a
+    point is the one with the point in the stratum V_i minus V_{i+1}, so
+    each point is read once."""
+    f = [-1] * len(filt.elements)
+    for i in range(filt.n):
+        for j in bits(filt.difference(i + 1)):
+            f[j] = i
     return f
 
 
@@ -182,12 +189,13 @@ def codim_filtration(poset: PrimePoset, d: Mapping[str, int]) -> SpFiltration:
     return f_to_filtration(poset, {p: d[p] - 1 for p in poset.base.elements})
 
 
-def forced_maximal(poset: PrimePoset, filt: SpFiltration, step: int) -> int:
-    """Mask of the points known to be maximal in the order produced by the
-    given step of the chain: the inclusion-maxima of the strata cut out by
-    this and the earlier steps, plus the inclusion-maximal primes."""
+def forced_maximal(poset: PrimePoset, filt: SpFiltration) -> tuple[int, ...]:
+    """Per step 0..n of the chain, the mask of the points known to be
+    maximal in the order that step produces: the inclusion-maximal primes
+    and the inclusion-maxima of the strata cut out by this and the earlier
+    steps.  Each mask is the one before it and one more stratum's maxima."""
     base = poset.base
-    forced = base.maximal(base.full_mask)
-    for j in range(step):
-        forced |= base.maximal(filt.difference(j))
-    return forced
+    forced = [base.maximal(base.full_mask)]
+    for j in range(filt.n):
+        forced.append(forced[-1] | base.maximal(filt.difference(j)))
+    return tuple(forced)

@@ -15,10 +15,10 @@ guess.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from . import filtration as spf
-from .poset import GspecError, InvalidArgument, Order, bits, longest_chain
+from .poset import GspecError, InvalidArgument, Order, bits, longest_chain, select
 from .spectra import COHERENT, NOT_COHERENT, UNDETERMINED, PrimePoset
 
 POLICY_ERROR = "error"
@@ -134,12 +134,13 @@ def onestep_order(poset: PrimePoset, v: int, policy: str = POLICY_ERROR) -> Clos
         raise spf.NotSpecializationClosed(0)
 
     els = base.elements
-    up = []
-    for i, row in enumerate(base.up):
-        if v >> i & 1:  # everything above a point of V0 is in V0
-            up.append(row)
-            continue
-        kept = row & ~v
+    up = list(base.up)
+    # Everything above a point of V0 is in V0, so a row inside V0 is an
+    # inclusion row over members inside it: it keeps its relations and its
+    # covers, and only the rows outside V0 are decided and walked again.
+    outside = [i for i in range(len(els)) if not v >> i & 1]
+    for i in outside:
+        kept = up[i] & ~v
         for verdict, m in poset.row_verdicts(i, v):
             answer = verdict.verdict
             if answer == UNDETERMINED and m:
@@ -148,16 +149,15 @@ def onestep_order(poset: PrimePoset, v: int, policy: str = POLICY_ERROR) -> Clos
                 answer = COHERENT if policy == POLICY_ASSUME_COHERENT else NOT_COHERENT
             if answer == NOT_COHERENT:
                 kept |= m
-        up.append(kept)
-    # The rows are base rows with bits removed, so the constructor can only
-    # reject them for transitivity.
-    try:
-        order = Order(els, tuple(up))
-    except ValueError:
+        up[i] = kept
+    # The rows are base rows with bits removed, so only transitivity can fail.
+    covers = _walk_rows(up, base.covers, outside)
+    if covers is None:
         raise AssertionError(
             "one-step relation not transitively closed; the coherence data is "
             "inconsistent with a ring"
-        ) from None
+        )
+    order = Order._derived(els, tuple(up), covers)
     return ClosureOrder(order, (f"{RULE_ONESTEP} at {_label(base, v)}",))
 
 
@@ -201,13 +201,15 @@ def mutate_general(co: ClosureOrder, e: int, forced_maximal: int = 0) -> Bounded
     _require_closed(order, e)
     lower = _split(order, e)
     pruned = forced_maximal & order.maximal(e)
-    upper = tuple(kept if pruned >> i & 1 else row
-                  for i, (kept, row) in enumerate(zip(lower.up, order.up)))
+    up = tuple(1 << i if pruned >> i & 1 else row for i, row in enumerate(order.up))
+    # Only a pruned row and the rows below a pruned point change their covers.
+    upper = order if up == order.up else Order._derived(
+        order.elements, up,
+        _walk_rows(up, order.covers, [i for i, row in enumerate(order.up) if row & pruned]))
     label = _label(order, e)
     return BoundedOrder(
         ClosureOrder(lower, co.provenance + (f"{RULE_BOUNDED} at {label} (lower)",)),
-        ClosureOrder(order if upper == order.up else Order(order.elements, upper),
-                     co.provenance + (f"{RULE_BOUNDED} at {label} (upper)",)),
+        ClosureOrder(upper, co.provenance + (f"{RULE_BOUNDED} at {label} (upper)",)),
     )
 
 
@@ -238,6 +240,7 @@ def chain_order(
                 f"step annotation 'i' is {i}, outside the chain's steps 1..{filt.n}"
             )
     truncated = spf.classify(poset, filt)["truncated_slice"]
+    forced: tuple[int, ...] = ()  # forced_maximal, taken at the first bracket
     steps: list[tuple[MutationStep, BoundedOrder]] = []
     current = exact_bounds(standard_order(poset))
 
@@ -255,8 +258,8 @@ def chain_order(
             post = _each_bound(current, lambda co: exact_bounds(mutate_perfect(co, e)))
         else:
             rule = RULE_BOUNDED
-            pruned = spf.forced_maximal(poset, filt, i)
-            post = _each_bound(current, lambda co: mutate_general(co, e, pruned))
+            forced = forced or spf.forced_maximal(poset, filt)
+            post = _each_bound(current, lambda co: mutate_general(co, e, forced[i]))
         step = MutationStep(i, support, e, rule, current, post)
         steps.append((step, post))
         current = post
@@ -331,6 +334,23 @@ def _split(order: Order, e: int) -> Order:
     return Order._derived(order.elements,
                           tuple(map(int.__and__, order.up, parts)),
                           tuple(map(int.__and__, order.covers, parts)))
+
+
+def _walk_rows(up: Sequence[int], covers: tuple[int, ...],
+               rows: list[int]) -> tuple[int, ...] | None:
+    """The constructor's walk on the listed rows of ``up`` only: their covers
+    replace those in ``covers``, or ``None`` when one of them is not
+    transitively closed.  Every other row must keep its covers in ``up``."""
+    strict = [m & ~(1 << i) for i, m in enumerate(up)]
+    covers = list(covers)
+    for i in rows:
+        s, beyond = strict[i], 0
+        for t in select(strict, s):
+            beyond |= t
+        if beyond & ~s:
+            return None
+        covers[i] = s & ~beyond
+    return tuple(covers)
 
 
 def _each_bound(

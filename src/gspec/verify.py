@@ -24,6 +24,7 @@ from .poset import (
     check_axioms,
     closed_masks,
     longest_chain,
+    select,
 )
 from .spectra import PrimePoset
 
@@ -206,8 +207,9 @@ def run_suite(
 
     ordered = [(0, mut.standard_order(poset))]
     ordered += [(step.index, post.lower) for step, post in steps if post.exact]
+    forced, level_of = spf.forced_maximal(poset, filt), spf.level_indices(filt)
     for position, co in ordered:
-        reports.extend(_baseline(poset, filt, position, co, small))
+        reports.extend(_baseline(poset, filt, position, co, small, forced[position], level_of))
     return reports
 
 
@@ -225,7 +227,12 @@ def _baseline(
     position: int,
     co: mut.ClosureOrder,
     small: bool,
+    forced: int,
+    level_of: list[int],
 ) -> list[PropertyReport]:
+    """The checks of one exact order of the chain; ``forced`` is the step's
+    ``forced_maximal`` mask and ``level_of`` the filtration's level function
+    by point index."""
     tag = f"order-{position}"
     order, base = co.order, poset.base
     out: list[PropertyReport] = []
@@ -238,9 +245,7 @@ def _baseline(
         out.append(PropertyReport(f"{tag}:t0", None if axioms.t0 else failures))
         out.append(PropertyReport(f"{tag}:sober", None if axioms.sober else failures))
 
-    bad_level = next(
-        (i for i in range(filt.n) if not order.is_upper_set(filt.level(i))), None
-    )
+    bad_level = _first_unopen_level(order, level_of)
     out.append(PropertyReport(f"{tag}:levels-open",
                               None if bad_level is None else _witness(level=bad_level)))
 
@@ -253,13 +258,22 @@ def _baseline(
         f"{tag}:strata-restriction",
         None if bad_stratum is None else _witness(stratum=order.names(bad_stratum))))
 
-    not_maximal = spf.forced_maximal(poset, filt, position) & ~order.maximal(order.full_mask)
+    not_maximal = forced & ~order.maximal(order.full_mask)
     out.append(PropertyReport(
         f"{tag}:maximal-difference",
         _witness(point=order.elements[next(bits(not_maximal))]) if not_maximal else None))
 
     out.append(_cb_sanity(order, f"{tag}:cb"))
     return out
+
+
+def _first_unopen_level(order: Order, level_of: list[int]) -> int | None:
+    """The least index of a level that is not an upper set of ``order``, or
+    ``None`` when every level is one; ``level_of`` is the level function by
+    point index.  Every level is open exactly when the function never drops
+    along a cover, and a drop along p < q first breaks level f(q) + 1."""
+    return min((g + 1 for f, m in zip(level_of, order.covers)
+                for g in select(level_of, m) if g < f), default=None)
 
 
 def _cb_sanity(order: Order, name: str) -> PropertyReport:

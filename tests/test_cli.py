@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -21,8 +22,9 @@ from gspec import (
     preset,
 )
 from gspec import mutation as mut
-from gspec import verify
+from gspec import cli, verify
 from gspec.cli import _bounded_json, _dumps, main
+from test_readme import COMMANDS as README_COMMANDS
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -279,6 +281,46 @@ class TestUsageErrors:
     def test_help_exits_zero(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 0 and out.startswith("usage: gspec") and err == ""
+
+
+# The README's commands and the edge cases where the two parse paths could part.
+PARSE_CORPUS = [shlex.split(line)[1:] for line in README_COMMANDS] + [
+    [], ["--help"], ["-h"], ["nope"], ["clos"], ["closure", "--help"],
+    ["closure", "--preset", "LOC2", "--levels", '[["m"]]', "--format", "xml"],
+    ["closure", "--preset", "LOC2", "--levels"],
+    ["closure", "--preset", "LOC2", "--lev", '[["m"]]'],
+    ["closure", "--preset", "LOC2", "--levels", '[["m"]]', "--bogus"],
+    ["closure", "--preset", "LOC2", "--levels", '[["m"]]', "extra"],
+    ["closure", "--preset", "LOC2", "--levels", '[["m"]]', "--policy", "error",
+     "--policy", "assume-coherent"],
+    ["mutate", "--preset", "LOC2"],
+    ["presets", "x"],
+]
+
+
+class TestParsePaths:
+    """An argv that names a command is read by that command's own parser,
+    with the outcome the top-level parser would give."""
+
+    @pytest.mark.parametrize("argv", PARSE_CORPUS, ids=" ".join)
+    def test_same_as_top_level_parser(self, capsys, monkeypatch, argv):
+        direct = run(capsys, *argv)
+        parser, _ = cli._build_parser()
+        monkeypatch.setattr(cli, "_build_parser", lambda: (parser, {}))
+        assert run(capsys, *argv) == direct
+
+    def test_command_skips_top_level_parser(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the top-level parser read a command's argv")
+
+        monkeypatch.setattr(cli._build_parser()[0], "parse_args", refuse)
+        for line in README_COMMANDS:
+            assert run(capsys, *shlex.split(line)[1:])[0] == 0, line
+
+    def test_reads_sys_argv_by_default(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["gspec", "validate", "--preset", "LOC2"])
+        assert main() == 0
+        assert capsys.readouterr().out == run(capsys, "validate", "--preset", "LOC2")[1]
 
 
 class TestClosureCommand:

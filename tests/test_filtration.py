@@ -14,6 +14,7 @@ from gspec import (
     codim_filtration,
     f_to_filtration,
     filtration_to_f,
+    forced_maximal,
     height_filtration,
     preset,
     validate_filtration,
@@ -137,6 +138,23 @@ class TestLevelFunction:
             filt = f_to_filtration(poset, random_monotone_f(rng, poset.base))
             for level in filt.levels:
                 assert poset.base.is_upper_set(level)
+
+
+class TestForcedMaximal:
+    def test_prefix_masks_random(self, rng):
+        """Step k's mask is the inclusion maxima and the maxima of strata
+        0..k-1, for every step 0..n of the chain."""
+        for _ in range(200):
+            poset = poset_from_order(random_order(rng))
+            base = poset.base
+            filt = f_to_filtration(poset, random_monotone_f(rng, base))
+            forced = forced_maximal(poset, filt)
+            assert len(forced) == filt.n + 1
+            for step, mask in enumerate(forced):
+                expected = base.maximal(base.full_mask)
+                for j in range(step):
+                    expected |= base.maximal(filt.difference(j))
+                assert mask == expected
 
 
 class TestClassify:

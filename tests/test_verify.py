@@ -2,16 +2,26 @@ import random
 
 import pytest
 
-from conftest import brute_lower_sets, onestep, powerset, random_order, strict_pairs
+from conftest import (
+    brute_lower_sets,
+    onestep,
+    powerset,
+    random_monotone_f,
+    random_order,
+    strict_pairs,
+)
 from gspec import (
     ClosureOrder,
     ElementMismatch,
     Order,
+    SpFiltration,
     brute_force_discrete_law,
     brute_force_perfect_law,
     build_order,
     check_piecewise,
     check_refinement,
+    forced_maximal,
+    level_indices,
     mutate_discrete,
     mutate_perfect,
     preset,
@@ -91,7 +101,8 @@ class TestWitnesses:
 
     def failures(self, order):
         from gspec.verify import _baseline
-        reports = _baseline(self.poset, self.filt, 1, as_closure(order), True)
+        reports = _baseline(self.poset, self.filt, 1, as_closure(order), True,
+                            forced_maximal(self.poset, self.filt)[1], level_indices(self.filt))
         return {r.name: r.counterexample for r in reports if not r.passed}
 
     def test_baseline_witnesses(self):
@@ -107,6 +118,26 @@ class TestWitnesses:
         assert self.failures(self.poset.base) == {
             "order-1:maximal-difference": (("point", "p1"),),
         }
+
+    def test_levels_open_witness_matches_level_scan(self, rng):
+        """The one pass over covers names the least level that is not an
+        upper set, as a scan of every level does; levels are cut from a
+        level function that is monotone on the order or drawn at random."""
+        from gspec.verify import _first_unopen_level
+        outcomes = []
+        for _ in range(2000):
+            order = random_order(rng)
+            f = (random_monotone_f(rng, order) if rng.random() < 0.5 else
+                 {p: rng.randint(-1, 4) for p in order.elements})
+            values = [f[p] for p in order.elements]
+            levels = tuple(sum(1 << j for j, x in enumerate(values) if x >= i)
+                           for i in range(max(values) + 1))
+            filt = SpFiltration(order.elements, levels)
+            expected = next((i for i in range(filt.n)
+                             if not order.is_upper_set(filt.level(i))), None)
+            assert _first_unopen_level(order, level_indices(filt)) == expected
+            outcomes.append(expected)
+        assert outcomes.count(None) > 500 and {0, 1, 2, 3} <= set(outcomes)
 
     def test_piecewise_witnesses(self):
         mask = self.poset.base.mask
