@@ -552,17 +552,27 @@ def _cmd_check(args: argparse.Namespace) -> int:
     reports = verify.run_suite(poset, filt, _parse_annotations(args), args.policy)
     failed = [r for r in reports if not r.passed]
     if args.format == "json":
-        payload = {
-            "passed": not failed,
-            "reports": [r.to_json() for r in reports],
-        }
-        _emit(args, _dumps(payload))
+        _emit(args, _dumps({"passed": not failed, "reports": _reports_fragment(reports)}))
     else:
         lines = [f"PASS {r.name}" if r.passed else f"FAIL {_failure(r)}" for r in reports]
         _emit(args, "\n".join(lines) + "\n")
     if failed:
         raise GspecError(f"first failure: {_failure(failed[0])}")
     return 1 if warned else 0
+
+
+def _reports_fragment(reports: list[verify.PropertyReport]) -> _Fragment:
+    """The JSON list of the reports.  A passing report is its escaped name
+    in one template; a failing one is written from its dict."""
+    items = []
+    for r in reports:
+        if r.passed:
+            items.append('{\n    "name": ' + _escape(r.name) + ',\n    "passed": true\n  }')
+        else:
+            out: list[str] = []
+            _write(r.to_json(), "\n  ", out)
+            items.append("".join(out))
+    return _list_fragment(items)
 
 
 def _failure(report: verify.PropertyReport) -> str:

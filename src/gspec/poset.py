@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress
+from itertools import accumulate, compress
+from operator import or_
 from typing import Iterable, Iterator, NoReturn, Sequence
 
 DEFAULT_ENUMERATION_BOUND = 16
@@ -142,6 +143,36 @@ class Order:
             for j in bits(covers[i]):
                 down[j] |= down[i]
         return tuple(down)
+
+    @cached_property
+    def lower_sets(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Every lower set as a mask, in no particular order, and at the same
+        position the mask of its maximal points; :class:`SizeExceeded` above
+        ``DEFAULT_ENUMERATION_BOUND`` points.
+
+        The points are taken in a linear extension (by down-set size, so each
+        point comes after everything below it).  Each lower set found so far
+        branches on the next point: it is kept without the point, and also
+        with it when it already holds everything below the point.  Every
+        lower set is reached exactly once, so the cost follows the number of
+        lower sets rather than 2^n (Habib, Medina, Nourine and Steiner,
+        "Efficient algorithms on distributive lattices", DAM 2001).  A set
+        that takes the point keeps its maxima except those below the point,
+        and gains the point.
+        """
+        n = len(self.elements)
+        if n > DEFAULT_ENUMERATION_BOUND:
+            raise SizeExceeded(
+                f"{n} elements exceeds enumeration bound {DEFAULT_ENUMERATION_BOUND}")
+        down = self.down
+        found, maxima = [0], [0]
+        for i in sorted(range(n), key=lambda i: down[i].bit_count()):
+            bit = 1 << i
+            below = down[i] & ~bit
+            takes = [m & below == below for m in found]
+            found += [m | bit for m in compress(found, takes)]
+            maxima += [x & ~below | bit for x in compress(maxima, takes)]
+        return tuple(found), tuple(maxima)
 
     @cached_property
     def relation(self) -> frozenset[tuple[str, str]]:
@@ -316,13 +347,18 @@ def cb_filtration(order: Order) -> CbFiltration:
 
     In a finite T0 Alexandrov space the isolated points of a subspace are
     exactly its maximal elements, so each layer adds the maxima of what is
-    left."""
-    layers: list[int] = []
-    accumulated = 0
-    while accumulated != order.full_mask:
-        accumulated |= order.maximal(order.full_mask & ~accumulated)
-        layers.append(accumulated)
-    return CbFiltration(tuple(layers))
+    left, and a point joins at layer k exactly when its longest chain
+    upward has k edges.  Those depths are pushed down the covers, top first
+    (by up-set size)."""
+    up, covers = order.up, order.covers
+    depth = [0] * len(up)
+    for i in sorted(range(len(up)), key=lambda i: up[i].bit_count()):
+        if covers[i]:
+            depth[i] = max(map(depth.__getitem__, bits(covers[i]))) + 1
+    strata = [0] * (max(depth, default=-1) + 1)
+    for i, d in enumerate(depth):
+        strata[d] |= 1 << i
+    return CbFiltration(tuple(accumulate(strata, or_)))
 
 
 @dataclass(frozen=True)
@@ -338,19 +374,16 @@ def check_axioms(order: Order) -> AxiomReport:
     """Check T0 (no other point lies both above and below a point) and
     soberness, by the unique-maximal-element criterion: a closed set is
     irreducible exactly when it has a single maximal point, and it must
-    then be the closure of that point."""
+    then be the closure of that point.  The maxima are the ones
+    :attr:`Order.lower_sets` carries beside each set."""
     failures: list[str] = []
     t0 = all(u & d == 1 << i for i, (u, d) in enumerate(zip(order.up, order.down)))
     if not t0:
         failures.append("t0")
 
-    # A point outside a set never passes the test, so no member scan is needed.
-    points = [(u, 1 << i) for i, u in enumerate(order.up)]
-    reducible: list[frozenset[str]] = []
-    for closed in closed_masks(order):
-        maxima = [bit for u, bit in points if u & closed == bit]
-        if len(maxima) == 1 and closed != order.down[maxima[0].bit_length() - 1]:
-            reducible.append(order.names(closed))
+    down = order.down
+    reducible = [order.names(closed) for closed, top in zip(*order.lower_sets)
+                 if top and not top & (top - 1) and closed != down[top.bit_length() - 1]]
     reducible.sort(key=_by_size_then_names)
     failures.extend(f"sober:{sorted(closed)}" for closed in reducible)
 
@@ -358,27 +391,11 @@ def check_axioms(order: Order) -> AxiomReport:
 
 
 def closed_masks(order: Order) -> list[int]:
-    """Every lower set as a mask, in no particular order;
-    :class:`SizeExceeded` above ``DEFAULT_ENUMERATION_BOUND`` points.
-
-    The points are taken in a linear extension (by down-set size, so each
-    point comes after everything below it).  Each lower set found so far
-    branches on the next point: it is kept without the point, and also
-    with it when it already holds everything below the point.  Every lower
-    set is reached exactly once, so the cost follows the number of lower
-    sets rather than 2^n (Habib, Medina, Nourine and Steiner, "Efficient
-    algorithms on distributive lattices", DAM 2001).
-    """
-    n = len(order.elements)
-    if n > DEFAULT_ENUMERATION_BOUND:
-        raise SizeExceeded(f"{n} elements exceeds enumeration bound {DEFAULT_ENUMERATION_BOUND}")
-    down = order.down
-    found = [0]
-    for i in sorted(range(n), key=lambda i: down[i].bit_count()):
-        bit = 1 << i
-        below = down[i] & ~bit
-        found += [m | bit for m in found if m & below == below]
-    return found
+    """Every lower set as a mask, in no particular order:
+    :attr:`Order.lower_sets` without the maxima, so the enumeration runs
+    once per order; :class:`SizeExceeded` above
+    ``DEFAULT_ENUMERATION_BOUND`` points."""
+    return list(order.lower_sets[0])
 
 
 def _by_size_then_names(subset: frozenset[str]) -> tuple[int, list[str]]:

@@ -1,8 +1,10 @@
 """Property reports for the mutation engine.
 
-The two laws, ``t0`` and ``sober`` enumerate closed sets and share no code
-with the rewrite rules.  Refinement, piecewise, refines-inclusion,
-levels-open, strata-restriction and cb are direct mask checks.  Sandwich
+The two laws, ``t0`` and ``sober`` read closed sets from
+:attr:`Order.lower_sets`, enumerated once per order, and share no code with
+the rewrite rules.  Refinement, piecewise, refines-inclusion, levels-open,
+strata-restriction and cb are direct mask checks; cb tests the layers
+against the up-sets, not the covers :func:`cb_filtration` reads.  Sandwich
 (through ``mutation.mutate_general``, whose lower bound is the rules' split)
 and maximal-difference (through ``filtration.forced_maximal``, which the
 bracket's pruning also reads) reuse engine definitions.
@@ -249,14 +251,11 @@ def _baseline(
     out.append(PropertyReport(f"{tag}:levels-open",
                               None if bad_level is None else _witness(level=bad_level)))
 
-    bad_stratum = next(
-        (stratum for stratum in map(filt.difference, range(filt.n + 1))
-         if _least_change(order, base, stratum)),
-        None,
-    )
+    bad_stratum = _first_changed_stratum(order, base, level_of)
     out.append(PropertyReport(
         f"{tag}:strata-restriction",
-        None if bad_stratum is None else _witness(stratum=order.names(bad_stratum))))
+        None if bad_stratum is None else
+        _witness(stratum=order.names(filt.difference(bad_stratum)))))
 
     not_maximal = forced & ~order.maximal(order.full_mask)
     out.append(PropertyReport(
@@ -276,16 +275,36 @@ def _first_unopen_level(order: Order, level_of: list[int]) -> int | None:
                 for g in select(level_of, m) if g < f), default=None)
 
 
+def _first_changed_stratum(order: Order, base: Order, level_of: list[int]) -> int | None:
+    """The least index i of a stratum V_{i-1} minus V_i inside which ``order``
+    and ``base`` relate a pair differently, or ``None`` when they agree
+    inside every stratum.  A point of level f lies in stratum f + 1, so each
+    row is compared once, inside its own point's stratum."""
+    strata = [0] * (max(level_of, default=-1) + 2)
+    for j, f in enumerate(level_of):
+        strata[f + 1] |= 1 << j
+    return min((f + 1 for f, a, b in zip(level_of, order.up, base.up)
+                if (a ^ b) & strata[f + 1]), default=None)
+
+
 def _cb_sanity(order: Order, name: str) -> PropertyReport:
-    """Rank equals the longest chain; each layer adds the points whose
-    minimal open set has shrunk to themselves (recomputed independently)."""
-    cb = cb_filtration(order)
-    if cb.rank != longest_chain(order):
-        return PropertyReport(
-            name, _witness(rank=cb.rank, chain=longest_chain(order))
-        )
+    """The Cantor-Bendixson report of ``order``'s :func:`cb_filtration`."""
+    return _cb_report(order, cb_filtration(order).layers, name)
+
+
+def _cb_report(order: Order, layers: tuple[int, ...], name: str) -> PropertyReport:
+    """Rank equals the longest chain, and each layer X_k adds the points
+    whose minimal open set has shrunk to themselves once X_(k-1) is taken
+    away.  The layers are tested point by point against the up-sets
+    (:func:`_peels`), not the covers :func:`cb_filtration` reads; only a
+    failure peels the maxima layer by layer, for its witness."""
+    chain = longest_chain(order)
+    if len(layers) - 1 != chain:
+        return PropertyReport(name, _witness(rank=len(layers) - 1, chain=chain))
+    if _peels(order, layers):
+        return PropertyReport(name)
     accumulated = 0
-    for layer in cb.layers:
+    for layer in layers:
         remaining = order.full_mask & ~accumulated
         isolated = sum(
             1 << i for i in bits(remaining) if order.up[i] & remaining == 1 << i
@@ -296,3 +315,16 @@ def _cb_sanity(order: Order, name: str) -> PropertyReport:
     if accumulated != order.full_mask:
         return PropertyReport(name, _witness(layer=order.names(accumulated)))
     return PropertyReport(name)
+
+
+def _peels(order: Order, layers: tuple[int, ...]) -> bool:
+    """The layers nest, end at the full mask, and each point p entering at
+    layer k has up[p] minus X_(k-1) equal to {p} and, for k > 0, up[p] minus
+    X_(k-2) not: p is isolated there and was not one layer earlier."""
+    up, before, earlier = order.up, 0, 0
+    for k, layer in enumerate(layers):
+        if before & ~layer or any(up[p] & ~before != 1 << p or k and up[p] & ~earlier == 1 << p
+                                  for p in bits(layer & ~before)):
+            return False
+        before, earlier = layer, before
+    return before == order.full_mask

@@ -700,6 +700,27 @@ class TestJsonWriter:
                     assert _dumps(wrap(_bounded_json(bounded))) == \
                         json.dumps(wrap(expected), indent=2, sort_keys=True) + "\n"
 
+    def test_check_reports_match_json_module(self, capsys, monkeypatch):
+        """``check``'s reports, passing ones written from one template and
+        failing ones from their dicts, give the json module's bytes; names
+        and witnesses carry quotes, backslashes, newlines and non-ASCII
+        text."""
+        texts = ["plain", 'a"b', "back\\slash", "new\nline", "\u00e9", "\U0001f600", ""]
+        reports = []
+        for k, text in enumerate(texts):
+            reports.append(verify.PropertyReport(f"order-{k}:{text}"))
+            reports.append(verify.PropertyReport(
+                f"step-{k}:{text}", (("pair", f"({text},m)"), ("set", "{" + text + "}"))))
+        for chosen in (reports[::2], reports, reports[1::2], []):
+            monkeypatch.setattr(verify, "run_suite", lambda *args: chosen)
+            code, out, _ = run(capsys, "check", "--preset", "LOC2", "--levels", '[["m"]]',
+                               "--format", "json")
+            failed = [r for r in chosen if not r.passed]
+            assert code == (1 if failed else 0)
+            assert out == json.dumps({"passed": not failed,
+                                      "reports": [r.to_json() for r in chosen]},
+                                     indent=2, sort_keys=True) + "\n"
+
     def test_every_json_output_is_canonical(self, capsys):
         compared = 0
         for name in PRESET_NAMES:

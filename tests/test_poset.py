@@ -211,6 +211,24 @@ class TestCbFiltration:
         assert cb.rank == -1
         assert cb.layers == ()
 
+    def test_matches_layer_peeling(self):
+        """Layers by depth along the covers equal the maxima peeled one
+        layer at a time, on the empty order, a tall chain and random
+        orders."""
+        def peel(order):
+            layers, accumulated = [], 0
+            while accumulated != order.full_mask:
+                accumulated |= order.maximal(order.full_mask & ~accumulated)
+                layers.append(accumulated)
+            return tuple(layers)
+
+        rng = random.Random(20261020)
+        names = [f"c{i:02d}" for i in range(60)]
+        orders = [build_order([], []), build_order(names, zip(names, names[1:]))]
+        orders += [random_order(rng, max_size=16) for _ in range(500)]
+        for order in orders:
+            assert cb_filtration(order).layers == peel(order)
+
 
 class TestCheckAxioms:
     def test_t0_always(self):
@@ -258,12 +276,17 @@ class TestEnumerateClosedSets:
             enumerate_closed_sets(big)
 
     def test_closed_masks_match_definition(self):
+        """The enumeration reaches each lower set once, and the maxima it
+        carries beside a set are the set's maximal points."""
         rng = random.Random(20261019)
-        for _ in range(200):
-            order = random_order(rng, max_size=12)
+        orders = [build_order([], [])] + [random_order(rng, max_size=12) for _ in range(200)]
+        for order in orders:
             masks = closed_masks(order)
             assert len(set(masks)) == len(masks)
             assert {order.names(m) for m in masks} == brute_lower_sets(order)
+            found, maxima = order.lower_sets
+            assert list(found) == masks
+            assert list(maxima) == [order.maximal(m) for m in found]
 
     def test_chain_of_sixteen_has_seventeen_lower_sets(self):
         names = [f"x{i:02d}" for i in range(16)]

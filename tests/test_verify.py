@@ -10,18 +10,22 @@ from conftest import (
     random_order,
     strict_pairs,
 )
+from gspec import verify as verify_module
 from gspec import (
     ClosureOrder,
     ElementMismatch,
     Order,
+    PropertyReport,
     SpFiltration,
     brute_force_discrete_law,
     brute_force_perfect_law,
     build_order,
+    cb_filtration,
     check_piecewise,
     check_refinement,
     forced_maximal,
     level_indices,
+    longest_chain,
     mutate_discrete,
     mutate_perfect,
     preset,
@@ -139,6 +143,34 @@ class TestWitnesses:
             outcomes.append(expected)
         assert outcomes.count(None) > 500 and {0, 1, 2, 3} <= set(outcomes)
 
+    def test_strata_witness_matches_stratum_scan(self, rng):
+        """The one pass over the rows names the least stratum inside which
+        the two orders differ, as a scan of every stratum does; the second
+        order refines the first or is drawn at random on the same points,
+        and the level function is monotone or drawn at random."""
+        from gspec.verify import _first_changed_stratum, _least_change
+        outcomes = []
+        for _ in range(2000):
+            base = random_order(rng)
+            els = base.elements
+            if rng.random() < 0.5:
+                pairs = [p for p in sorted(strict_pairs(base)) if rng.random() < 0.8]
+            else:
+                pairs = [(p, q) for i, p in enumerate(els) for q in els[i + 1:]
+                         if rng.random() < 0.3]
+            order = build_order(els, pairs)
+            f = (random_monotone_f(rng, base) if rng.random() < 0.5 else
+                 {p: rng.randint(-1, 4) for p in els})
+            values = [f[p] for p in els]
+            levels = tuple(sum(1 << j for j, x in enumerate(values) if x >= i)
+                           for i in range(max(values) + 1))
+            filt = SpFiltration(els, levels)
+            expected = next((i for i in range(filt.n + 1)
+                             if _least_change(order, base, filt.difference(i))), None)
+            assert _first_changed_stratum(order, base, level_indices(filt)) == expected
+            outcomes.append(expected)
+        assert outcomes.count(None) > 200 and {0, 1, 2, 3} <= set(outcomes)
+
     def test_piecewise_witnesses(self):
         mask = self.poset.base.mask
         report = check_piecewise(self.incl, self.incl, mask({"m"}))
@@ -148,6 +180,73 @@ class TestWitnesses:
         tilted = as_closure(build_order(self.els, [("p1", "o")]))
         report = check_piecewise(self.incl, tilted, mask({"o"}))
         assert report.counterexample == (("E", "{o}"), ("reason", "E not closed after"))
+
+
+def peeling_report(order, layers, name):
+    """The layer-by-layer Cantor-Bendixson check, kept as the reference for
+    the point-by-point one: rank equals the longest chain, and each layer
+    adds the points isolated in what the layers before it leave."""
+    def layer_witness(mask):
+        return PropertyReport(name, (("layer", "{" + ",".join(sorted(order.names(mask))) + "}"),))
+
+    if len(layers) - 1 != longest_chain(order):
+        return PropertyReport(name, (("chain", str(longest_chain(order))),
+                                     ("rank", str(len(layers) - 1))))
+    accumulated = 0
+    for layer in layers:
+        isolated = order.maximal(order.full_mask & ~accumulated)
+        if layer != accumulated | isolated:
+            return layer_witness(layer)
+        accumulated |= isolated
+    if accumulated != order.full_mask:
+        return layer_witness(accumulated)
+    return PropertyReport(name)
+
+
+def corrupted_layers(rng, layers):
+    """The layers themselves and a corruption of each kind: a point dropped
+    from every layer (the chain then stops short of the full set) or from
+    one layer after the one it enters (the layers then do not nest), a
+    point moved one layer up or down, a layer repeated (with and without
+    the last layer left out), the last layer left out, and a random chain
+    of masks."""
+    layers = list(layers)
+    if not layers:
+        return [layers, [0]]
+    k = rng.randrange(len(layers))
+    entering = layers[k] & ~(layers[k - 1] if k else 0)
+    p = 1 << rng.choice([j for j in range(entering.bit_length()) if entering >> j & 1])
+    full = layers[-1]
+    out = [layers,
+           layers[:k] + [m & ~p for m in layers[k:]],
+           layers[:k] + [layers[k] & ~p] + (layers[k + 1:] or [full]),
+           layers[:k + 1] + layers[k:],
+           layers[:k + 1] + layers[k:-1],
+           layers[:-1],
+           sorted(rng.randint(0, full) for _ in layers[:-1]) + [full]]
+    if k:
+        q = 1 << rng.choice([j for j in range(layers[k - 1].bit_length())
+                             if layers[k - 1] >> j & 1])
+        out.append(layers[:k - 1] + [layers[k - 1] | p] + layers[k:])
+        out.append(layers[:k] + [layers[k] & ~q] + layers[k + 1:])
+    return out
+
+
+class TestCbReport:
+    def test_matches_peeling_on_correct_and_corrupted_layers(self, rng):
+        """Testing each point against the up-sets gives the peeling's verdict
+        and witness on correct layers and on every kind of corruption."""
+        from gspec.verify import _cb_report
+        names = [f"c{i:02d}" for i in range(12)]
+        orders = [build_order([], []), build_order(names, zip(names, names[1:]))]
+        orders += [random_order(rng, 10) for _ in range(600)]
+        verdicts = set()
+        for order in orders:
+            for layers in corrupted_layers(rng, cb_filtration(order).layers):
+                expected = peeling_report(order, tuple(layers), "cb")
+                assert _cb_report(order, tuple(layers), "cb") == expected, layers
+                verdicts.add(expected.counterexample[-1][0] if expected.counterexample else "pass")
+        assert verdicts == {"pass", "layer", "rank"}
 
 
 class TestDiscreteLaw:
@@ -321,6 +420,71 @@ class TestRunSuite:
         names = [r.name for r in reports]
         assert "step-2:piecewise-upper" in names
         assert all(r.passed for r in reports)
+
+    def test_suite_enumerates_each_order_once(self, monkeypatch):
+        """On LOC2 with 14 height-one primes (16 points), both laws and
+        check_axioms read each order's lower sets from one enumeration."""
+        from functools import cached_property
+
+        from gspec import load_prime_poset
+        enumerate_ = Order.__dict__["lower_sets"].func
+        enumerated = []
+
+        def counted(order):
+            enumerated.append(order)
+            return enumerate_(order)
+
+        prop = cached_property(counted)
+        prop.__set_name__(Order, "lower_sets")
+        monkeypatch.setattr(Order, "lower_sets", prop)
+        primes = [f"p{i:02d}" for i in range(14)]
+        covers = [["o", p] for p in primes] + [[p, "m"] for p in primes]
+        poset = load_prime_poset({"elements": ["o", *primes, "m"], "covers": covers})
+        for levels, laws in (([{"m"}, {"m"}], {"step-2:perfect-law"}),
+                             ([{"m", *primes}, {"m"}], {"step-1:discrete-law",
+                                                        "step-2:perfect-law"})):
+            enumerated.clear()
+            reports = run_suite(poset, validate_filtration(poset, levels))
+            assert all(r.passed for r in reports)
+            assert laws | {"order-2:sober"} <= {r.name for r in reports}
+            assert len({id(order) for order in enumerated}) == len(enumerated) >= 2
+
+    def test_tall_chain_cb_and_strata_steps_grow_quadratically(self, monkeypatch):
+        """Over every exact order of a chain's height-filtration run, the
+        mask steps of the cb and strata-restriction checks grow about 4x
+        when the chain doubles (n orders, each one pass), not 8x (a pass
+        per layer of each order)."""
+        from gspec import chain_order, height_filtration, load_prime_poset
+        from gspec import poset as poset_module
+        from gspec.verify import _cb_sanity, _first_changed_stratum
+        steps = [0]
+
+        def counting(fn):
+            def counted(*args):
+                for item in fn(*args):
+                    steps[0] += 1
+                    yield item
+            return counted
+
+        for module in (poset_module, verify_module):
+            for name in ("bits", "select"):
+                monkeypatch.setattr(module, name, counting(getattr(module, name)))
+        counts = {}
+        for n in (100, 200):
+            names = [f"c{i:03d}" for i in range(n)]
+            poset = load_prime_poset({"elements": names,
+                                      "covers": [list(c) for c in zip(names, names[1:])]})
+            filt = height_filtration(poset)
+            orders = [poset.base] + [post.lower.order for _, post in chain_order(poset, filt)
+                                     if post.exact]
+            level_of = level_indices(filt)
+            steps[0] = 0
+            for order in orders:
+                assert _cb_sanity(order, "cb").passed
+                assert _first_changed_stratum(order, poset.base, level_of) is None
+            counts[n] = steps[0]
+        assert len(orders) == 200 and counts[100] > 0
+        assert counts[200] <= 4.5 * counts[100]
 
     def test_random_chains_all_pass(self):
         """Every step's pre is the previous step's bounds, the rule dispatch
