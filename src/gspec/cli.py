@@ -16,6 +16,7 @@ import argparse
 import functools
 import json
 import sys
+from operator import xor
 from typing import Collection, Iterable, Mapping, NoReturn
 
 from . import filtration as spf
@@ -338,24 +339,98 @@ def _list_fragment(items: list[str]) -> _Fragment:
     return _Fragment("[\n  " + ",\n  ".join(items) + "\n]" if items else "[]")
 
 
-def _order_fragments(order: Order, relations: bool = True) -> dict[str, _Fragment]:
-    """``elements``, ``covers`` and, if asked, ``relations`` (the strict
-    pairs) as JSON text.  Each name is escaped once; a pair is the text of
-    its smaller point's opening and its larger point's closing, so a
-    point's pairs are one join of closings, and ascending indices give
-    sorted pairs because the elements are sorted."""
-    names = list(map(_escape, order.elements))
-    lead = ["[\n    " + name + ",\n    " for name in names]
-    tail = [name + "\n  ]" for name in names]
+class _OrderWriter:
+    """The JSON text of one call's orders, all on the sorted ``elements``.
 
-    def pairs(masks: Iterable[int]) -> _Fragment:
-        return _list_fragment([opening + (",\n  " + opening).join(select(tail, m))
-                               for opening, m in zip(lead, masks) if m])
+    Each name is escaped once.  A row, the pairs of point ``i`` with the
+    points at the bits of a mask, is ``i``'s opening text and each larger
+    point's closing text, joined once per distinct ``(i, mask)`` and shared
+    by the covers and relations of every order the call writes.  An order's
+    covers and relations are written once, at depth 0, and placed at any
+    depth by indenting their newlines, so ``final`` reuses the last step's
+    text.  Documents are written from templates, keys in sorted order, into
+    :attr:`parts`.
+    """
 
-    fields = {"elements": _list_fragment(names), "covers": pairs(order.covers)}
-    if relations:
-        fields["relations"] = pairs(m & ~(1 << i) for i, m in enumerate(order.up))
-    return fields
+    def __init__(self, elements: tuple[str, ...]):
+        self._names = names = list(map(_escape, elements))
+        self.parts: list[str] = []
+        self._elements = _list_fragment(names)
+        self._bits = [1 << i for i in range(len(names))]
+        self._lead = ["[\n    " + name + ",\n    " for name in names]
+        self._tail = [name + "\n  ]" for name in names]
+        self._rows: list[dict[int, str]] = [{} for _ in names]
+        self._orders: dict[int, tuple[Order, str, str]] = {}
+        self._templates: dict[str, tuple[str, ...]] = {}
+
+    def _pairs(self, masks: Iterable[int]) -> str:
+        """A pair list with one row per nonzero mask, by ascending point:
+        pairs come out sorted because the elements are."""
+        tail = self._tail
+        rows = [known.get(m) or known.setdefault(
+                    m, opening + (",\n  " + opening).join(select(tail, m)))
+                for m, known, opening in zip(masks, self._rows, self._lead) if m]
+        return "[\n  " + ",\n  ".join(rows) + "\n]" if rows else "[]"
+
+    def _fields(self, order: Order) -> tuple[Order, str, str]:
+        """``order`` (held, so its id stays its own), its covers and its
+        relations (the strict pairs) at depth 0."""
+        fields = self._orders.get(id(order))
+        if fields is None:
+            fields = self._orders[id(order)] = (
+                order, self._pairs(order.covers), self._pairs(map(xor, order.up, self._bits)))
+        return fields
+
+    def _template(self, newline: str) -> tuple[str, ...]:
+        """The fixed texts of an order whose key starts a line at ``newline``."""
+        template = self._templates.get(newline)
+        if template is None:
+            inner = newline + "  "
+            template = self._templates[newline] = (
+                inner, "{" + inner + '"covers": ',
+                "," + inner + '"elements": ' + self._elements.replace("\n", inner)
+                + "," + inner + '"provenance": ',
+                "," + inner + '"relations": ', newline + "}")
+        return template
+
+    def names_at(self, mask: int, newline: str) -> str:
+        """The JSON list of the names at the bits of ``mask``."""
+        return _string_list(select(self._names, mask), newline)
+
+    def order(self, co: mut.ClosureOrder, newline: str) -> None:
+        """Append ``co``'s fields and provenance; its key starts a line at
+        ``newline``."""
+        inner, opening, elements, relations_key, closing = self._template(newline)
+        _, covers, relations = self._fields(co.order)
+        self.parts += (opening, covers.replace("\n", inner), elements,
+                       _string_list(map(_escape, co.provenance), inner),
+                       relations_key, relations.replace("\n", inner), closing)
+
+    def bracket(self, bounded: mut.BoundedOrder, newline: str) -> None:
+        """Append a bracket: one order when exact, else its two bounds."""
+        inner = newline + "  "
+        if bounded.exact:
+            self.parts.append("{" + inner + '"exact": true,' + inner + '"order": ')
+            self.order(bounded.lower, inner)
+        else:
+            self.parts.append("{" + inner + '"exact": false,' + inner + '"lower": ')
+            self.order(bounded.lower, inner)
+            self.parts.append("," + inner + '"upper": ')
+            self.order(bounded.upper, inner)
+        self.parts.append(newline + "}")
+
+    def validation(self, order: Order, heights: Mapping[str, int]) -> None:
+        """Append ``validate``'s document: covers, elements and heights."""
+        self.parts += ('{\n  "covers": ', self._pairs(order.covers).replace("\n", "\n  "),
+                       ',\n  "elements": ', self._elements.replace("\n", "\n  "),
+                       ',\n  "heights": ')
+        _write(dict(sorted(heights.items())), "\n  ", self.parts)
+        self.parts.append("\n}")
+
+    def text(self) -> str:
+        """The document appended so far, with its closing newline."""
+        self.parts.append("\n")
+        return "".join(self.parts)
 
 
 def hasse_dot(order: Order, heights: Mapping[str, int]) -> str:
@@ -377,18 +452,42 @@ def _quote(name: str) -> str:
     return f'"{escaped}"'
 
 
-def _order_json(co: mut.ClosureOrder) -> dict:
-    return {**_order_fragments(co.order), "provenance": co.provenance}
+def _string_list(escaped: Iterable[str], newline: str) -> str:
+    """A JSON list of escaped strings (never empty texts) at ``newline``."""
+    inner = newline + "  "
+    text = ("," + inner).join(escaped)
+    return "[" + inner + text + newline + "]" if text else "[]"
 
 
-def _bounded_json(bounded: mut.BoundedOrder) -> dict:
-    if bounded.exact:
-        return {"exact": True, "order": _order_json(bounded.lower)}
-    return {
-        "exact": False,
-        "lower": _order_json(bounded.lower),
-        "upper": _order_json(bounded.upper),
-    }
+def _bracket_json(elements: tuple[str, ...], bounded: mut.BoundedOrder) -> str:
+    """The JSON document of one bracket (``closure`` and ``mutate``)."""
+    writer = _OrderWriter(elements)
+    writer.bracket(bounded, "\n")
+    return writer.text()
+
+
+def _steps_json(elements: tuple[str, ...],
+                steps: list[tuple[mut.MutationStep, mut.BoundedOrder]],
+                final: mut.BoundedOrder) -> str:
+    """The ``closure --steps`` document; ``final`` is the last step's result,
+    so its orders' text is written once."""
+    writer = _OrderWriter(elements)
+    parts, at = writer.parts, "\n      "  # a step's keys start lines at ``at``
+    parts.append('{\n  "final": ')
+    writer.bracket(final, "\n  ")
+    parts.append(',\n  "steps": [' if steps else ',\n  "steps": []')
+    opening = '\n    {\n      "class": '
+    for step, post in steps:
+        parts += (opening, writer.names_at(step.mutation_class, at),
+                  ',\n      "index": ', int.__repr__(step.index),
+                  ',\n      "perfect": ', "true" if step.perfect else "false",
+                  ',\n      "result": ')
+        writer.bracket(post, at)
+        parts += (',\n      "rule": ', _escape(step.rule),
+                  ',\n      "support": ', writer.names_at(step.support, at), "\n    }")
+        opening = ',\n    {\n      "class": '
+    parts.append("\n  ]\n}" if steps else "\n}")
+    return writer.text()
 
 
 def _order_text(order: Order) -> str:
@@ -402,7 +501,7 @@ def _order_text(order: Order) -> str:
 def _render_bounded(args: argparse.Namespace, poset: PrimePoset,
                     bounded: mut.BoundedOrder) -> str:
     if args.format == "json":
-        return _dumps(_bounded_json(bounded))
+        return _bracket_json(poset.base.elements, bounded)
     if args.format == "dot":
         render, heads = (lambda order: hasse_dot(order, poset.height)), (
             "// inexact result: lower bound\n", "// inexact result: upper bound\n")
@@ -427,8 +526,9 @@ def _cmd_presets(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     poset = _load_poset(args)
     if args.format == "json":
-        _emit(args, _dumps({**_order_fragments(poset.base, relations=False),
-                            "heights": dict(sorted(poset.height.items()))}))
+        writer = _OrderWriter(poset.base.elements)
+        writer.validation(poset.base, poset.height)
+        _emit(args, writer.text())
     else:
         covers = sum(m.bit_count() for m in poset.base.covers)
         _emit(args, f"{len(poset.base.elements)} primes, {covers} covers\n")
@@ -471,23 +571,7 @@ def _cmd_closure(args: argparse.Namespace) -> int:
 
     if args.steps:
         if args.format == "json":
-            # The final order is the last step's result: build its dict once.
-            results = [_bounded_json(post) for _, post in steps]
-            payload = {
-                "steps": [
-                    {
-                        "index": step.index,
-                        "rule": step.rule,
-                        "perfect": step.perfect,
-                        "support": list(select(poset.base.elements, step.support)),
-                        "class": list(select(poset.base.elements, step.mutation_class)),
-                        "result": result,
-                    }
-                    for (step, _), result in zip(steps, results)
-                ],
-                "final": results[-1] if steps else _bounded_json(final),
-            }
-            text = _dumps(payload)
+            text = _steps_json(poset.base.elements, steps, final)
         else:
             prefix = "// " if args.format == "dot" else ""
             chunks = []

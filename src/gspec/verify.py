@@ -26,7 +26,6 @@ from .poset import (
     check_axioms,
     closed_masks,
     longest_chain,
-    select,
 )
 from .spectra import PrimePoset
 
@@ -270,9 +269,10 @@ def _first_unopen_level(order: Order, level_of: list[int]) -> int | None:
     """The least index of a level that is not an upper set of ``order``, or
     ``None`` when every level is one; ``level_of`` is the level function by
     point index.  Every level is open exactly when the function never drops
-    along a cover, and a drop along p < q first breaks level f(q) + 1."""
-    return min((g + 1 for f, m in zip(level_of, order.covers)
-                for g in select(level_of, m) if g < f), default=None)
+    along a cover, and a drop along p < q first breaks level f(q) + 1.  Only
+    points with covers are stepped, one step per cover."""
+    return min((level_of[j] + 1 for f, m in zip(level_of, order.covers) if m
+                for j in bits(m) if level_of[j] < f), default=None)
 
 
 def _first_changed_stratum(order: Order, base: Order, level_of: list[int]) -> int | None:

@@ -23,7 +23,7 @@ from gspec import (
 )
 from gspec import mutation as mut
 from gspec import cli, verify
-from gspec.cli import _bounded_json, _dumps, main
+from gspec.cli import _dumps, main
 from test_readme import COMMANDS as README_COMMANDS
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -668,11 +668,16 @@ class TestJsonWriter:
             _dumps(value)
 
     def test_order_fragments_match_json_module(self):
-        """Orders written from their masks as pre-written text give the bytes
-        of the same data built from pairs, at any depth; names carry quotes,
+        """The order writer gives the json module's bytes for the documents
+        of ``closure --steps``, ``closure`` and ``mutate``: exact and inexact
+        brackets at the step depth and at the ``final`` depth, empty chains
+        and chains of several steps whose orders share rows, objects and
+        equal masks.  Names, rules and provenance carry quotes,
         backslashes, newlines and non-ASCII text to exercise escaping."""
         rng = random.Random(8)
         prefixes = ["", '"', "\\", "\n", "\u00e9", "\U0001f600", "a b"]
+        rules = [mut.RULE_ONESTEP, mut.RULE_DISCRETE, mut.RULE_PERFECT, mut.RULE_BOUNDED,
+                 'odd "rule"\\\n\u00e9']
 
         def plain(co):
             return {"elements": list(co.order.elements),
@@ -680,25 +685,53 @@ class TestJsonWriter:
                     "covers": [list(p) for p in covering_pairs(co.order)],
                     "provenance": list(co.provenance)}
 
+        def plain_bracket(bounded):
+            if bounded.exact:
+                return {"exact": True, "order": plain(bounded.lower)}
+            return {"exact": False, "lower": plain(bounded.lower), "upper": plain(bounded.upper)}
+
+        def canonical(value):
+            return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
         orders = [build_order([], [])]
         for _ in range(300):
             order = random_order(rng, max_size=14)
             rename = {p: rng.choice(prefixes) + p for p in order.elements}
             orders.append(build_order(rename.values(),
                                       [(rename[p], rename[q]) for p, q in strict_pairs(order)]))
+        compared = {"exact": 0, "inexact": 0, "empty": 0, "shared": 0}
         for order in orders:
-            kept = [c for c in covering_pairs(order) if rng.random() < 0.5]
-            upper = mut.ClosureOrder(order, ("standard", 'discrete at {"x"}'))
-            lower = mut.ClosureOrder(build_order(order.elements, kept), ("lower",))
-            bracket = ({"exact": True, "order": plain(lower)} if lower.order == order else
-                       {"exact": False, "lower": plain(lower), "upper": plain(upper)})
-            for bounded, expected in [
-                (mut.exact_bounds(upper), {"exact": True, "order": plain(upper)}),
-                (mut.BoundedOrder(lower, upper), bracket),
-            ]:
-                for wrap in (lambda x: x, lambda x: {"steps": [{"result": x}], "final": x}):
-                    assert _dumps(wrap(_bounded_json(bounded))) == \
-                        json.dumps(wrap(expected), indent=2, sort_keys=True) + "\n"
+            els = order.elements
+            brackets = []
+            for _ in range(rng.randint(1, 4)):
+                kept = [c for c in covering_pairs(order) if rng.random() < 0.5]
+                provenance = tuple(rng.choice(prefixes) + rng.choice(rules)
+                                   for _ in range(rng.randint(0, 3)))
+                upper = mut.ClosureOrder(rng.choice([order, build_order(els, strict_pairs(order))]),
+                                         ("standard", 'discrete at {"x"}', *provenance))
+                lower = mut.ClosureOrder(build_order(els, kept), provenance)
+                brackets += [mut.exact_bounds(upper), mut.BoundedOrder(lower, upper),
+                             mut.BoundedOrder(upper, mut.ClosureOrder(upper.order, ("upper",)))]
+            brackets = rng.sample(brackets, rng.randint(1, len(brackets)))
+            for bounded in brackets:
+                compared["exact" if bounded.exact else "inexact"] += 1
+                assert cli._bracket_json(els, bounded) == canonical(plain_bracket(bounded))
+            steps = []
+            for bounded in brackets:
+                support, mutation_class = rng.getrandbits(len(els)), rng.getrandbits(len(els))
+                rule = rng.choice(rules)
+                step = mut.MutationStep(len(steps) + 1, support, mutation_class, rule,
+                                        rng.choice(brackets), bounded)
+                steps.append((step, bounded))
+            for chain, final in ((steps, steps[-1][1]), ([], brackets[0])):
+                compared["shared" if len(chain) > 1 else "empty" if not chain else "exact"] += 1
+                expected = {"final": plain_bracket(final), "steps": [
+                    {"index": step.index, "rule": step.rule, "perfect": step.perfect,
+                     "support": [p for j, p in enumerate(els) if step.support >> j & 1],
+                     "class": [p for j, p in enumerate(els) if step.mutation_class >> j & 1],
+                     "result": plain_bracket(post)} for step, post in chain]}
+                assert cli._steps_json(els, chain, final) == canonical(expected)
+        assert min(compared.values()) >= 100, compared
 
     def test_check_reports_match_json_module(self, capsys, monkeypatch):
         """``check``'s reports, passing ones written from one template and
@@ -755,6 +788,50 @@ class TestJsonWriter:
                   for b in (bounds.lower, bounds.upper)]
         assert len(orders) == 8
         assert not [o for o in orders if "relation" in o.__dict__]
+
+    def test_closure_json_joins_each_row_once(self, capsys, monkeypatch):
+        """Over the orders of one ``closure --steps`` call, each distinct
+        ``(point, mask)`` row of covers and relations is joined once, and
+        each order's covers and relations are listed once, though ``final``
+        repeats the last step's bracket and the orders repeat rows."""
+        seen, original = [], mut.chain_order
+        writers, joins, lists, select = [], [], [0], cli.select
+
+        def chain_order(*args):
+            seen.extend(chain := original(*args))
+            return chain
+
+        class Writer(cli._OrderWriter):
+            def __init__(self, elements):
+                super().__init__(elements)
+                writers.append(self)
+
+            def _pairs(self, masks):
+                lists[0] += 1
+                return super()._pairs(masks)
+
+        def counted(items, mask):
+            if any(items is w._tail for w in writers):
+                joins.append(mask)
+            return select(items, mask)
+
+        monkeypatch.setattr("gspec.cli.mut.chain_order", chain_order)
+        monkeypatch.setattr(cli, "_OrderWriter", Writer)
+        monkeypatch.setattr(cli, "select", counted)
+        code, out, _ = run(capsys, "closure", "--preset", "LOC3", "--policy", "assume-coherent",
+                           "--levels", '[["m","r1","r2","r3"],["m"]]', "--steps",
+                           "--format", "json")
+        assert code == 0 and json.loads(out)["final"]["exact"] is False
+        assert len(writers) == 1
+        assert len([b for step, post in seen for bounds in (step.pre, post)
+                    for b in (bounds.lower, bounds.upper)]) == 8
+        written = {id(b.order): b.order for _, post in seen
+                   for b in ((post.lower,) if post.exact else (post.lower, post.upper))}
+        placed = [(i, m) for order in written.values()
+                  for masks in (order.covers, [u & ~(1 << i) for i, u in enumerate(order.up)])
+                  for i, m in enumerate(masks) if m]
+        assert len(joins) == len(set(placed)) < len(placed)
+        assert lists[0] == 2 * len(written)
 
     def test_engine_never_calls_the_name_based_oracle(self, capsys, monkeypatch):
         calls, row_verdicts = [], PrimePoset.row_verdicts

@@ -466,8 +466,8 @@ class TestRunSuite:
                     yield item
             return counted
 
-        for module in (poset_module, verify_module):
-            for name in ("bits", "select"):
+        for module, names in ((poset_module, ("bits", "select")), (verify_module, ("bits",))):
+            for name in names:
                 monkeypatch.setattr(module, name, counting(getattr(module, name)))
         counts = {}
         for n in (100, 200):
@@ -485,6 +485,44 @@ class TestRunSuite:
             counts[n] = steps[0]
         assert len(orders) == 200 and counts[100] > 0
         assert counts[200] <= 4.5 * counts[100]
+
+    def test_levels_open_steps_once_per_cover(self, monkeypatch):
+        """``levels-open`` steps only the points that have covers, one step
+        per cover: over every order of a tall chain's height-filtration run
+        the steps are the orders' covers, so they grow about 4x when the
+        chain doubles, and a discrete order of 200 points takes none."""
+        from gspec import chain_order, height_filtration, load_prime_poset
+        from gspec.verify import _first_unopen_level
+        calls, steps, bits = [0], [0], verify_module.bits
+
+        def counted(mask):
+            calls[0] += 1
+            for j in bits(mask):
+                steps[0] += 1
+                yield j
+
+        monkeypatch.setattr(verify_module, "bits", counted)
+        counts = {}
+        for n in (100, 200):
+            names = [f"c{i:03d}" for i in range(n)]
+            poset = load_prime_poset({"elements": names,
+                                      "covers": [list(c) for c in zip(names, names[1:])]})
+            filt = height_filtration(poset)
+            orders = [poset.base] + [b.order for _, post in chain_order(poset, filt)
+                                     for b in (post.lower, post.upper)]
+            level_of = level_indices(filt)
+            calls[0] = steps[0] = 0
+            for order in orders:
+                assert _first_unopen_level(order, level_of) is None
+            assert calls[0] == sum(1 for o in orders for m in o.covers if m)
+            assert steps[0] == sum(m.bit_count() for o in orders for m in o.covers)
+            counts[n] = steps[0]
+        assert counts[100] > 0 and counts[200] <= 4.5 * counts[100]
+        discrete = Order(tuple(f"d{i:03d}" for i in range(200)),
+                         tuple(1 << i for i in range(200)))
+        calls[0] = steps[0] = 0
+        assert _first_unopen_level(discrete, [0] * 200) is None
+        assert calls[0] == steps[0] == 0
 
     def test_random_chains_all_pass(self):
         """Every step's pre is the previous step's bounds, the rule dispatch
