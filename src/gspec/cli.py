@@ -53,8 +53,11 @@ def main(argv: list[str] | None = None) -> int:
         # A command's own parser reads the rest of its argv; the top-level
         # parser would classify every word before handing them to it, so it
         # reads only an argv that names no command (and prints its help).
+        # A well-formed argv skips argparse too; it reads every other argv,
+        # so help, usage errors and abbreviations stay its own.
         if argv and argv[0] in commands:
-            args = commands[argv[0]].parse_args(argv[1:])
+            command = commands[argv[0]]
+            args = _plain_args(command, argv[1:]) or command.parse_args(argv[1:])
         else:
             args = parser.parse_args(argv)
         return args.handler(args)
@@ -133,6 +136,54 @@ def _build_parser() -> tuple[argparse.ArgumentParser, Mapping[str, argparse.Argu
     command("check", "run the brute-force property suite", _cmd_check, *engine, output_args)
 
     return parser, sub.choices
+
+
+@functools.cache
+def _option_table(parser: argparse.ArgumentParser) -> tuple[
+        dict[str, tuple[str, bool, Collection[str] | None]], dict[str, object], frozenset[str]]:
+    """``parser``'s exact long options that store one untyped value or
+    ``True``, each as (destination, takes a value, choices); the values it
+    gives every destination no word sets; the destinations it requires."""
+    options = {}
+    for action in parser._actions:
+        if type(action) is argparse._StoreTrueAction or (
+                type(action) is argparse._StoreAction
+                and action.nargs is None and action.type is None):
+            for option in action.option_strings:
+                if option.startswith("--"):
+                    options[option] = (action.dest, action.nargs is None, action.choices)
+    defaults = {**parser._defaults, **{
+        action.dest: action.default for action in parser._actions
+        if argparse.SUPPRESS not in (action.dest, action.default)}}
+    required = frozenset(action.dest for action in parser._actions if action.required)
+    return options, defaults, required
+
+
+def _plain_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace | None:
+    """The namespace ``parser`` builds from ``argv`` when every word is an
+    option of :func:`_option_table`, none repeats, every required one is
+    given, and each that takes a value is followed by a nonempty word that
+    does not start with ``-`` and is among its choices; None otherwise."""
+    options, defaults, required = _option_table(parser)
+    given: dict[str, object] = {}
+    words = iter(argv)
+    for word in words:
+        option = options.get(word)
+        if option is None:
+            return None
+        dest, takes_value, choices = option
+        if dest in given:
+            return None
+        if takes_value:
+            value = next(words, "")
+            if not value or value[0] == "-" or (choices is not None and value not in choices):
+                return None
+            given[dest] = value
+        else:
+            given[dest] = True
+    if not required <= given.keys():
+        return None
+    return argparse.Namespace(**(defaults | given))
 
 
 # -- input plumbing ----------------------------------------------------------

@@ -322,7 +322,7 @@ def covering_pairs(order: Order) -> tuple[tuple[str, str], ...]:
 
 def longest_chain(order: Order) -> int:
     """Length (edge count) of a longest chain; -1 for the empty order."""
-    return max(heights_by_longest_chain(order).values(), default=-1)
+    return max(_heights(order), default=-1)
 
 
 @dataclass(frozen=True)
@@ -409,8 +409,13 @@ def enumerate_closed_sets(order: Order) -> tuple[frozenset[str], ...]:
 
 
 def heights_by_longest_chain(order: Order) -> dict[str, int]:
-    """Height of each point as the longest chain strictly below it: a
-    longest chain climbs by covers, so heights are pushed along them."""
+    """Height of each point as the longest chain strictly below it."""
+    return dict(zip(order.elements, _heights(order)))
+
+
+def _heights(order: Order) -> list[int]:
+    """Each point's height by index: a longest chain climbs by covers, so
+    heights are pushed along them."""
     up, covers = order.up, order.covers
     height = [0] * len(up)
     # Everything strictly below a point has a larger up-set, so the point's
@@ -418,4 +423,4 @@ def heights_by_longest_chain(order: Order) -> dict[str, int]:
     for i in sorted(range(len(up)), key=lambda i: -up[i].bit_count()):
         for j in bits(covers[i]):
             height[j] = max(height[j], height[i] + 1)
-    return dict(zip(order.elements, height))
+    return height

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import random
@@ -296,6 +298,15 @@ PARSE_CORPUS = [shlex.split(line)[1:] for line in README_COMMANDS] + [
     ["mutate", "--preset", "LOC2"],
     ["presets", "x"],
 ]
+# Well-formed to argparse, but outside what the plain reader accepts.
+DECLINED = [
+    ["closure", "--preset", "LOC2", '--levels=[["m"]]'],
+    ["closure", "--preset", "LOC2", "--f", "-1"],
+    ["closure", "--preset", "LOC2", "--levels", '[["m"]]', "--steps", "--steps"],
+    ["closure", "--preset", "LOC2", "--levels", ""],
+    ["closure", "--preset", "LOC2", "--levels", '[["m"]]', "--"],
+]
+PARSE_CORPUS += DECLINED
 
 
 class TestParsePaths:
@@ -310,12 +321,86 @@ class TestParsePaths:
         assert run(capsys, *argv) == direct
 
     def test_command_skips_top_level_parser(self, capsys, monkeypatch):
+        """Every README command is read by the plain reader, so argparse
+        reads none of them."""
         def refuse(*args):
-            raise AssertionError("the top-level parser read a command's argv")
+            raise AssertionError("argparse read a well-formed argv")
 
-        monkeypatch.setattr(cli._build_parser()[0], "parse_args", refuse)
+        parser, commands = cli._build_parser()
+        for each in (parser, *commands.values()):
+            monkeypatch.setattr(each, "parse_args", refuse)
         for line in README_COMMANDS:
             assert run(capsys, *shlex.split(line)[1:])[0] == 0, line
+
+    def test_declined_argv_goes_to_argparse(self):
+        _, commands = cli._build_parser()
+        for argv in DECLINED:
+            assert cli._plain_args(commands[argv[0]], argv[1:]) is None, argv
+
+    def test_plain_reader_is_a_subset_of_argparse(self):
+        """Random argvs from each command's option strings, their prefixes,
+        ``=`` forms, help, ``--``, values argparse reads apart and unknown
+        words: a namespace from the plain reader is argparse's, and an argv
+        argparse rejects is never read."""
+        rng = random.Random(0)
+        odd_words = ["-h", "--help", "--", "--bogus", "extra", "-1", "-", "", "a b"]
+        for name, parser in cli._build_parser()[1].items():
+            options = {option: action for action in parser._actions
+                       for option in action.option_strings if option.startswith("--")}
+            values = {option: list(action.choices or ["x", '[["m"]]', "a b"]) + ["bad"]
+                      for option, action in options.items() if action.nargs is None}
+            words = odd_words + [option[:k] for option in options
+                                 for k in range(3, len(option) + 1)]
+            words += [f"{option}=x" for option in values]
+            accepted = 0
+            for _ in range(300):
+                argv = []
+                for _ in range(rng.randrange(6)):
+                    option = rng.choice(list(options))
+                    if rng.random() < 0.2:
+                        argv += [rng.choice(words), "x"][:rng.randrange(1, 3)]
+                    elif option in values and rng.random() < 0.9:
+                        argv += [option, rng.choice(values[option] + odd_words[-4:])]
+                    else:
+                        argv.append(option)
+                if name == "mutate" and rng.random() < 0.7:
+                    argv += ["--at", "[]"]
+                plain = cli._plain_args(parser, argv)
+                try:
+                    with contextlib.redirect_stdout(io.StringIO()):
+                        expected = vars(parser.parse_args(argv))
+                except (cli.UsageError, SystemExit):
+                    expected = None
+                if plain is not None:
+                    accepted += 1
+                    assert vars(plain) == expected, (name, argv)
+            assert accepted >= 30, (name, accepted)
+
+    def test_plain_reader_reads_benchmark_argvs(self, capsys, monkeypatch, tmp_path):
+        """A refactor that sends these back to argparse loses the plain
+        reader's speed; each shape of the benchmark's ops is here once."""
+        def refuse(*args):
+            raise AssertionError("argparse read a well-formed argv")
+
+        for parser in cli._build_parser()[1].values():
+            monkeypatch.setattr(parser, "parse_args", refuse)
+        doc = tmp_path / "loc2.json"
+        doc.write_text(json.dumps({"elements": ["o", "p1", "p2", "m"],
+                                   "covers": [["o", "p1"], ["o", "p2"],
+                                              ["p1", "m"], ["p2", "m"]]}), encoding="utf-8")
+        one_level = ["--file", str(doc), "--levels", '[["m"]]',
+                     "--policy", "assume-noncoherent", "--format", "json"]
+        f = ["--file", str(doc), "--f", '{"m": 0, "o": -1, "p1": -1, "p2": -1}']
+        for argv in (
+            ["closure", *f, "--policy", "assume-coherent", "--steps", "--format", "json"],
+            ["closure", *one_level, "--steps"],
+            ["cb", *one_level],
+            ["mutate", *one_level, "--at", '["o", "p1", "p2"]'],
+            ["filtration", *f, "--format", "json"],
+            ["check", *one_level],
+        ):
+            code, _, err = run(capsys, *argv)
+            assert (code, err) == (0, ""), argv
 
     def test_reads_sys_argv_by_default(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["gspec", "validate", "--preset", "LOC2"])

@@ -422,7 +422,7 @@ class TestOnestepConsistency:
         # x3 < x7: x0 < x3 then forces x0 < x7.  The constructor rejects the
         # relation as not transitive and onestep_order reports it with this
         # exact AssertionError, which the benchmark attributes by type and
-        # text.  ROADMAP item 2 (sound policies) replaces it with a bracket.
+        # text.  ROADMAP item 3 (sound policies) replaces it with a bracket.
         poset = load_prime_poset(REPRO_ITEM_2)
         with pytest.raises(AssertionError) as caught:
             onestep(poset, {"x5", "x7"}, POLICY_ASSUME_COHERENT)
