@@ -320,74 +320,11 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 _escape = json.encoder.encode_basestring_ascii
 
 
-def _dumps(value: object) -> str:
-    """Canonical JSON: the bytes the ``json`` module writes with ``indent=2``
-    and ``sort_keys=True``, plus a newline.
-
-    That module uses its C encoder only when ``indent`` is None, so the
-    indented form is written here, joining lists of strings in one step.
-    Takes dicts with string keys, lists, tuples, strings, ints, booleans,
-    None and :class:`_Fragment`; anything else raises :class:`TypeError`
-    (a key that is not a string fails to sort or to escape).
-    """
-    out: list[str] = []
-    _write(value, "\n", out)
-    out.append("\n")
-    return "".join(out)
-
-
-class _Fragment(str):
-    """JSON text already written as if at depth 0.  Escaped JSON strings hold
-    no raw newline, so every newline in it starts a line and it is placed at
-    any depth by indenting those."""
-
-
-def _write(value: object, newline: str, out: list[str]) -> None:
-    """Append the JSON of ``value``; ``newline`` starts a line at its depth."""
-    if isinstance(value, _Fragment):
-        out.append(value.replace("\n", newline))
-    elif isinstance(value, str):
-        out.append(_escape(value))
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key in sorted(value):
-            out.append(sep + _escape(key) + ": ")
-            _write(value[key], inner, out)
-            sep = "," + inner
-        out.append(newline + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        if set(map(type, value)) == {str}:
-            out.append("[" + inner + ("," + inner).join(map(_escape, value)) + newline + "]")
-        else:
-            sep = "[" + inner
-            for item in value:
-                out.append(sep)
-                _write(item, inner, out)
-                sep = "," + inner
-            out.append(newline + "]")
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _list_fragment(items: list[str]) -> _Fragment:
-    """A JSON list from the JSON text of its items, each written at depth 1."""
-    return _Fragment("[\n  " + ",\n  ".join(items) + "\n]" if items else "[]")
+def _list_fragment(items: list[str]) -> str:
+    """A JSON list at depth 0 from the JSON text of its items, each written
+    at depth 1.  Escaped JSON strings hold no raw newline, so every newline
+    in it starts a line and it is placed at any depth by indenting those."""
+    return "[\n  " + ",\n  ".join(items) + "\n]" if items else "[]"
 
 
 class _OrderWriter:
@@ -474,9 +411,9 @@ class _OrderWriter:
         """Append ``validate``'s document: covers, elements and heights."""
         self.parts += ('{\n  "covers": ', self._pairs(order.covers).replace("\n", "\n  "),
                        ',\n  "elements": ', self._elements.replace("\n", "\n  "),
-                       ',\n  "heights": ')
-        _write(dict(sorted(heights.items())), "\n  ", self.parts)
-        self.parts.append("\n}")
+                       ',\n  "heights": ',
+                       json.dumps(dict(heights), indent=2, sort_keys=True).replace("\n", "\n  "),
+                       "\n}")
 
     def text(self) -> str:
         """The document appended so far, with its closing newline."""
@@ -593,12 +530,8 @@ def _cmd_filtration(args: argparse.Namespace) -> int:
     f = spf.filtration_to_f(filt)
     levels = [list(select(poset.base.elements, level)) for level in filt.levels]
     if args.format == "json":
-        payload = {
-            "levels": levels,
-            "f": dict(sorted(f.items())),
-            "classification": flags,
-        }
-        _emit(args, _dumps(payload))
+        payload = {"levels": levels, "f": f, "classification": flags}
+        _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
         lines = [f"length {filt.n}"]
         for i, level in enumerate(levels):
@@ -646,7 +579,7 @@ def _cmd_cb(args: argparse.Namespace) -> int:
     layers = [list(select(poset.base.elements, layer)) for layer in cb.layers]
     if args.format == "json":
         payload = {"rank": cb.rank, "layers": layers}
-        _emit(args, _dumps(payload))
+        _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
         lines = [f"rank {cb.rank}"]
         for i, layer in enumerate(layers):
@@ -687,7 +620,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     reports = verify.run_suite(poset, filt, _parse_annotations(args), args.policy)
     failed = [r for r in reports if not r.passed]
     if args.format == "json":
-        _emit(args, _dumps({"passed": not failed, "reports": _reports_fragment(reports)}))
+        _emit(args, '{\n  "passed": ' + ("false" if failed else "true") + ',\n  "reports": '
+              + _reports_list(reports).replace("\n", "\n  ") + "\n}\n")
     else:
         lines = [f"PASS {r.name}" if r.passed else f"FAIL {_failure(r)}" for r in reports]
         _emit(args, "\n".join(lines) + "\n")
@@ -696,18 +630,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 1 if warned else 0
 
 
-def _reports_fragment(reports: list[verify.PropertyReport]) -> _Fragment:
-    """The JSON list of the reports.  A passing report is its escaped name
-    in one template; a failing one is written from its dict."""
-    items = []
-    for r in reports:
-        if r.passed:
-            items.append('{\n    "name": ' + _escape(r.name) + ',\n    "passed": true\n  }')
-        else:
-            out: list[str] = []
-            _write(r.to_json(), "\n  ", out)
-            items.append("".join(out))
-    return _list_fragment(items)
+def _reports_list(reports: list[verify.PropertyReport]) -> str:
+    """The JSON list of the reports at depth 0.  A passing report is its
+    escaped name in one template; a failing one is written from its dict."""
+    return _list_fragment([
+        '{\n    "name": ' + _escape(r.name) + ',\n    "passed": true\n  }' if r.passed
+        else json.dumps(r.to_json(), indent=2, sort_keys=True).replace("\n", "\n  ")
+        for r in reports])
 
 
 def _failure(report: verify.PropertyReport) -> str:

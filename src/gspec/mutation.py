@@ -241,6 +241,7 @@ def chain_order(
             )
     truncated = spf.classify(poset, filt)["truncated_slice"]
     forced: tuple[int, ...] = ()  # forced_maximal, taken at the first bracket
+    vanishing = 0  # _vanishing_level, taken at the first step that asks
     steps: list[tuple[MutationStep, BoundedOrder]] = []
     current = exact_bounds(standard_order(poset))
 
@@ -253,7 +254,8 @@ def chain_order(
         elif truncated or current.upper.order.is_discrete(e):
             rule = RULE_DISCRETE
             post = _each_bound(current, lambda co: exact_bounds(mutate_discrete(co, e)))
-        elif annotations.get(i, False) or _vanishing_pattern(poset, support):
+        elif annotations.get(i, False) or support == (
+                vanishing := vanishing or _vanishing_level(poset)):
             rule = RULE_PERFECT
             post = _each_bound(current, lambda co: exact_bounds(mutate_perfect(co, e)))
         else:
@@ -271,38 +273,6 @@ def final_order(steps: list[tuple[MutationStep, BoundedOrder]], poset: PrimePose
     if not steps:
         return exact_bounds(standard_order(poset))
     return steps[-1][1]
-
-
-@dataclass(frozen=True)
-class ThetaEntry:
-    """How one point's neighbourhoods move across a mutation step.
-
-    The underlying bijection is the identity on prime names; what changes is
-    each point's closure and minimal open set.
-    """
-
-    point: str
-    closure_before: frozenset[str]
-    closure_after: frozenset[str]
-    open_before: frozenset[str]
-    open_after: frozenset[str]
-
-
-def theta_map(step: MutationStep) -> tuple[ThetaEntry, ...]:
-    """The identity-on-points bijection of a step between exact orders, documented."""
-    if not (step.pre.exact and step.post.exact):
-        raise InvalidArgument("theta map is only documented for exact steps")
-    pre, post = step.pre.lower.order, step.post.lower.order
-    return tuple(
-        ThetaEntry(
-            point=p,
-            closure_before=pre.gncl(p),
-            closure_after=post.gncl(p),
-            open_before=pre.spcl(p),
-            open_after=post.spcl(p),
-        )
-        for p in pre.elements
-    )
 
 
 # -- helpers ----------------------------------------------------------------
@@ -364,9 +334,10 @@ def _each_bound(
     return BoundedOrder(rule(current.lower).lower, rule(current.upper).upper)
 
 
-def _vanishing_pattern(poset: PrimePoset, level: int) -> bool:
-    """Built-in perfectness certificate: a local model of dimension at most
-    two tilting at its unique closed point."""
+def _vanishing_level(poset: PrimePoset) -> int:
+    """The level of the built-in perfectness certificate: a local model of
+    dimension at most two tilting at its unique closed point.  That point's
+    mask, or -1, which is no level, when the poset is not such a model."""
     maxima = poset.base.maximal(poset.base.full_mask)
-    return maxima.bit_count() == 1 and level == maxima and longest_chain(poset.base) <= 2
+    return maxima if maxima.bit_count() == 1 and longest_chain(poset.base) <= 2 else -1
 

@@ -204,19 +204,6 @@ class Order:
         except KeyError:
             raise UnknownElement(p) from None
 
-    # -- point queries ----------------------------------------------------
-
-    def leq(self, p: str, q: str) -> bool:
-        return bool(self.up[self._position(p)] >> self._position(q) & 1)
-
-    def spcl(self, p: str) -> frozenset[str]:
-        """Smallest upper set containing ``p`` (its minimal open set)."""
-        return self.names(self.up[self._position(p)])
-
-    def gncl(self, p: str) -> frozenset[str]:
-        """Smallest lower set containing ``p`` (the closure of ``{p}``)."""
-        return self.names(self.down[self._position(p)])
-
     # -- subset queries (masks) --------------------------------------------
 
     def is_upper_set(self, S: int) -> bool:

@@ -118,10 +118,10 @@ class PrimePoset:
 
     def _interval_ends(self, p: str, q: str) -> tuple[int, int]:
         """Indices of ``p`` and ``q``; :class:`NotComparable` unless p <= q."""
-        index = self.base.index
-        if p not in index or q not in index or not self.base.leq(p, q):
+        i, j = self.base.index.get(p), self.base.index.get(q)
+        if i is None or j is None or not self.base.up[i] >> j & 1:
             raise NotComparable(f"{p!r} not contained in {q!r}")
-        return index[p], index[q]
+        return i, j
 
     @cached_property
     def _shallow(self) -> tuple[int, ...]:
@@ -144,9 +144,10 @@ class PrimePoset:
         members = self.base.up[i] & self.base.down[j]
         offset = self.height[p]
         heights = {r: self.height[r] - offset for r in sorted(self.base.names(members))}
+        index, up = self.base.index, self.base.up
         kept = {
             key: value for key, value in self.coherence.items()
-            if self.base.leq(p, key[0]) and self.base.leq(key[1], q)
+            if up[i] >> index[key[0]] & 1 and up[index[key[1]]] >> j & 1
         }
         return PrimePoset(self.base.subspace(members), heights, kept)
 

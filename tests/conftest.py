@@ -45,6 +45,18 @@ def strict_pairs(order: Order) -> set[tuple[str, str]]:
     return {(p, q) for p, q in order.relation if p != q}
 
 
+def up_names(order: Order, p: str) -> frozenset[str]:
+    """The smallest upper set holding ``p`` (its minimal open set), read
+    from its ``up`` mask."""
+    return order.names(order.up[order.index[p]])
+
+
+def down_names(order: Order, p: str) -> frozenset[str]:
+    """The smallest lower set holding ``p`` (the closure of ``{p}``), read
+    from its ``down`` mask."""
+    return order.names(order.down[order.index[p]])
+
+
 def brute_upper_sets(order: Order) -> set[frozenset[str]]:
     universe = frozenset(order.elements)
     return {universe - S for S in brute_lower_sets(order)}

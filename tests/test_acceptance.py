@@ -9,7 +9,14 @@ import random
 from contextlib import contextmanager
 from pathlib import Path
 
-from conftest import onestep, poset_from_order, random_monotone_f, random_order
+from conftest import (
+    down_names,
+    onestep,
+    poset_from_order,
+    random_monotone_f,
+    random_order,
+    up_names,
+)
 from gspec import (
     chain_order,
     f_to_filtration,
@@ -90,15 +97,15 @@ def test_criterion_1_two_dimensional_figures(tmp_path):
             order = onestep(poset, {"m"}).order
             for p in poset.base.elements:
                 if poset.height[p] == 1:
-                    assert order.spcl(p) == {p}
+                    assert up_names(order, p) == {p}
                 if poset.height[p] == 0:
-                    assert ("m" in order.spcl(p))
+                    assert "m" in up_names(order, p)
         # Right panel: the closed point is clopen.
         for name in ("LOC2", "LOC2M"):
             poset = preset(name)
             filt = validate_filtration(poset, [{"m"}, {"m"}])
             order = final_order(chain_order(poset, filt), poset).lower.order
-            assert order.spcl("m") == {"m"} and order.gncl("m") == {"m"}
+            assert up_names(order, "m") == {"m"} and down_names(order, "m") == {"m"}
 
 
 def test_criterion_2_three_dimensional_figure(tmp_path):
@@ -114,7 +121,7 @@ def test_criterion_2_three_dimensional_figure(tmp_path):
         for target in ("r1", "r2", "r3", "m"):
             assert ("o", target) in order.relation
         for q in ("q1", "q2", "q3"):
-            assert order.spcl(q) == {q}
+            assert up_names(order, q) == {q}
 
 
 def test_criterion_3_nagata_contrast():

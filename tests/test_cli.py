@@ -6,13 +6,14 @@ import random
 import shlex
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_order, strict_pairs
+from conftest import random_monotone_f, random_order, strict_pairs, up_names
 from gspec import (
     MAX_LEVELS,
     POLICIES,
@@ -25,7 +26,7 @@ from gspec import (
 )
 from gspec import mutation as mut
 from gspec import cli, verify
-from gspec.cli import _dumps, main
+from gspec.cli import main
 from test_readme import COMMANDS as README_COMMANDS
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -723,34 +724,19 @@ _SPECIAL_CHARACTERS = st.sampled_from(
     ['"', "\\", "/", "\x00", "\x1f", "\x7f", "\n", "\t", "\u00e9", "\u2028",
      "\ud800", "\udfff", "\U0001f600"])
 _TEXT = st.text(st.one_of(st.characters(), _SPECIAL_CHARACTERS), max_size=8)
-_SCALARS = st.one_of(
-    _TEXT, st.integers(), st.integers(min_value=-10**40, max_value=10**40),
-    st.booleans(), st.none(),
-    st.lists(_TEXT), st.lists(st.lists(_TEXT, max_size=3)),
-)
-_PAYLOADS = st.recursive(
-    _SCALARS,
-    lambda children: st.one_of(
-        st.lists(children, max_size=4),
-        st.lists(children, max_size=4).map(tuple),
-        st.dictionaries(_TEXT, children, max_size=4),
-    ),
-    max_leaves=20,
-)
 
 
 class TestJsonWriter:
-    @given(_PAYLOADS)
-    def test_matches_json_module(self, value):
-        assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
-
-    @pytest.mark.parametrize("value", [
-        1.5, float("nan"), {"a"}, frozenset(), {1: "a"}, {None: 1}, {"a": 1, 2: 3},
-        [["a"], [1.0]], [("a", "b"), ["c", {"d"}]], ["a", 0.0], {"k": [object()]},
-    ])
-    def test_rejects_what_json_lacks(self, value):
-        with pytest.raises(TypeError):
-            _dumps(value)
+    @given(st.lists(_TEXT, max_size=8, unique=True), st.integers(min_value=0, max_value=255))
+    def test_matches_json_module(self, names, mask):
+        """The order writer's name lists (a step's class and support) give
+        the json module's bytes for any names, at any depth."""
+        elements = tuple(sorted(names))
+        mask &= (1 << len(elements)) - 1
+        chosen = [p for i, p in enumerate(elements) if mask >> i & 1]
+        writer = cli._OrderWriter(elements)
+        assert writer.names_at(mask, "\n") == json.dumps(chosen, indent=2)
+        assert writer.names_at(mask, "\n  ") == json.dumps(chosen, indent=2).replace("\n", "\n  ")
 
     def test_order_fragments_match_json_module(self):
         """The order writer gives the json module's bytes for the documents
@@ -839,23 +825,45 @@ class TestJsonWriter:
                                       "reports": [r.to_json() for r in chosen]},
                                      indent=2, sort_keys=True) + "\n"
 
-    def test_every_json_output_is_canonical(self, capsys):
-        compared = 0
+    def test_every_json_output_is_canonical(self, capsys, tmp_path):
+        """Every JSON document is the json module's canonical form: on the
+        presets, and on seeded posets whose names carry quotes, backslashes,
+        newlines and non-ASCII text, so that height keys, level-function
+        keys, layers and ``check``'s envelope are escaped and sorted."""
+        runs = []
         for name in PRESET_NAMES:
             base = ["--preset", name]
-            runs = [["validate", *base], ["mutate", *base, "--at", '["o"]'],
-                    ["filtration", *base, "--height-filtration"], ["cb", *base]]
+            runs += [["validate", *base], ["mutate", *base, "--at", '["o"]'],
+                     ["filtration", *base, "--height-filtration"], ["cb", *base]]
             for policy in POLICIES:
                 for levels in ('[["m"]]', '[["m"],["m"]]'):
                     chain = [*base, "--levels", levels, "--policy", policy]
                     runs += [["closure", *chain], ["closure", *chain, "--steps"],
                              ["cb", *chain], ["check", *chain]]
-            for argv in runs:
-                code, out, _ = run(capsys, *argv, "--format", "json")
-                if out:
-                    compared += 1
-                    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
-        assert compared >= 100
+        rng = random.Random(22)
+        prefixes = ['"', "\\", "\n", "\u00e9", "\U0001f600", "a b", "Z"]
+        for k in range(40):
+            order = random_order(rng, max_size=8)
+            rename = {p: rng.choice(prefixes) + p for p in order.elements}
+            path = tmp_path / f"named-{k}.json"
+            path.write_text(json.dumps({
+                "elements": list(rename.values()),
+                "covers": [[rename[p], rename[q]] for p, q in covering_pairs(order)]}),
+                encoding="utf-8")
+            f = json.dumps({rename[p]: v for p, v in random_monotone_f(rng, order).items()})
+            base = ["--file", str(path), "--f", f]
+            chain = [*base, "--policy", POLICIES[k % len(POLICIES)]]
+            runs += [["validate", "--file", str(path)], ["filtration", *base],
+                     ["cb", *chain], ["check", *chain]]
+        compared = Counter()
+        for argv in runs:
+            code, out, _ = run(capsys, *argv, "--format", "json")
+            if out:
+                compared[argv[0], argv[1]] += 1
+                assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+        assert compared.total() >= 250
+        assert compared["validate", "--file"] == compared["filtration", "--file"] == 40
+        assert compared["cb", "--file"] >= 20 and compared["check", "--file"] >= 30
 
     def test_closure_json_builds_no_pair_sets(self, capsys, monkeypatch):
         seen, original = [], mut.chain_order
@@ -932,8 +940,8 @@ class TestJsonWriter:
         monkeypatch.setattr(PrimePoset, "coherent_complement", refuse)
         for name in PRESET_NAMES:
             base = preset(name).base
-            levels = {json.dumps([sorted(base.spcl(p))]) for p in base.elements
-                      if base.spcl(p) != set(base.elements)}
+            levels = {json.dumps([sorted(up_names(base, p))]) for p in base.elements
+                      if up_names(base, p) != set(base.elements)}
             levels.add('[["m"],["m"]]')
             for policy in POLICIES:
                 for level in sorted(levels):

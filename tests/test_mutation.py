@@ -5,11 +5,13 @@ import pytest
 
 from conftest import (
     ONESTEP_NOT_TRANSITIVE,
+    down_names,
     onestep,
     poset_from_order,
     random_order,
     random_upper_set,
     strict_pairs,
+    up_names,
 )
 from gspec import (
     POLICIES,
@@ -37,7 +39,6 @@ from gspec import (
     onestep_order,
     preset,
     standard_order,
-    theta_map,
     validate_filtration,
 )
 from gspec import mutation as mut
@@ -255,7 +256,7 @@ class TestChain:
         steps = chain_order(poset, filt)
         assert steps[1][0].rule == "perfect"
         final = steps[-1][1].lower.order
-        assert final.spcl("m") == {"m"} and final.gncl("m") == {"m"}
+        assert up_names(final, "m") == {"m"} and down_names(final, "m") == {"m"}
 
     def test_truncated_slice_shortcut(self):
         from gspec import height_filtration
@@ -351,47 +352,26 @@ class TestBoundedOrder:
 
 
 class TestTheta:
+    """Mutation's bijection is the identity on points; what moves is each
+    point's closure and minimal open set."""
+
     def test_identity_with_shrinking_closure(self):
         poset = preset("LOC2")
         filt = validate_filtration(poset, [{"m"}, {"m"}])
         step = chain_order(poset, filt)[1][0]
-        entries = {e.point: e for e in theta_map(step)}
-        assert entries["m"].closure_before == {"o", "m"}
-        assert entries["m"].closure_after == {"m"}
-        assert all(e.point in e.closure_before for e in entries.values())
-
-    def test_rejects_inexact_step(self):
-        poset = preset("LOC3")
-        filt = validate_filtration(poset, [{"r1", "r2", "r3", "m"}, {"m"}])
-        step = chain_order(poset, filt)[1][0]
-        with pytest.raises(InvalidArgument,
-                           match="^theta map is only documented for exact steps$") as caught:
-            theta_map(step)
-        assert isinstance(caught.value, GspecError) and isinstance(caught.value, ValueError)
-
-    def test_rejects_step_whose_bounds_meet_after_an_inexact_one(self):
-        """On LOC3 tilting at the top three times, step 2 is bracketed and the
-        annotated perfect step 3 splits both bounds into one order: an exact
-        result with no single order before it."""
-        poset = preset("LOC3")
-        filt = validate_filtration(poset, [{"m"}, {"m"}, {"m"}])
-        step = chain_order(poset, filt, step_annotations={3: True})[2][0]
-        assert step.rule == "perfect" and step.post.exact and not step.pre.exact
-        with pytest.raises(InvalidArgument,
-                           match="^theta map is only documented for exact steps$"):
-            theta_map(step)
+        pre, post = step.pre.lower.order, step.post.lower.order
+        assert pre.elements == post.elements
+        assert down_names(pre, "m") == {"o", "m"}
+        assert down_names(post, "m") == {"m"}
+        assert all(p in down_names(pre, p) for p in pre.elements)
 
     def test_empty_class_keeps_neighbourhoods(self):
-        from gspec import MutationStep
         poset = preset("LOC2")
         co = standard_order(poset)
-        post = exact_bounds(mutate_perfect(co, 0))
-        step = MutationStep(index=1, support=poset.base.full_mask,
-                            mutation_class=0, rule="perfect",
-                            pre=exact_bounds(co), post=post)
-        for entry in theta_map(step):
-            assert entry.closure_before == entry.closure_after
-            assert entry.open_before == entry.open_after
+        post = mutate_perfect(co, 0).order
+        for p in co.order.elements:
+            assert down_names(co.order, p) == down_names(post, p)
+            assert up_names(co.order, p) == up_names(post, p)
 
 
 REPRO_ITEM_2 = {
@@ -512,7 +492,7 @@ class TestOneSplit:
             order = random_order(rng)
             co = ClosureOrder(order, ("test",))
             seeds = [p for p in order.elements if rng.random() < 0.3]
-            names = frozenset().union(*(order.gncl(p) for p in seeds))
+            names = frozenset().union(*(down_names(order, p) for p in seeds))
             E = order.mask(names)
             perfect = mutate_perfect(co, E).order
             kept = {(p, q) for (p, q) in order.relation if (p in names) == (q in names)}
