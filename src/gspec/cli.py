@@ -26,6 +26,7 @@ from .poset import (
     GspecError,
     Order,
     UnknownElement,
+    bits,
     cb_filtration,
     covering_pairs,
     select,
@@ -430,7 +431,7 @@ def hasse_dot(order: Order, heights: Mapping[str, int]) -> str:
         group = " ".join(f"{q};" for p, q in zip(order.elements, quoted) if heights[p] == h)
         lines.append(f"  {{ rank=same; {group} }}")
     for q, m in zip(quoted, order.covers):
-        lines.extend(f"  {q} -> {r};" for r in select(quoted, m))
+        lines.extend(f"  {q} -> {quoted[j]};" for j in bits(m))
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -197,20 +197,7 @@ def mutate_general(co: ClosureOrder, e: int, forced_maximal: int = 0) -> Bounded
     Their rows become singletons and the rest stay pre-order rows, so the
     upper bound is transitively closed as built.
     """
-    order = co.order
-    _require_closed(order, e)
-    lower = _split(order, e)
-    pruned = forced_maximal & order.maximal(e)
-    up = tuple(1 << i if pruned >> i & 1 else row for i, row in enumerate(order.up))
-    # Only a pruned row and the rows below a pruned point change their covers.
-    upper = order if up == order.up else Order._derived(
-        order.elements, up,
-        _walk_rows(up, order.covers, [i for i, row in enumerate(order.up) if row & pruned]))
-    label = _label(order, e)
-    return BoundedOrder(
-        ClosureOrder(lower, co.provenance + (f"{RULE_BOUNDED} at {label} (lower)",)),
-        ClosureOrder(upper, co.provenance + (f"{RULE_BOUNDED} at {label} (upper)",)),
-    )
+    return _bracket(co, co, e, forced_maximal)
 
 
 def chain_order(
@@ -253,15 +240,18 @@ def chain_order(
             post = exact_bounds(onestep_order(poset, support, policy))
         elif truncated or current.upper.order.is_discrete(e):
             rule = RULE_DISCRETE
-            post = _each_bound(current, lambda co: exact_bounds(mutate_discrete(co, e)))
+            post = _each_bound(current, lambda co: mutate_discrete(co, e))
         elif annotations.get(i, False) or support == (
                 vanishing := vanishing or _vanishing_level(poset)):
             rule = RULE_PERFECT
-            post = _each_bound(current, lambda co: exact_bounds(mutate_perfect(co, e)))
+            post = _each_bound(current, lambda co: mutate_perfect(co, e))
         else:
             rule = RULE_BOUNDED
             forced = forced or spf.forced_maximal(poset, filt)
-            post = _each_bound(current, lambda co: mutate_general(co, e, forced[i]))
+            # Bounds that meet are one order, whose bracket both new bounds
+            # take from the lower bound, provenance included.
+            post = (mutate_general(current.lower, e, forced[i]) if current.exact
+                    else _bracket(current.lower, current.upper, e, forced[i]))
         step = MutationStep(i, support, e, rule, current, post)
         steps.append((step, post))
         current = post
@@ -323,15 +313,54 @@ def _walk_rows(up: Sequence[int], covers: tuple[int, ...],
     return tuple(covers)
 
 
+def _general_lower(co: ClosureOrder, e: int, label: str) -> ClosureOrder:
+    """The general bracket's lower bound at the closed class ``e``, named
+    ``label``: the split."""
+    return ClosureOrder(_split(co.order, e),
+                        co.provenance + (f"{RULE_BOUNDED} at {label} (lower)",))
+
+
+def _general_upper(co: ClosureOrder, e: int, forced_maximal: int,
+                   label: str) -> ClosureOrder:
+    """The general bracket's upper bound at the closed class ``e``, named
+    ``label``: the order with the rows of its forced maxima pruned."""
+    order = co.order
+    # A row that is already a singleton stays as it is.
+    pruned = sum(1 << i for i in bits(forced_maximal & order.maximal(e))
+                 if order.up[i] != 1 << i)
+    upper = order
+    if pruned:
+        up = tuple(1 << i if pruned >> i & 1 else row for i, row in enumerate(order.up))
+        # Only a pruned row and the rows below a pruned point change their covers.
+        upper = Order._derived(
+            order.elements, up,
+            _walk_rows(up, order.covers, [i for i, row in enumerate(order.up) if row & pruned]))
+    return ClosureOrder(upper, co.provenance + (f"{RULE_BOUNDED} at {label} (upper)",))
+
+
+def _bracket(lower: ClosureOrder, upper: ClosureOrder, e: int,
+             forced_maximal: int) -> BoundedOrder:
+    """The general bracket at the class ``e``, its lower bound built from
+    ``lower`` only and its upper bound from ``upper`` only, each once;
+    ``upper`` is ``lower`` for the bracket of one order.  :class:`NotClosed`
+    when ``e`` is not closed in a source."""
+    _require_closed(lower.order, e)
+    if upper is not lower:
+        _require_closed(upper.order, e)
+    label = _label(lower.order, e)
+    return BoundedOrder(_general_lower(lower, e, label),
+                        _general_upper(upper, e, forced_maximal, label))
+
+
 def _each_bound(
-    current: BoundedOrder, rule: Callable[[ClosureOrder], BoundedOrder]
+    current: BoundedOrder, rule: Callable[[ClosureOrder], ClosureOrder]
 ) -> BoundedOrder:
-    """Apply a step's rule to the current bounds: to the order itself when it
-    is exact, otherwise the rule's lower bound from the lower bound and its
-    upper bound from the upper bound.  The result is exact when those meet."""
+    """Apply an exact step's rule to the current bounds: to the order itself
+    when it is exact, otherwise to each bound once.  The result is exact
+    when those meet."""
     if current.exact:
-        return rule(current.lower)
-    return BoundedOrder(rule(current.lower).lower, rule(current.upper).upper)
+        return exact_bounds(rule(current.lower))
+    return BoundedOrder(rule(current.lower), rule(current.upper))
 
 
 def _vanishing_level(poset: PrimePoset) -> int:

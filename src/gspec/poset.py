@@ -145,6 +145,20 @@ class Order:
         return tuple(down)
 
     @cached_property
+    def heights(self) -> tuple[int, ...]:
+        """Per-point heights, the longest chain strictly below each point: a
+        longest chain climbs by covers, so heights are pushed along them,
+        bottom first (by up-set size)."""
+        up, covers = self.up, self.covers
+        height = [0] * len(up)
+        # Everything strictly below a point has a larger up-set, so the point's
+        # height is final before it is pushed on.
+        for i in sorted(range(len(up)), key=lambda i: -up[i].bit_count()):
+            for j in bits(covers[i]):
+                height[j] = max(height[j], height[i] + 1)
+        return tuple(height)
+
+    @cached_property
     def lower_sets(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Every lower set as a mask, in no particular order, and at the same
         position the mask of its maximal points; :class:`SizeExceeded` above
@@ -286,8 +300,8 @@ def build_order(elements: Iterable[str], relations: Iterable[tuple[str, str]]) -
     for i in ready:  # grows while it is read
         s = succ[i]
         beyond = 0
-        for t in select(strict, s):
-            beyond |= t
+        for j in bits(s):
+            beyond |= strict[j]
         covers[i] = s & ~beyond
         strict[i] = s | beyond
         for k in preds[i]:
@@ -304,12 +318,12 @@ def covering_pairs(order: Order) -> tuple[tuple[str, str], ...]:
     """The Hasse diagram edges as name pairs, sorted: ascending indices give
     sorted pairs because the elements are sorted."""
     els = order.elements
-    return tuple((p, q) for p, m in zip(els, order.covers) for q in select(els, m))
+    return tuple((p, els[j]) for p, m in zip(els, order.covers) for j in bits(m))
 
 
 def longest_chain(order: Order) -> int:
     """Length (edge count) of a longest chain; -1 for the empty order."""
-    return max(_heights(order), default=-1)
+    return max(order.heights, default=-1)
 
 
 @dataclass(frozen=True)
@@ -397,17 +411,4 @@ def enumerate_closed_sets(order: Order) -> tuple[frozenset[str], ...]:
 
 def heights_by_longest_chain(order: Order) -> dict[str, int]:
     """Height of each point as the longest chain strictly below it."""
-    return dict(zip(order.elements, _heights(order)))
-
-
-def _heights(order: Order) -> list[int]:
-    """Each point's height by index: a longest chain climbs by covers, so
-    heights are pushed along them."""
-    up, covers = order.up, order.covers
-    height = [0] * len(up)
-    # Everything strictly below a point has a larger up-set, so the point's
-    # height is final before it is pushed on.
-    for i in sorted(range(len(up)), key=lambda i: -up[i].bit_count()):
-        for j in bits(covers[i]):
-            height[j] = max(height[j], height[i] + 1)
-    return height
+    return dict(zip(order.elements, order.heights))

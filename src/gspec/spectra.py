@@ -203,8 +203,8 @@ class PrimePoset:
         # Every point above p outside V0 lies above a cover of p outside V0,
         # as V0 is specialisation-closed.
         outside = 0
-        for t in select(up, self.base.covers[i] & ~v):
-            outside |= t
+        for j in bits(self.base.covers[i] & ~v):
+            outside |= up[j]
         generic = left & ~outside
         left &= outside
         # W = cross & down[q].  A deep minimal point of W (height >= h(p) + 2)

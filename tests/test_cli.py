@@ -501,6 +501,29 @@ class TestClosureCommand:
                                         ("q1", "r1"), ("q1", "r3"), ("q2", "r1"),
                                         ("q2", "r2"), ("q3", "r2"), ("q3", "r3")])
 
+    def test_bounds_that_meet_pass_on_their_lower_provenance(self, capsys, tmp_path):
+        """Steps 2 and 3 are brackets whose bounds meet with different
+        provenance, and step 4 is inexact: both its bounds extend the lower
+        bound's provenance, as the bracket of one exact order."""
+        doc = {"elements": ["x10", "x3", "x4", "x8", "x7", "x2", "x1", "x6", "x9", "x5", "x0"],
+               "covers": [["x10", "x4"], ["x10", "x7"], ["x10", "x2"], ["x10", "x5"],
+                          ["x3", "x7"], ["x3", "x2"], ["x8", "x1"], ["x7", "x6"],
+                          ["x7", "x9"], ["x2", "x6"], ["x1", "x6"], ["x1", "x5"],
+                          ["x6", "x0"], ["x9", "x0"]]}
+        path = tmp_path / "poset.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        f = {"x0": 3, "x1": 2, "x10": -1, "x2": 0, "x3": -1, "x4": 1, "x5": 2, "x6": 3,
+             "x7": -1, "x8": -1, "x9": -1}
+        code, out, err = run(capsys, "closure", "--file", str(path), "--f", json.dumps(f),
+                             "--policy", "assume-coherent", "--steps", "--format", "json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert [s["rule"] for s in payload["steps"]] == ["onestep"] + ["bounded"] * 3
+        assert [s["result"]["exact"] for s in payload["steps"]] == [True, True, True, False]
+        assert payload["final"]["upper"]["provenance"][-2:] == [
+            "bounded at {x10,x2,x3,x4,x7,x8,x9} (lower)",
+            "bounded at {x1,x10,x2,x3,x4,x5,x7,x8,x9} (upper)"]
+
     def test_inexact_json_has_bounds(self, capsys):
         code, out, _ = run(
             capsys, "closure", "--preset", "LOC3",

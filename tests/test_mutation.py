@@ -332,6 +332,32 @@ class TestChain:
         assert counts[1000] < 6 * 1000
         assert counts[1000] <= 2 * counts[500] + 10
 
+    def test_inexact_step_builds_each_bound_once(self, monkeypatch):
+        """A bounded step from an inexact bracket builds its lower bound from
+        the lower bound only and its upper bound from the upper bound only,
+        each once: one split, and at most one walk for the pruned rows."""
+        poset = preset("LOC3")
+        filt = validate_filtration(poset, [{"m", "q1", "q2", "r1", "r2", "r3"},
+                                           {"m", "q1", "r1", "r2", "r3"},
+                                           {"m", "q1", "r1", "r3"}])
+        log = []
+
+        def logged(name, original):
+            def wrapper(*args):
+                log.append(name)
+                return original(*args)
+            return wrapper
+
+        for name in ("_split", "_walk_rows", "MutationStep"):
+            monkeypatch.setattr(mut, name, logged(name, getattr(mut, name)))
+        steps = chain_order(poset, filt, policy=POLICY_ASSUME_NONCOHERENT)
+        assert [step.rule for step, _ in steps] == ["onestep", "bounded", "bounded"]
+        assert not steps[1][1].exact and not steps[2][1].exact
+        # Each step's calls come before its MutationStep is made.
+        third = log[log.index("MutationStep", log.index("MutationStep") + 1) + 1:-1]
+        assert third.count("_split") == 1
+        assert third.count("_walk_rows") <= 1
+
 
 class TestBoundedOrder:
     def test_rejects(self):
