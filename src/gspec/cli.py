@@ -191,9 +191,9 @@ def _plain_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Na
 
 
 def _load_poset(args: argparse.Namespace) -> PrimePoset:
-    if bool(args.preset) == bool(args.file):
+    if (args.preset is None) == (args.file is None):
         raise UsageError("exactly one of --preset or --file is required")
-    if args.preset:
+    if args.preset is not None:
         return preset(args.preset)
     return load_prime_poset(_read_json("--file", args.file, path=True))
 
@@ -282,7 +282,7 @@ def _optional_chain(
 
 
 def _parse_annotations(args: argparse.Namespace) -> dict[int, bool]:
-    if not getattr(args, "annotations", None):
+    if args.annotations is None:
         return {}
     doc = _read_json("--annotations", args.annotations, path=True)
     entries = doc.get("steps") if isinstance(doc, dict) else None
@@ -308,7 +308,7 @@ def _is_int(value: object) -> bool:
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
@@ -319,13 +319,6 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 
 
 _escape = json.encoder.encode_basestring_ascii
-
-
-def _list_fragment(items: list[str]) -> str:
-    """A JSON list at depth 0 from the JSON text of its items, each written
-    at depth 1.  Escaped JSON strings hold no raw newline, so every newline
-    in it starts a line and it is placed at any depth by indenting those."""
-    return "[\n  " + ",\n  ".join(items) + "\n]" if items else "[]"
 
 
 class _OrderWriter:
@@ -344,7 +337,6 @@ class _OrderWriter:
     def __init__(self, elements: tuple[str, ...]):
         self._names = names = list(map(_escape, elements))
         self.parts: list[str] = []
-        self._elements = _list_fragment(names)
         self._bits = [1 << i for i in range(len(names))]
         self._lead = ["[\n    " + name + ",\n    " for name in names]
         self._tail = [name + "\n  ]" for name in names]
@@ -356,10 +348,10 @@ class _OrderWriter:
         """A pair list with one row per nonzero mask, by ascending point:
         pairs come out sorted because the elements are."""
         tail = self._tail
-        rows = [known.get(m) or known.setdefault(
+        rows = (known.get(m) or known.setdefault(
                     m, opening + (",\n  " + opening).join(select(tail, m)))
-                for m, known, opening in zip(masks, self._rows, self._lead) if m]
-        return "[\n  " + ",\n  ".join(rows) + "\n]" if rows else "[]"
+                for m, known, opening in zip(masks, self._rows, self._lead) if m)
+        return _string_list(rows, "\n")
 
     def _fields(self, order: Order) -> tuple[Order, str, str]:
         """``order`` (held, so its id stays its own), its covers and its
@@ -377,7 +369,7 @@ class _OrderWriter:
             inner = newline + "  "
             template = self._templates[newline] = (
                 inner, "{" + inner + '"covers": ',
-                "," + inner + '"elements": ' + self._elements.replace("\n", inner)
+                "," + inner + '"elements": ' + _string_list(self._names, inner)
                 + "," + inner + '"provenance": ',
                 "," + inner + '"relations": ', newline + "}")
         return template
@@ -408,14 +400,6 @@ class _OrderWriter:
             self.order(bounded.upper, inner)
         self.parts.append(newline + "}")
 
-    def validation(self, order: Order, heights: Mapping[str, int]) -> None:
-        """Append ``validate``'s document: covers, elements and heights."""
-        self.parts += ('{\n  "covers": ', self._pairs(order.covers).replace("\n", "\n  "),
-                       ',\n  "elements": ', self._elements.replace("\n", "\n  "),
-                       ',\n  "heights": ',
-                       json.dumps(dict(heights), indent=2, sort_keys=True).replace("\n", "\n  "),
-                       "\n}")
-
     def text(self) -> str:
         """The document appended so far, with its closing newline."""
         self.parts.append("\n")
@@ -441,10 +425,13 @@ def _quote(name: str) -> str:
     return f'"{escaped}"'
 
 
-def _string_list(escaped: Iterable[str], newline: str) -> str:
-    """A JSON list of escaped strings (never empty texts) at ``newline``."""
+def _string_list(texts: Iterable[str], newline: str) -> str:
+    """A JSON list of JSON texts (never empty ones) whose opening bracket is
+    at ``newline``'s depth.  JSON strings hold no raw newline, so every
+    newline in the list starts a line, and it is placed deeper by indenting
+    those."""
     inner = newline + "  "
-    text = ("," + inner).join(escaped)
+    text = ("," + inner).join(texts)
     return "[" + inner + text + newline + "]" if text else "[]"
 
 
@@ -515,9 +502,9 @@ def _cmd_presets(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     poset = _load_poset(args)
     if args.format == "json":
-        writer = _OrderWriter(poset.base.elements)
-        writer.validation(poset.base, poset.height)
-        _emit(args, writer.text())
+        payload = {"covers": covering_pairs(poset.base), "elements": poset.base.elements,
+                   "heights": poset.height}
+        _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
         covers = sum(m.bit_count() for m in poset.base.covers)
         _emit(args, f"{len(poset.base.elements)} primes, {covers} covers\n")
@@ -634,10 +621,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _reports_list(reports: list[verify.PropertyReport]) -> str:
     """The JSON list of the reports at depth 0.  A passing report is its
     escaped name in one template; a failing one is written from its dict."""
-    return _list_fragment([
+    return _string_list((
         '{\n    "name": ' + _escape(r.name) + ',\n    "passed": true\n  }' if r.passed
         else json.dumps(r.to_json(), indent=2, sort_keys=True).replace("\n", "\n  ")
-        for r in reports])
+        for r in reports), "\n")
 
 
 def _failure(report: verify.PropertyReport) -> str:

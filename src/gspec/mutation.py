@@ -15,10 +15,10 @@ guess.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 from . import filtration as spf
-from .poset import GspecError, InvalidArgument, Order, bits, longest_chain, select
+from .poset import GspecError, InvalidArgument, Order, bits, longest_chain
 from .spectra import COHERENT, NOT_COHERENT, UNDETERMINED, PrimePoset
 
 POLICY_ERROR = "error"
@@ -151,13 +151,12 @@ def onestep_order(poset: PrimePoset, v: int, policy: str = POLICY_ERROR) -> Clos
                 kept |= m
         up[i] = kept
     # The rows are base rows with bits removed, so only transitivity can fail.
-    covers = _walk_rows(up, base.covers, outside)
-    if covers is None:
+    order = base._with_rows(tuple(up), outside)
+    if order is None:
         raise AssertionError(
             "one-step relation not transitively closed; the coherence data is "
             "inconsistent with a ring"
         )
-    order = Order._derived(els, tuple(up), covers)
     return ClosureOrder(order, (f"{RULE_ONESTEP} at {_label(base, v)}",))
 
 
@@ -167,8 +166,7 @@ def mutate_discrete(co: ClosureOrder, e: int) -> ClosureOrder:
     _require_closed(co.order, e)
     if not co.order.is_discrete(e):
         raise NotDiscrete(f"{sorted(co.order.names(e))} is not a discrete subspace")
-    return ClosureOrder(_split(co.order, e),
-                        co.provenance + (f"{RULE_DISCRETE} at {_label(co.order, e)}",))
+    return _split_step(co, e, f"{RULE_DISCRETE} at {_label(co.order, e)}")
 
 
 def mutate_perfect(co: ClosureOrder, e: int) -> ClosureOrder:
@@ -181,8 +179,7 @@ def mutate_perfect(co: ClosureOrder, e: int) -> ClosureOrder:
     plain and embedding-strength perfectness.
     """
     _require_closed(co.order, e)
-    return ClosureOrder(_split(co.order, e),
-                        co.provenance + (f"{RULE_PERFECT} at {_label(co.order, e)}",))
+    return _split_step(co, e, f"{RULE_PERFECT} at {_label(co.order, e)}")
 
 
 def mutate_general(co: ClosureOrder, e: int, forced_maximal: int = 0) -> BoundedOrder:
@@ -197,7 +194,7 @@ def mutate_general(co: ClosureOrder, e: int, forced_maximal: int = 0) -> Bounded
     Their rows become singletons and the rest stay pre-order rows, so the
     upper bound is transitively closed as built.
     """
-    return _bracket(co, co, e, forced_maximal)
+    return _bracket(exact_bounds(co), e, forced_maximal & co.order.maximal(e))
 
 
 def chain_order(
@@ -238,7 +235,8 @@ def chain_order(
         if i == 1 and not truncated:
             rule = RULE_ONESTEP
             post = exact_bounds(onestep_order(poset, support, policy))
-        elif truncated or current.upper.order.is_discrete(e):
+        # E's maxima in the upper bound: all of E when it is discrete, else the prunable ones.
+        elif truncated or (top := current.upper.order.maximal(e)) == e:
             rule = RULE_DISCRETE
             post = _each_bound(current, lambda co: mutate_discrete(co, e))
         elif annotations.get(i, False) or support == (
@@ -248,10 +246,7 @@ def chain_order(
         else:
             rule = RULE_BOUNDED
             forced = forced or spf.forced_maximal(poset, filt)
-            # Bounds that meet are one order, whose bracket both new bounds
-            # take from the lower bound, provenance included.
-            post = (mutate_general(current.lower, e, forced[i]) if current.exact
-                    else _bracket(current.lower, current.upper, e, forced[i]))
+            post = _bracket(current, e, forced[i] & top)
         step = MutationStep(i, support, e, rule, current, post)
         steps.append((step, post))
         current = post
@@ -283,73 +278,33 @@ def _require_closed(order: Order, e: int) -> None:
         raise NotClosed(f"{sorted(order.names(e))} is not closed in the current order")
 
 
-def _split(order: Order, e: int) -> Order:
-    """Keep the relations inside E and inside its complement, drop the ones
-    that cross.  At a closed E this is the perfect rule, the discrete rule
-    when E is discrete, and the lower bound of the general bracket.
-
-    E must be closed.  A lower set and its complement are then convex, so
-    the covers of each part are the order's covers inside it."""
-    parts = [e if e >> i & 1 else ~e for i in range(len(order.up))]
-    return Order._derived(order.elements,
-                          tuple(map(int.__and__, order.up, parts)),
-                          tuple(map(int.__and__, order.covers, parts)))
+def _split_step(co: ClosureOrder, e: int, entry: str) -> ClosureOrder:
+    """``co`` split at the closed class ``e``, its provenance extended by ``entry``."""
+    return ClosureOrder(co.order._split(e), co.provenance + (entry,))
 
 
-def _walk_rows(up: Sequence[int], covers: tuple[int, ...],
-               rows: list[int]) -> tuple[int, ...] | None:
-    """The constructor's walk on the listed rows of ``up`` only: their covers
-    replace those in ``covers``, or ``None`` when one of them is not
-    transitively closed.  Every other row must keep its covers in ``up``."""
-    strict = [m & ~(1 << i) for i, m in enumerate(up)]
-    covers = list(covers)
-    for i in rows:
-        s, beyond = strict[i], 0
-        for t in select(strict, s):
-            beyond |= t
-        if beyond & ~s:
-            return None
-        covers[i] = s & ~beyond
-    return tuple(covers)
-
-
-def _general_lower(co: ClosureOrder, e: int, label: str) -> ClosureOrder:
-    """The general bracket's lower bound at the closed class ``e``, named
-    ``label``: the split."""
-    return ClosureOrder(_split(co.order, e),
-                        co.provenance + (f"{RULE_BOUNDED} at {label} (lower)",))
-
-
-def _general_upper(co: ClosureOrder, e: int, forced_maximal: int,
-                   label: str) -> ClosureOrder:
-    """The general bracket's upper bound at the closed class ``e``, named
-    ``label``: the order with the rows of its forced maxima pruned."""
-    order = co.order
-    # A row that is already a singleton stays as it is.
-    pruned = sum(1 << i for i in bits(forced_maximal & order.maximal(e))
-                 if order.up[i] != 1 << i)
-    upper = order
-    if pruned:
-        up = tuple(1 << i if pruned >> i & 1 else row for i, row in enumerate(order.up))
-        # Only a pruned row and the rows below a pruned point change their covers.
-        upper = Order._derived(
-            order.elements, up,
-            _walk_rows(up, order.covers, [i for i, row in enumerate(order.up) if row & pruned]))
-    return ClosureOrder(upper, co.provenance + (f"{RULE_BOUNDED} at {label} (upper)",))
-
-
-def _bracket(lower: ClosureOrder, upper: ClosureOrder, e: int,
-             forced_maximal: int) -> BoundedOrder:
-    """The general bracket at the class ``e``, its lower bound built from
-    ``lower`` only and its upper bound from ``upper`` only, each once;
-    ``upper`` is ``lower`` for the bracket of one order.  :class:`NotClosed`
-    when ``e`` is not closed in a source."""
-    _require_closed(lower.order, e)
-    if upper is not lower:
-        _require_closed(upper.order, e)
+def _bracket(current: BoundedOrder, e: int, pruned: int) -> BoundedOrder:
+    """The general bracket at the class ``e``, each new bound built once: the
+    lower bound split, and the upper bound with the rows of the points of
+    ``pruned`` (maximal in E) made singletons.  Bounds that meet are one order,
+    whose bracket both new bounds take from the lower bound, provenance
+    included.  :class:`NotClosed` when ``e`` is not closed in the upper bound,
+    which is where it fails first, as the lower bound refines it."""
+    lower = current.lower
+    upper = lower if current.exact else current.upper
+    _require_closed(upper.order, e)
     label = _label(lower.order, e)
-    return BoundedOrder(_general_lower(lower, e, label),
-                        _general_upper(upper, e, forced_maximal, label))
+    order = upper.order
+    # A row that is already a singleton stays as it is.
+    pruned = sum(1 << i for i in bits(pruned) if order.up[i] != 1 << i)
+    if pruned:
+        # Only a pruned row and the rows below a pruned point change their covers.
+        order = order._with_rows(
+            tuple(1 << i if pruned >> i & 1 else row for i, row in enumerate(order.up)),
+            [i for i, row in enumerate(order.up) if row & pruned])
+    return BoundedOrder(
+        _split_step(lower, e, f"{RULE_BOUNDED} at {label} (lower)"),
+        ClosureOrder(order, upper.provenance + (f"{RULE_BOUNDED} at {label} (upper)",)))
 
 
 def _each_bound(

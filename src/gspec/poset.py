@@ -61,6 +61,24 @@ def select(items: Sequence, mask: int) -> Iterator:
     return compress(items, bin(mask)[:1:-1].encode().translate(_BIT_FLAGS))
 
 
+def _walk(up: Sequence[int], rows: Iterable[int],
+          covers: Sequence[int]) -> tuple[int, ...] | None:
+    """``covers`` with each listed row's covers in ``up`` in its place, or
+    None when a listed row is not a partial order's: one is exactly when it
+    is reflexive and its members' strict up-sets reach nothing beyond its own
+    (a stray bit at the point is a cycle).  What no member reaches covers it."""
+    strict = [m & ~(1 << i) for i, m in enumerate(up)]
+    covers = list(covers)
+    for i in rows:
+        s, beyond = strict[i], 0
+        for t in select(strict, s):
+            beyond |= t
+        if beyond & ~s or s == up[i]:
+            return None
+        covers[i] = s & ~beyond
+    return tuple(covers)
+
+
 @dataclass(frozen=True)
 class Order:
     """A finite partial order, stored as per-point up-set bitmasks.
@@ -89,19 +107,10 @@ class Order:
             raise InvalidArgument("elements must be a sorted tuple of distinct names")
         if len(up) != len(els) or any(m >> len(els) for m in up):
             raise InvalidArgument("need one up-set mask per element, within the elements")
-        # A row is a partial order's exactly when it is reflexive and its
-        # members' strict up-sets reach nothing beyond its own (a stray bit at
-        # the point is a cycle); what no member reaches covers the point.
-        strict = [m & ~(1 << i) for i, m in enumerate(up)]
-        covers = []
-        for i, s in enumerate(strict):
-            beyond = 0
-            for t in select(strict, s):
-                beyond |= t
-            if beyond & ~s or s == up[i]:
-                self._reject(i)
-            covers.append(s & ~beyond)
-        object.__setattr__(self, "covers", tuple(covers))
+        covers = _walk(up, range(len(up)), up)  # every row walked, none kept
+        if covers is None:
+            self._reject()
+        object.__setattr__(self, "covers", covers)
 
     @classmethod
     def _derived(cls, elements: tuple[str, ...], up: tuple[int, ...],
@@ -116,17 +125,36 @@ class Order:
         object.__setattr__(order, "covers", covers)
         return order
 
-    def _reject(self, i: int) -> NoReturn:
-        """Raise the error of point ``i``'s failing row, member by member."""
-        els, up, m = self.elements, self.up, self.up[i]
-        if not m >> i & 1:
-            raise InvalidArgument(f"relation not reflexive at {els[i]!r}")
-        for j in bits(m & ~(1 << i)):
-            if up[j] >> i & 1:
-                raise CycleError(f"{els[i]!r} and {els[j]!r} are related both ways")
-            if up[j] & ~m:
-                raise InvalidArgument("relation not transitively closed")
-        raise AssertionError(f"row {i} rejected, but every member passed")
+    def _with_rows(self, up: tuple[int, ...], rows: Iterable[int]) -> "Order | None":
+        """The order of the masks ``up`` on these points, walking the listed
+        rows; every other row must keep its covers here.  None when a listed
+        row is not a partial order's."""
+        covers = _walk(up, rows, self.covers)
+        return None if covers is None else Order._derived(self.elements, up, covers)
+
+    def _split(self, e: int) -> "Order":
+        """Keep the relations inside E and inside its complement, drop the
+        ones that cross.  At a closed E this is the perfect rule, the discrete
+        rule when E is discrete, and the lower bound of the general bracket.
+
+        E must be closed.  A lower set and its complement are then convex,
+        so the covers of each part are the order's covers inside it."""
+        parts = [e if e >> i & 1 else ~e for i in range(len(self.up))]
+        return Order._derived(self.elements, tuple(map(int.__and__, self.up, parts)),
+                              tuple(map(int.__and__, self.covers, parts)))
+
+    def _reject(self) -> NoReturn:
+        """Raise the error of the first failing row, member by member."""
+        els, up = self.elements, self.up
+        for i, m in enumerate(up):
+            if not m >> i & 1:
+                raise InvalidArgument(f"relation not reflexive at {els[i]!r}")
+            for j in bits(m & ~(1 << i)):
+                if up[j] >> i & 1:
+                    raise CycleError(f"{els[i]!r} and {els[j]!r} are related both ways")
+                if up[j] & ~m:
+                    raise InvalidArgument("relation not transitively closed")
+        raise AssertionError("a row was rejected, but every member passed")
 
     @cached_property
     def index(self) -> dict[str, int]:
@@ -134,12 +162,19 @@ class Order:
         return {p: i for i, p in enumerate(self.elements)}
 
     @cached_property
+    def _bottom_up(self) -> tuple[int, ...]:
+        """The points in a linear extension, each after everything below it:
+        by up-set size, largest first (what is below a point has a larger one)."""
+        up = self.up
+        return tuple(sorted(range(len(up)), key=lambda i: -up[i].bit_count()))
+
+    @cached_property
     def down(self) -> tuple[int, ...]:
         """Per-point down-set masks (closures of the points): each point's
-        down-set is pushed up its covers, bottom first (by up-set size)."""
-        up, covers = self.up, self.covers
-        down = [1 << i for i in range(len(up))]
-        for i in sorted(range(len(up)), key=lambda i: -up[i].bit_count()):
+        down-set is pushed up its covers, bottom first."""
+        covers = self.covers
+        down = [1 << i for i in range(len(covers))]
+        for i in self._bottom_up:
             for j in bits(covers[i]):
                 down[j] |= down[i]
         return tuple(down)
@@ -148,12 +183,10 @@ class Order:
     def heights(self) -> tuple[int, ...]:
         """Per-point heights, the longest chain strictly below each point: a
         longest chain climbs by covers, so heights are pushed along them,
-        bottom first (by up-set size)."""
-        up, covers = self.up, self.covers
-        height = [0] * len(up)
-        # Everything strictly below a point has a larger up-set, so the point's
-        # height is final before it is pushed on.
-        for i in sorted(range(len(up)), key=lambda i: -up[i].bit_count()):
+        bottom first, each final before it is pushed on."""
+        covers = self.covers
+        height = [0] * len(covers)
+        for i in self._bottom_up:
             for j in bits(covers[i]):
                 height[j] = max(height[j], height[i] + 1)
         return tuple(height)
@@ -164,15 +197,14 @@ class Order:
         position the mask of its maximal points; :class:`SizeExceeded` above
         ``DEFAULT_ENUMERATION_BOUND`` points.
 
-        The points are taken in a linear extension (by down-set size, so each
-        point comes after everything below it).  Each lower set found so far
-        branches on the next point: it is kept without the point, and also
-        with it when it already holds everything below the point.  Every
-        lower set is reached exactly once, so the cost follows the number of
-        lower sets rather than 2^n (Habib, Medina, Nourine and Steiner,
-        "Efficient algorithms on distributive lattices", DAM 2001).  A set
-        that takes the point keeps its maxima except those below the point,
-        and gains the point.
+        The points are taken in a linear extension, each after everything
+        below it.  Each lower set found so far branches on the next point: it
+        is kept without the point, and also with it when it already holds
+        everything below the point.  Every lower set is reached exactly once,
+        so the cost follows the number of lower sets rather than 2^n (Habib,
+        Medina, Nourine and Steiner, "Efficient algorithms on distributive
+        lattices", DAM 2001).  A set that takes the point keeps its maxima
+        except those below the point, and gains the point.
         """
         n = len(self.elements)
         if n > DEFAULT_ENUMERATION_BOUND:
@@ -180,7 +212,7 @@ class Order:
                 f"{n} elements exceeds enumeration bound {DEFAULT_ENUMERATION_BOUND}")
         down = self.down
         found, maxima = [0], [0]
-        for i in sorted(range(n), key=lambda i: down[i].bit_count()):
+        for i in self._bottom_up:
             bit = 1 << i
             below = down[i] & ~bit
             takes = [m & below == below for m in found]
@@ -349,11 +381,10 @@ def cb_filtration(order: Order) -> CbFiltration:
     In a finite T0 Alexandrov space the isolated points of a subspace are
     exactly its maximal elements, so each layer adds the maxima of what is
     left, and a point joins at layer k exactly when its longest chain
-    upward has k edges.  Those depths are pushed down the covers, top first
-    (by up-set size)."""
-    up, covers = order.up, order.covers
-    depth = [0] * len(up)
-    for i in sorted(range(len(up)), key=lambda i: up[i].bit_count()):
+    upward has k edges.  Those depths are pushed down the covers, top first."""
+    covers = order.covers
+    depth = [0] * len(covers)
+    for i in reversed(order._bottom_up):
         if covers[i]:
             depth[i] = max(map(depth.__getitem__, bits(covers[i]))) + 1
     strata = [0] * (max(depth, default=-1) + 1)

@@ -148,6 +148,16 @@ class TestPresetsAndValidate:
         code, _, err = run(capsys, "validate")
         assert code == 1 and "exactly one" in err
 
+    @pytest.mark.parametrize("extra", [
+        ["--file", ""], ["--out", ""], ["--annotations", ""]])
+    def test_empty_path_is_given(self, capsys, extra):
+        """An empty path is a value, not an absent option: with a preset it is
+        a second poset source, and as a file it does not open."""
+        code, out, err = run(capsys, "closure", "--preset", "LOC2", "--levels", '[["m"]]',
+                             *extra)
+        assert (code, out) == (1, "")
+        assert err.startswith("gspec: ") and err.count("\n") == 1
+
 
 class TestFiltrationCommand:
     def test_normal_form_and_classification(self, capsys):

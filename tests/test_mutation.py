@@ -42,6 +42,7 @@ from gspec import (
     validate_filtration,
 )
 from gspec import mutation as mut
+from gspec import poset as po
 
 LOC2_HEIGHT_ONE = {"p1", "p2", "p3", "p4", "p5"}
 
@@ -348,15 +349,16 @@ class TestChain:
                 return original(*args)
             return wrapper
 
-        for name in ("_split", "_walk_rows", "MutationStep"):
-            monkeypatch.setattr(mut, name, logged(name, getattr(mut, name)))
+        monkeypatch.setattr(Order, "_split", logged("_split", Order._split))
+        monkeypatch.setattr(po, "_walk", logged("_walk", po._walk))
+        monkeypatch.setattr(mut, "MutationStep", logged("MutationStep", mut.MutationStep))
         steps = chain_order(poset, filt, policy=POLICY_ASSUME_NONCOHERENT)
         assert [step.rule for step, _ in steps] == ["onestep", "bounded", "bounded"]
         assert not steps[1][1].exact and not steps[2][1].exact
         # Each step's calls come before its MutationStep is made.
         third = log[log.index("MutationStep", log.index("MutationStep") + 1) + 1:-1]
         assert third.count("_split") == 1
-        assert third.count("_walk_rows") <= 1
+        assert third.count("_walk") <= 1
 
 
 class TestBoundedOrder:
@@ -594,7 +596,7 @@ class TestDerivedOrders:
         for _ in range(3000):
             order = random_order(rng, max_size=12)
             e = order.full_mask & ~random_upper_set(rng, order, order.full_mask)
-            split = mut._split(order, e)
+            split = order._split(e)
             walked = Order(split.elements, split.up)
             assert split.covers == walked.covers, (order, e)
 
