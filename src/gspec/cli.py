@@ -199,14 +199,16 @@ def _load_poset(args: argparse.Namespace) -> PrimePoset:
 
 
 def _read_json(flag: str, value: str, path: bool = False) -> object:
-    """JSON of an option, or of the file it names.  Text that is not UTF-8,
-    not JSON, nested too deeply or holding an integer too long to convert is
-    reported against the flag."""
+    """JSON of an option, or of the file it names.  A file that cannot be
+    read, or text that is not UTF-8, not JSON, nested too deeply or holding
+    an integer too long to convert, is reported against the flag."""
     try:
         if path:
             with open(value, encoding="utf-8") as handle:
                 value = handle.read()
         return json.loads(value)
+    except OSError as exc:
+        raise UsageError(f"{flag} cannot be read: {exc}") from None
     except (ValueError, RecursionError) as exc:
         raise UsageError(f"{flag} is not valid JSON: {exc}") from None
 
@@ -269,16 +271,16 @@ def _parse_filtration(
     return filt, bool(stripped)
 
 
-def _optional_chain(
-    args: argparse.Namespace, poset: PrimePoset
-) -> tuple[mut.BoundedOrder, bool]:
-    """The final order of the chain of the optional filtration (the standard
-    order without one), and whether trivial levels were stripped."""
-    filt, warned = _parse_filtration(args, poset, required=False)
+def _chain(
+    args: argparse.Namespace, poset: PrimePoset, required: bool = True
+) -> tuple[list[tuple[mut.MutationStep, mut.BoundedOrder]], mut.BoundedOrder, bool]:
+    """The chain of the filtration, its final order (the standard order
+    without one) and whether trivial levels were stripped."""
+    filt, warned = _parse_filtration(args, poset, required)
     steps = [] if filt is None else mut.chain_order(
         poset, filt, _parse_annotations(args), args.policy
     )
-    return mut.final_order(steps, poset), warned
+    return steps, mut.final_order(steps, poset), warned
 
 
 def _parse_annotations(args: argparse.Namespace) -> dict[int, bool]:
@@ -308,11 +310,22 @@ def _is_int(value: object) -> bool:
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
-    if args.out is not None:
+    if args.out is None:
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise UsageError(f"--out cannot be written: {exc}") from None
+
+
+def _emit_document(args: argparse.Namespace, payload: dict, lines: list[str]) -> None:
+    """``payload`` as a JSON document under ``--format json``, else ``lines``."""
+    if args.format == "json":
+        _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
-        sys.stdout.write(text)
+        _emit(args, "\n".join(lines) + "\n")
 
 
 # -- output builders ---------------------------------------------------------
@@ -501,13 +514,10 @@ def _cmd_presets(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     poset = _load_poset(args)
-    if args.format == "json":
-        payload = {"covers": covering_pairs(poset.base), "elements": poset.base.elements,
-                   "heights": poset.height}
-        _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        covers = sum(m.bit_count() for m in poset.base.covers)
-        _emit(args, f"{len(poset.base.elements)} primes, {covers} covers\n")
+    covers = covering_pairs(poset.base)
+    elements = poset.base.elements
+    _emit_document(args, {"covers": covers, "elements": elements, "heights": poset.height},
+                   [f"{len(elements)} primes, {len(covers)} covers"])
     return 0
 
 
@@ -517,27 +527,16 @@ def _cmd_filtration(args: argparse.Namespace) -> int:
     flags = spf.classify(poset, filt)
     f = spf.filtration_to_f(filt)
     levels = [list(select(poset.base.elements, level)) for level in filt.levels]
-    if args.format == "json":
-        payload = {"levels": levels, "f": f, "classification": flags}
-        _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        lines = [f"length {filt.n}"]
-        for i, level in enumerate(levels):
-            lines.append(f"V{i} = {{{','.join(level)}}}")
-        lines.append(
-            "classification: "
-            + ", ".join(k for k, v in sorted(flags.items()) if v)
-        )
-        _emit(args, "\n".join(lines) + "\n")
+    _emit_document(args, {"levels": levels, "f": f, "classification": flags}, [
+        f"length {filt.n}",
+        *(f"V{i} = {{{','.join(level)}}}" for i, level in enumerate(levels)),
+        "classification: " + ", ".join(k for k, v in sorted(flags.items()) if v)])
     return 1 if warned else 0
 
 
 def _cmd_closure(args: argparse.Namespace) -> int:
     poset = _load_poset(args)
-    filt, warned = _parse_filtration(args, poset)
-    annotations = _parse_annotations(args)
-    steps = mut.chain_order(poset, filt, annotations, args.policy)
-    final = mut.final_order(steps, poset)
+    steps, final, warned = _chain(args, poset)
     if args.require_exact and not final.exact:
         raise Inexact("result is inexact")
 
@@ -560,25 +559,19 @@ def _cmd_closure(args: argparse.Namespace) -> int:
 
 def _cmd_cb(args: argparse.Namespace) -> int:
     poset = _load_poset(args)
-    final, warned = _optional_chain(args, poset)
+    _, final, warned = _chain(args, poset, required=False)
     if not final.exact:
         raise Inexact("cannot take the filtration of an inexact order")
     cb = cb_filtration(final.lower.order)
     layers = [list(select(poset.base.elements, layer)) for layer in cb.layers]
-    if args.format == "json":
-        payload = {"rank": cb.rank, "layers": layers}
-        _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        lines = [f"rank {cb.rank}"]
-        for i, layer in enumerate(layers):
-            lines.append(f"X{i} = {{{','.join(layer)}}}")
-        _emit(args, "\n".join(lines) + "\n")
+    _emit_document(args, {"rank": cb.rank, "layers": layers}, [
+        f"rank {cb.rank}", *(f"X{i} = {{{','.join(layer)}}}" for i, layer in enumerate(layers))])
     return 1 if warned else 0
 
 
 def _cmd_mutate(args: argparse.Namespace) -> int:
     poset = _load_poset(args)
-    base, warned = _optional_chain(args, poset)
+    _, base, warned = _chain(args, poset, required=False)
     if not base.exact:
         raise Inexact("cannot mutate an inexact order")
     at = _read_json("--at", args.at)

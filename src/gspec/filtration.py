@@ -75,14 +75,17 @@ class SpFiltration:
 def validate_filtration(poset: PrimePoset, levels: Iterable[Iterable[str]]) -> SpFiltration:
     """Check and normalise a chain of sets of names into an :class:`SpFiltration`.
 
-    Raises :class:`InvalidArgument` for a level given as one string and
-    :class:`UnknownElement` for a stranger, level by level, then
-    :class:`NotSpecializationClosed` or :class:`NotDescending` with the
-    offending index.  Explicit full or empty levels are stripped silently,
-    so a chain of k levels lost ``k - n`` of them.
+    Raises :class:`InvalidArgument` for a level given as one string or past
+    the first ``max(MAX_LEVELS, points)``, and :class:`UnknownElement` for a
+    stranger, level by level, then :class:`NotSpecializationClosed` or
+    :class:`NotDescending` with the offending index.  Explicit full or empty
+    levels are stripped silently, so a chain of k levels lost ``k - n`` of them.
     """
+    bound = max(MAX_LEVELS, len(poset.base.elements))
     masks = []
     for i, level in enumerate(levels):
+        if i == bound:
+            raise InvalidArgument(f"more than the bound of {bound} levels given")
         if isinstance(level, str):
             raise InvalidArgument(f"level {i} is a string, not a collection of point names")
         masks.append(poset.base.mask(level))

@@ -182,19 +182,15 @@ def mutate_perfect(co: ClosureOrder, e: int) -> ClosureOrder:
     return _split_step(co, e, f"{RULE_PERFECT} at {_label(co.order, e)}")
 
 
-def mutate_general(co: ClosureOrder, e: int, forced_maximal: int = 0) -> BoundedOrder:
+def mutate_general(co: ClosureOrder, e: int) -> BoundedOrder:
     """Bracket for a mutation step at the closed class with mask ``e`` when
     no exact rule applies.
 
     Both bounds keep the subspace orders on E and its complement.  The lower
-    bound drops every cross relation; the upper bound keeps the cross
-    relations of the pre-order except those whose source is already known to
-    be maximal in the result: the points of the mask ``forced_maximal`` that
-    are maximal in E (a claim on any other point of E is false, and ignored).
-    Their rows become singletons and the rest stay pre-order rows, so the
-    upper bound is transitively closed as built.
+    bound drops every cross relation; the upper bound is the pre-order.  Only
+    the chain knows points that must stay maximal, and prunes their rows.
     """
-    return _bracket(exact_bounds(co), e, forced_maximal & co.order.maximal(e))
+    return _bracket(exact_bounds(co), e, 0)
 
 
 def chain_order(

@@ -100,10 +100,9 @@ class PrimePoset:
     def _validate_annotation_key(self, p: str, q: str, W: frozenset[str]) -> tuple[int, int, int]:
         """Check an annotation key; returns it as ``(i, j, W mask)``."""
         try:
-            i, j = self._interval_ends(p, q)
+            i, j, members = self._interval_ends(p, q)
         except NotComparable as exc:
             raise AnnotationKeyError(str(exc)) from None
-        members = self.base.up[i] & self.base.down[j]
         if not W <= self.base.names(members):
             raise AnnotationKeyError(
                 f"annotation set {sorted(W)} not inside interval [{p!r}, {q!r}]"
@@ -116,12 +115,13 @@ class PrimePoset:
             )
         return i, j, w
 
-    def _interval_ends(self, p: str, q: str) -> tuple[int, int]:
-        """Indices of ``p`` and ``q``; :class:`NotComparable` unless p <= q."""
+    def _interval_ends(self, p: str, q: str) -> tuple[int, int, int]:
+        """Indices of ``p`` and ``q`` and the mask of the interval [p, q];
+        :class:`NotComparable` unless p <= q."""
         i, j = self.base.index.get(p), self.base.index.get(q)
         if i is None or j is None or not self.base.up[i] >> j & 1:
             raise NotComparable(f"{p!r} not contained in {q!r}")
-        return i, j
+        return i, j, self.base.up[i] & self.base.down[j]
 
     @cached_property
     def _shallow(self) -> tuple[int, ...]:
@@ -140,8 +140,7 @@ class PrimePoset:
         bottom of the interval sits at height zero, and annotations whose own
         interval nests inside ``[p, q]`` are carried along.
         """
-        i, j = self._interval_ends(p, q)
-        members = self.base.up[i] & self.base.down[j]
+        i, j, members = self._interval_ends(p, q)
         offset = self.height[p]
         heights = {r: self.height[r] - offset for r in sorted(self.base.names(members))}
         index, up = self.base.index, self.base.up
@@ -158,7 +157,7 @@ class PrimePoset:
         :class:`NotComparable` unless p <= q and :class:`UnknownElement` for
         a name of ``V0`` outside the poset.
         """
-        i, j = self._interval_ends(p, q)
+        i, j, _ = self._interval_ends(p, q)
         return self.verdict_at(i, j, self.base.mask(V0))
 
     def verdict_at(self, i: int, j: int, v: int) -> CoherenceVerdict:

@@ -297,7 +297,8 @@ def _cb_report(order: Order, layers: tuple[int, ...], name: str) -> PropertyRepo
     whose minimal open set has shrunk to themselves once X_(k-1) is taken
     away.  The layers are tested point by point against the up-sets
     (:func:`_peels`), not the covers :func:`cb_filtration` reads; only a
-    failure peels the maxima layer by layer, for its witness."""
+    failure peels the maxima layer by layer, for its witness: the first layer
+    that differs, as layers that all match the peeling pass :func:`_peels`."""
     chain = longest_chain(order)
     if len(layers) - 1 != chain:
         return PropertyReport(name, _witness(rank=len(layers) - 1, chain=chain))
@@ -310,11 +311,9 @@ def _cb_report(order: Order, layers: tuple[int, ...], name: str) -> PropertyRepo
             1 << i for i in bits(remaining) if order.up[i] & remaining == 1 << i
         )
         if layer != accumulated | isolated:
-            return PropertyReport(name, _witness(layer=order.names(layer)))
+            break
         accumulated |= isolated
-    if accumulated != order.full_mask:
-        return PropertyReport(name, _witness(layer=order.names(accumulated)))
-    return PropertyReport(name)
+    return PropertyReport(name, _witness(layer=order.names(layer)))
 
 
 def _peels(order: Order, layers: tuple[int, ...]) -> bool:

@@ -158,6 +158,23 @@ class TestPresetsAndValidate:
         assert (code, out) == (1, "")
         assert err.startswith("gspec: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("flag", ["--file", "--codim", "--annotations", "--out"])
+    @pytest.mark.parametrize("kind", ["empty", "directory"])
+    def test_unusable_path_names_flag(self, capsys, tmp_path, flag, kind):
+        """A path that cannot be read or written is one line naming the flag
+        and the path."""
+        path = "" if kind == "empty" else str(tmp_path)
+        closure = ["closure", "--preset", "LOC2", "--levels", '[["m"]]']
+        argv = {"--file": ["closure", "--file", path, "--levels", '[["m"]]'],
+                "--codim": ["filtration", "--preset", "LOC2", "--codim", path],
+                "--annotations": [*closure, "--annotations", path],
+                "--out": [*closure, "--out", path]}[flag]
+        code, out, err = run(capsys, *argv)
+        verb = "written" if flag == "--out" else "read"
+        assert (code, out) == (1, "")
+        assert err.startswith(f"gspec: {flag} cannot be {verb}: ") and err.count("\n") == 1
+        assert repr(path) in err
+
 
 class TestFiltrationCommand:
     def test_normal_form_and_classification(self, capsys):
@@ -223,6 +240,7 @@ class TestFiltrationCommand:
         ("--f", {"o": 0, "m": 1, "zz": 3}),
         ("--levels", "nonsense"),
         ("--codim", "{"),
+        ("--levels", {"m": 0}),
     ])
     def test_ill_typed_source_names_flag(self, capsys, tmp_path, flag, value):
         # A string is passed as it stands, to exercise JSON syntax errors.
@@ -250,6 +268,17 @@ class TestFiltrationCommand:
         assert err == (f"gspec: level function spans {10**30} levels, "
                        f"above the bound of {MAX_LEVELS}\n")
 
+    def test_level_count_bounded(self, capsys):
+        """--levels may give as many levels as a level function may span, and
+        no more."""
+        levels = [["m"]] * MAX_LEVELS
+        code, _, err = run(capsys, "closure", "--preset", "LOC2", "--levels", json.dumps(levels))
+        assert (code, err) == (0, "")
+        code, out, err = run(capsys, "closure", "--preset", "LOC2",
+                             "--levels", json.dumps(levels + [["m"]]))
+        assert (code, out) == (1, "")
+        assert err == f"gspec: more than the bound of {MAX_LEVELS} levels given\n"
+
     def test_tall_chain_spans_more_than_max_levels(self, capsys, tmp_path):
         """A poset's own height and codimension functions are never refused,
         however tall it is: the bound is at least the number of points."""
@@ -274,7 +303,8 @@ class TestFiltrationCommand:
 
 
 class TestUsageErrors:
-    """A usage error argparse finds is one ``gspec:`` line and exit 1."""
+    """A usage error, found by argparse or by the CLI's own checks, is one
+    ``gspec:`` line and exit 1."""
 
     @pytest.mark.parametrize("argv, message", [
         (["closure", "--preset", "LOC2", "--format", "xml"],
@@ -284,6 +314,7 @@ class TestUsageErrors:
         (["closure", "--preset", "LOC2", "--bogus"], "unrecognized arguments: --bogus"),
         (["bogus"], "argument command: invalid choice: "),
         ([], "the following arguments are required: command"),
+        (["closure", "--preset", "LOC2"], "a filtration is required: "),
     ])
     def test_one_line(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
@@ -583,6 +614,7 @@ class TestClosureCommand:
         ({"i": 99, "perfect": True}, "i"),
         ([{"i": 2, "perfect": True}, {"i": 2, "perfect": False}], "i"),
         ([{"i": 2, "perfect": False}, {"i": 2, "perfect": True}], "i"),
+        ({"i": 2}, "perfect"),
     ])
     def test_annotation_types_checked(self, capsys, tmp_path, entry, key):
         """A string "false" must not certify a perfect step, and a repeated
@@ -597,6 +629,15 @@ class TestClosureCommand:
         )
         assert code == 1 and out == ""
         assert err.startswith("gspec: ") and f"'{key}'" in err
+
+    def test_annotations_need_steps(self, capsys, tmp_path):
+        path = tmp_path / "steps.json"
+        path.write_text("[]", encoding="utf-8")
+        code, out, err = run(capsys, "closure", "--preset", "LOC2", "--levels", '[["m"]]',
+                             "--annotations", str(path))
+        assert (code, out) == (1, "")
+        assert err == ('gspec: annotations must look like '
+                       '{"steps": [{"i": 2, "perfect": true}]}\n')
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "result.dot"

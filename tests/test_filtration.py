@@ -4,6 +4,7 @@ import pytest
 
 from conftest import poset_from_order, random_monotone_f, random_order
 from gspec import (
+    MAX_LEVELS,
     InvalidArgument,
     NotCodimensionFunction,
     NotDescending,
@@ -58,6 +59,15 @@ class TestValidate:
         be the whole spectrum and vanish, "mo" on LOC2 would fail as {m, o}."""
         with pytest.raises(InvalidArgument, match=f"^level {index} is a string"):
             validate_filtration(preset(name), levels)
+
+    def test_level_count_bounded(self):
+        """At most ``MAX_LEVELS`` levels on a smaller poset, counted as given:
+        trivial ones count, and no level past the bound is read."""
+        poset = preset("LOC2")
+        assert validate_filtration(poset, [set()] * MAX_LEVELS).n == 0
+        with pytest.raises(InvalidArgument,
+                           match=f"^more than the bound of {MAX_LEVELS} levels given$"):
+            validate_filtration(poset, [set()] * MAX_LEVELS + [{"zz"}])
 
     def test_trivial_levels_stripped(self):
         """Explicit full and empty levels are stripped without a warning;

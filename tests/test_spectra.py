@@ -13,9 +13,11 @@ from gspec import (
     CycleError,
     InvalidArgument,
     NotComparable,
+    PrimePoset,
     SchemaError,
     UnknownElement,
     UnknownPreset,
+    build_order,
     covering_pairs,
     load_prime_poset,
     preset,
@@ -58,10 +60,17 @@ class TestLoad:
         {"elements": ["o"], "coherence": 0},
         {"elements": ["o"], "heights": {"o": 0, "zz": 3}},
         {"elements": ["o", "o", "m"], "covers": [["o", "m"]]},
+        {"elements": ["a"], "heights": {"a": -1}},
+        {"elements": ["o", "m"], "covers": [["o", "m"]],
+         "coherence": [{"p": "o", "q": "m", "W": "m", "coherent": True}]},
     ])
     def test_schema_errors(self, document):
         with pytest.raises(SchemaError):
             load_prime_poset(document)
+
+    def test_constructor_needs_every_height(self):
+        with pytest.raises(SchemaError, match="^missing height for 'a'$"):
+            PrimePoset(build_order(["a"], []), {}, {})
 
     def test_repeated_element_named(self):
         with pytest.raises(SchemaError, match="element 'o' is listed more than once"):
