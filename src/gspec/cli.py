@@ -422,7 +422,7 @@ class _OrderWriter:
 def hasse_dot(order: Order, heights: Mapping[str, int]) -> str:
     """Hasse diagram as deterministic DOT: transitive reduction, nodes in
     rank groups by height, edges from the smaller prime to the larger."""
-    quoted = [_quote(p) for p in order.elements]
+    quoted = ['"' + p.replace("\\", "\\\\").replace('"', '\\"') + '"' for p in order.elements]
     lines = ["digraph gspec {", "  rankdir=BT;", "  node [shape=circle];"]
     for h in sorted(set(heights[p] for p in order.elements)):
         group = " ".join(f"{q};" for p, q in zip(order.elements, quoted) if heights[p] == h)
@@ -431,11 +431,6 @@ def hasse_dot(order: Order, heights: Mapping[str, int]) -> str:
         lines.extend(f"  {q} -> {quoted[j]};" for j in bits(m))
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def _quote(name: str) -> str:
-    escaped = name.replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{escaped}"'
 
 
 def _string_list(texts: Iterable[str], newline: str) -> str:
@@ -562,10 +557,11 @@ def _cmd_cb(args: argparse.Namespace) -> int:
     _, final, warned = _chain(args, poset, required=False)
     if not final.exact:
         raise Inexact("cannot take the filtration of an inexact order")
-    cb = cb_filtration(final.lower.order)
-    layers = [list(select(poset.base.elements, layer)) for layer in cb.layers]
-    _emit_document(args, {"rank": cb.rank, "layers": layers}, [
-        f"rank {cb.rank}", *(f"X{i} = {{{','.join(layer)}}}" for i, layer in enumerate(layers))])
+    layers = [list(select(poset.base.elements, layer))
+              for layer in cb_filtration(final.lower.order)]
+    rank = len(layers) - 1
+    _emit_document(args, {"rank": rank, "layers": layers}, [
+        f"rank {rank}", *(f"X{i} = {{{','.join(layer)}}}" for i, layer in enumerate(layers))])
     return 1 if warned else 0
 
 

@@ -237,18 +237,15 @@ class Order:
         """Mask of a set of point names; :class:`UnknownElement` on a stranger."""
         m = 0
         for p in subset:
-            m |= 1 << self._position(p)
+            try:
+                m |= 1 << self.index[p]
+            except KeyError:
+                raise UnknownElement(p) from None
         return m
 
     def names(self, mask: int) -> frozenset[str]:
         """Point names of a mask."""
         return frozenset(self.elements[i] for i in bits(mask))
-
-    def _position(self, p: str) -> int:
-        try:
-            return self.index[p]
-        except KeyError:
-            raise UnknownElement(p) from None
 
     # -- subset queries (masks) --------------------------------------------
 
@@ -358,25 +355,11 @@ def longest_chain(order: Order) -> int:
     return max(order.heights, default=-1)
 
 
-@dataclass(frozen=True)
-class CbFiltration:
-    """Cantor-Bendixson filtration of a finite T0 Alexandrov space.
-
-    ``layers`` is the strictly increasing chain of masks X_0 < X_1 < ...
-    ending at the full mask.
-    """
-
-    layers: tuple[int, ...]
-
-    @property
-    def rank(self) -> int:
-        """The number of steps to stabilise; the empty space (whose chain
-        starts at the empty set and is already stable) has rank -1."""
-        return len(self.layers) - 1
-
-
-def cb_filtration(order: Order) -> CbFiltration:
-    """Iteratively adjoin the isolated points of the complement.
+def cb_filtration(order: Order) -> tuple[int, ...]:
+    """The Cantor-Bendixson layers X_0 < X_1 < ... as masks, ending at the
+    full mask: iteratively adjoin the isolated points of the complement.
+    The rank is one less than the number of layers, so -1 for the empty
+    space, whose chain is already stable.
 
     In a finite T0 Alexandrov space the isolated points of a subspace are
     exactly its maximal elements, so each layer adds the maxima of what is
@@ -390,7 +373,7 @@ def cb_filtration(order: Order) -> CbFiltration:
     strata = [0] * (max(depth, default=-1) + 1)
     for i, d in enumerate(depth):
         strata[d] |= 1 << i
-    return CbFiltration(tuple(accumulate(strata, or_)))
+    return tuple(accumulate(strata, or_))
 
 
 @dataclass(frozen=True)
@@ -438,8 +421,3 @@ def enumerate_closed_sets(order: Order) -> tuple[frozenset[str], ...]:
     """All lower sets, sorted by size then lexicographically by members;
     :class:`SizeExceeded` above ``DEFAULT_ENUMERATION_BOUND`` points."""
     return tuple(sorted(map(order.names, closed_masks(order)), key=_by_size_then_names))
-
-
-def heights_by_longest_chain(order: Order) -> dict[str, int]:
-    """Height of each point as the longest chain strictly below it."""
-    return dict(zip(order.elements, order.heights))

@@ -23,7 +23,6 @@ from .poset import (
     Order,
     bits,
     build_order,
-    heights_by_longest_chain,
     select,
 )
 
@@ -271,7 +270,7 @@ def load_prime_poset(document: Mapping) -> PrimePoset:
 
     heights = document.get("heights")
     if heights is None:
-        height_map = heights_by_longest_chain(base)
+        height_map = dict(zip(base.elements, base.heights))
     else:
         if not isinstance(heights, Mapping) or not all(
             isinstance(k, str) and isinstance(v, int) and not isinstance(v, bool)

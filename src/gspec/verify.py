@@ -261,7 +261,7 @@ def _baseline(
         f"{tag}:maximal-difference",
         _witness(point=order.elements[next(bits(not_maximal))]) if not_maximal else None))
 
-    out.append(_cb_sanity(order, f"{tag}:cb"))
+    out.append(_cb_report(order, cb_filtration(order), f"{tag}:cb"))
     return out
 
 
@@ -285,11 +285,6 @@ def _first_changed_stratum(order: Order, base: Order, level_of: list[int]) -> in
         strata[f + 1] |= 1 << j
     return min((f + 1 for f, a, b in zip(level_of, order.up, base.up)
                 if (a ^ b) & strata[f + 1]), default=None)
-
-
-def _cb_sanity(order: Order, name: str) -> PropertyReport:
-    """The Cantor-Bendixson report of ``order``'s :func:`cb_filtration`."""
-    return _cb_report(order, cb_filtration(order).layers, name)
 
 
 def _cb_report(order: Order, layers: tuple[int, ...], name: str) -> PropertyReport:

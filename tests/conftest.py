@@ -4,6 +4,9 @@ from itertools import chain, combinations
 import pytest
 
 from gspec import (
+    COHERENT,
+    NOT_COHERENT,
+    UNDETERMINED,
     ClosureOrder,
     Order,
     PrimePoset,
@@ -65,6 +68,31 @@ def brute_upper_sets(order: Order) -> set[frozenset[str]]:
 def onestep(poset: PrimePoset, V0, policy: str = "error") -> ClosureOrder:
     """The one-step order at a level given by its point names."""
     return onestep_order(poset, poset.base.mask(V0), policy)
+
+
+def between(order, p, q):
+    """The interval [p, q] read from the pair relation."""
+    return {r for r in order.elements if (p, r) in order.relation and (r, q) in order.relation}
+
+
+def reference_verdict(poset, p, q, V0):
+    """The five rules of the oracle restated over names and pairs."""
+    rel = poset.base.relation
+    members = between(poset.base, p, q)
+    W = members & V0
+    if not W or W == members:
+        return COHERENT, "trivial"
+    if len(members) <= 2:
+        return COHERENT, "dimension-one"
+    if W == members - {p}:
+        return COHERENT, "generic-complement"
+    minimal = [r for r in W if not any(s != r and (s, r) in rel for s in W)]
+    if any(poset.height[r] - poset.height[p] >= 2 for r in minimal):
+        return NOT_COHERENT, "deep-minimal"
+    known = poset.coherence.get((p, q, frozenset(W)))
+    if known is not None:
+        return (COHERENT if known else NOT_COHERENT), "annotation"
+    return UNDETERMINED, "no-rule"
 
 
 def poset_from_order(order: Order) -> PrimePoset:

@@ -210,9 +210,9 @@ def test_criterion_10_cantor_bendixson_correspondence():
         # Spot values, frozen from the worked examples.
         poset = preset("LOC2")
         from gspec import cb_filtration, standard_order
-        assert cb_filtration(standard_order(poset).order).rank == 2
+        assert len(cb_filtration(standard_order(poset).order)) - 1 == 2
         filt = validate_filtration(poset, [{"m"}, {"m"}])
         final = final_order(chain_order(poset, filt), poset).lower.order
-        cb = cb_filtration(final)
-        assert cb.rank == 1 == longest_chain(final)
-        assert final.names(cb.layers[0]) == {"m", "p1", "p2", "p3", "p4", "p5"}
+        layers = cb_filtration(final)
+        assert len(layers) - 1 == 1 == longest_chain(final)
+        assert final.names(layers[0]) == {"m", "p1", "p2", "p3", "p4", "p5"}

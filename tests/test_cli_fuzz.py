@@ -24,7 +24,6 @@ from conftest import (
 )
 from gspec import MAX_LEVELS, POLICIES, POLICY_ASSUME_COHERENT, covering_pairs
 from gspec.cli import main
-from gspec.poset import heights_by_longest_chain
 
 DRAWS = 1200
 COMMANDS = ("validate", "filtration", "closure", "cb", "mutate", "check")
@@ -36,7 +35,7 @@ def _document(rng, order):
     doc = {"elements": list(order.elements),
            "covers": [list(c) for c in covering_pairs(order)]}
     if rng.random() < 0.3:
-        doc["heights"] = heights_by_longest_chain(order)
+        doc["heights"] = dict(zip(order.elements, order.heights))
     pairs, keys = sorted(strict_pairs(order)), set()
     for _ in range(rng.randint(0, 4) if pairs else 0):
         p, q = rng.choice(pairs)
@@ -61,7 +60,7 @@ def _document(rng, order):
         if target == "coherent" and entries:
             rng.choice(entries)["coherent"] = "true"
         elif target == "heights":
-            doc["heights"] = {p: str(h) for p, h in heights_by_longest_chain(order).items()}
+            doc["heights"] = {p: str(h) for p, h in zip(order.elements, order.heights)}
         else:
             doc[target] = {"x0": "x0"} if target == "covers" else "x0"
     elif entries and rng.random() < 0.5:

@@ -23,6 +23,7 @@ from gspec import (
     InvalidArgument,
     NotClosed,
     NotDiscrete,
+    NotSpecializationClosed,
     Order,
     UndeterminedCoherence,
     UnknownPolicy,
@@ -127,6 +128,14 @@ class TestOnestep:
         filt = validate_filtration(loc2, [{"m"}])
         with pytest.raises(GspecError, match=re.escape(message)):
             chain_order(loc2, filt, policy="bogus")
+
+    def test_rejects_level_not_upper_set(self):
+        """A V0 that is not specialisation-closed is level 0's error."""
+        loc2 = preset("LOC2")
+        with pytest.raises(NotSpecializationClosed,
+                           match="^level 0 is not specialisation-closed$") as caught:
+            onestep_order(loc2, loc2.base.mask(["o"]), POLICY_ASSUME_NONCOHERENT)
+        assert caught.value.index == 0
 
 
 class TestMutateDiscrete:

@@ -31,7 +31,6 @@ from gspec import (
 from gspec.poset import (
     bits,
     closed_masks,
-    heights_by_longest_chain,
     select,
     transitive_closure,
 )
@@ -203,21 +202,21 @@ class TestSubsets:
 class TestCbFiltration:
     def test_three_chain(self):
         # Layer by layer: first the top, then the middle, then everything.
-        cb = cb_filtration(CHAIN3)
-        assert [CHAIN3.names(layer) for layer in cb.layers] == [
+        layers = cb_filtration(CHAIN3)
+        assert [CHAIN3.names(layer) for layer in layers] == [
             {"m"}, {"m", "p"}, {"m", "o", "p"}]
-        assert cb.rank == 2
+        assert len(layers) - 1 == 2
 
     def test_antichain(self):
         order = build_order(["a", "b", "c"], [])
-        cb = cb_filtration(order)
-        assert cb.rank == 0
-        assert cb.layers == (order.full_mask,)
+        layers = cb_filtration(order)
+        assert len(layers) - 1 == 0
+        assert layers == (order.full_mask,)
 
     def test_empty(self):
-        cb = cb_filtration(build_order([], []))
-        assert cb.rank == -1
-        assert cb.layers == ()
+        layers = cb_filtration(build_order([], []))
+        assert len(layers) - 1 == -1
+        assert layers == ()
 
     def test_matches_layer_peeling(self):
         """Layers by depth along the covers equal the maxima peeled one
@@ -235,7 +234,7 @@ class TestCbFiltration:
         orders = [build_order([], []), build_order(names, zip(names, names[1:]))]
         orders += [random_order(rng, max_size=16) for _ in range(500)]
         for order in orders:
-            assert cb_filtration(order).layers == peel(order)
+            assert cb_filtration(order) == peel(order)
 
 
 class TestCheckAxioms:
@@ -319,13 +318,13 @@ class TestProperties:
 
     @given(orders())
     def test_cb_layers_are_maxima_strata(self, order):
-        cb = cb_filtration(order)
+        layers = cb_filtration(order)
         previous = 0
-        for layer in cb.layers:
+        for layer in layers:
             remaining = order.full_mask & ~previous
             assert layer & ~previous == order.maximal(remaining)
             previous = layer
-        assert cb.rank == longest_chain(order)
+        assert len(layers) - 1 == longest_chain(order)
 
     @given(orders())
     @settings(max_examples=40)
@@ -391,7 +390,7 @@ class TestMaskRepresentation:
                 {q for (r, q) in reduction if r == p} for p in order.elements]
 
             heights = self.pair_heights(order)
-            assert heights_by_longest_chain(order) == heights
+            assert dict(zip(order.elements, order.heights)) == heights
             assert longest_chain(order) == max(heights.values())
 
     @pytest.mark.parametrize("elements,up,message", [

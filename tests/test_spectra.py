@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import random_order, strict_pairs
+from conftest import between, random_order, reference_verdict, strict_pairs
 from gspec import (
     COHERENT,
     NOT_COHERENT,
@@ -22,7 +22,7 @@ from gspec import (
     load_prime_poset,
     preset,
 )
-from gspec.poset import bits, heights_by_longest_chain
+from gspec.poset import bits
 
 
 class TestLoad:
@@ -237,31 +237,6 @@ class TestCoherentComplement:
                 assert verdict.verdict != UNDETERMINED
 
 
-def between(order, p, q):
-    """The interval [p, q] read from the pair relation."""
-    return {r for r in order.elements if (p, r) in order.relation and (r, q) in order.relation}
-
-
-def reference_verdict(poset, p, q, V0):
-    """The five rules of the oracle restated over names and pairs."""
-    rel = poset.base.relation
-    members = between(poset.base, p, q)
-    W = members & V0
-    if not W or W == members:
-        return COHERENT, "trivial"
-    if len(members) <= 2:
-        return COHERENT, "dimension-one"
-    if W == members - {p}:
-        return COHERENT, "generic-complement"
-    minimal = [r for r in W if not any(s != r and (s, r) in rel for s in W)]
-    if any(poset.height[r] - poset.height[p] >= 2 for r in minimal):
-        return NOT_COHERENT, "deep-minimal"
-    known = poset.coherence.get((p, q, frozenset(W)))
-    if known is not None:
-        return (COHERENT if known else NOT_COHERENT), "annotation"
-    return UNDETERMINED, "no-rule"
-
-
 def random_model(rng):
     """A random model on a random order and four random upper sets of it.
 
@@ -297,7 +272,7 @@ class TestVerdictAgainstReference:
         seen = Counter()
         for _ in range(300):
             poset, uppers = random_model(rng)
-            explicit = poset.height != heights_by_longest_chain(poset.base)
+            explicit = poset.height != dict(zip(poset.base.elements, poset.base.heights))
             for V0 in uppers:
                 for p, q in sorted(poset.base.relation):
                     got = poset.coherent_complement(p, q, V0)

@@ -242,7 +242,7 @@ class TestCbReport:
         orders += [random_order(rng, 10) for _ in range(600)]
         verdicts = set()
         for order in orders:
-            for layers in corrupted_layers(rng, cb_filtration(order).layers):
+            for layers in corrupted_layers(rng, cb_filtration(order)):
                 expected = peeling_report(order, tuple(layers), "cb")
                 assert _cb_report(order, tuple(layers), "cb") == expected, layers
                 verdicts.add(expected.counterexample[-1][0] if expected.counterexample else "pass")
@@ -456,7 +456,7 @@ class TestRunSuite:
         per layer of each order)."""
         from gspec import chain_order, height_filtration, load_prime_poset
         from gspec import poset as poset_module
-        from gspec.verify import _cb_sanity, _first_changed_stratum
+        from gspec.verify import _cb_report, _first_changed_stratum
         steps = [0]
 
         def counting(fn):
@@ -480,7 +480,7 @@ class TestRunSuite:
             level_of = level_indices(filt)
             steps[0] = 0
             for order in orders:
-                assert _cb_sanity(order, "cb").passed
+                assert _cb_report(order, cb_filtration(order), "cb").passed
                 assert _first_changed_stratum(order, poset.base, level_of) is None
             counts[n] = steps[0]
         assert len(orders) == 200 and counts[100] > 0
