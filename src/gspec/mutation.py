@@ -76,7 +76,7 @@ class BoundedOrder:
     upper: ClosureOrder
 
     def __post_init__(self) -> None:
-        if not self.lower.order.refines(self.upper.order):
+        if self.lower is not self.upper and not self.lower.order.refines(self.upper.order):
             raise InvalidArgument("lower bound exceeds upper bound")
 
     @property
@@ -145,7 +145,7 @@ def onestep_order(poset: PrimePoset, v: int, policy: str = POLICY_ERROR) -> Clos
             answer = verdict.verdict
             if answer == UNDETERMINED and m:
                 if policy == POLICY_ERROR:
-                    raise UndeterminedCoherence(els[i], els[next(bits(m))])
+                    raise UndeterminedCoherence(els[i], els[bits(m)[0]])
                 answer = COHERENT if policy == POLICY_ASSUME_COHERENT else NOT_COHERENT
             if answer == NOT_COHERENT:
                 kept |= m

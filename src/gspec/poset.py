@@ -44,12 +44,23 @@ class SizeExceeded(GspecError):
     """The order is too large for exhaustive closed-set enumeration."""
 
 
-def bits(mask: int) -> Iterator[int]:
-    """Indices of the set bits of ``mask``, ascending."""
+_BYTE = tuple(tuple(j for j in range(8) if m >> j & 1) for m in range(256))
+_HIGH = tuple(tuple(j + 8 for j in row) for row in _BYTE)
+
+
+def bits(mask: int) -> Sequence[int]:
+    """Indices of the set bits of ``mask``, ascending: below 2^16 a tuple
+    looked up per byte, above it a list found lowest bit first."""
+    if mask < 256:
+        return _BYTE[mask]
+    if mask < 65536:
+        return _BYTE[mask & 255] + _HIGH[mask >> 8]
+    found = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        found.append(low.bit_length() - 1)
         mask ^= low
+    return found
 
 
 _BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
@@ -128,20 +139,38 @@ class Order:
     def _with_rows(self, up: tuple[int, ...], rows: Iterable[int]) -> "Order | None":
         """The order of the masks ``up`` on these points, walking the listed
         rows; every other row must keep its covers here.  None when a listed
-        row is not a partial order's."""
+        row is not a partial order's; this order itself when ``up`` is its
+        masks.  ``up`` may only remove relations from this order, whose
+        cached linear extension is then handed on."""
+        if up == self.up:
+            return self
         covers = _walk(up, rows, self.covers)
-        return None if covers is None else Order._derived(self.elements, up, covers)
+        return None if covers is None else self._refined(up, covers)
 
     def _split(self, e: int) -> "Order":
         """Keep the relations inside E and inside its complement, drop the
-        ones that cross.  At a closed E this is the perfect rule, the discrete
-        rule when E is discrete, and the lower bound of the general bracket.
+        ones that cross; this order itself when no relation crosses.  At a
+        closed E this is the perfect rule, the discrete rule when E is
+        discrete, and the lower bound of the general bracket.
 
         E must be closed.  A lower set and its complement are then convex,
-        so the covers of each part are the order's covers inside it."""
+        so the covers of each part are the order's covers inside it.  So are
+        the down-sets, when this order has them cached."""
         parts = [e if e >> i & 1 else ~e for i in range(len(self.up))]
-        return Order._derived(self.elements, tuple(map(int.__and__, self.up, parts)),
-                              tuple(map(int.__and__, self.covers, parts)))
+        up = tuple(map(int.__and__, self.up, parts))
+        if up == self.up:
+            return self
+        split = self._refined(up, tuple(map(int.__and__, self.covers, parts)))
+        if "down" in self.__dict__:
+            split.__dict__["down"] = tuple(map(int.__and__, self.down, parts))
+        return split
+
+    def _refined(self, up: tuple[int, ...], covers: tuple[int, ...]) -> "Order":
+        """The order of ``up`` and ``covers``, with this order's cached linear extension."""
+        order = Order._derived(self.elements, up, covers)
+        if "_bottom_up" in self.__dict__:
+            order.__dict__["_bottom_up"] = self._bottom_up
+        return order
 
     def _reject(self) -> NoReturn:
         """Raise the error of the first failing row, member by member."""
@@ -164,7 +193,8 @@ class Order:
     @cached_property
     def _bottom_up(self) -> tuple[int, ...]:
         """The points in a linear extension, each after everything below it:
-        by up-set size, largest first (what is below a point has a larger one)."""
+        by up-set size, largest first (what is below a point has a larger one),
+        or handed on from an order this one is contained in, as it is one here too."""
         up = self.up
         return tuple(sorted(range(len(up)), key=lambda i: -up[i].bit_count()))
 
@@ -261,7 +291,7 @@ class Order:
 
         For Alexandrov spaces this is exactly the subspace-topology order.
         """
-        kept = list(bits(S))
+        kept = bits(S)
         position = {old: new for new, old in enumerate(kept)}
         return Order(
             tuple(self.elements[i] for i in kept),

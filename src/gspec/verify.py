@@ -2,12 +2,11 @@
 
 The two laws, ``t0`` and ``sober`` read closed sets from
 :attr:`Order.lower_sets`, enumerated once per order, and share no code with
-the rewrite rules.  Refinement, piecewise, refines-inclusion, levels-open,
-strata-restriction and cb are direct mask checks; cb tests the layers
-against the up-sets, not the covers :func:`cb_filtration` reads.  Sandwich
-(through ``mutation.mutate_general``, whose lower bound is the rules' split)
-and maximal-difference (through ``filtration.forced_maximal``, which the
-bracket's pruning also reads) reuse engine definitions.
+the rewrite rules.  Refinement, piecewise, sandwich, refines-inclusion,
+levels-open, strata-restriction and cb are direct mask checks; cb tests the
+layers against the up-sets, not the covers :func:`cb_filtration` reads.
+Maximal-difference (through ``filtration.forced_maximal``, which the
+bracket's pruning also reads) reuses an engine definition.
 """
 
 from __future__ import annotations
@@ -88,7 +87,7 @@ def _least_pair(order: Order, rows: Iterable[tuple[int, int]]) -> tuple[str, str
     the least pair by names."""
     for i, row in rows:
         if row:
-            return order.elements[i], order.elements[next(bits(row))]
+            return order.elements[i], order.elements[bits(row)[0]]
     return None
 
 
@@ -217,9 +216,19 @@ def run_suite(
 def _sandwich(
     pre: mut.ClosureOrder, e: int, exact: mut.ClosureOrder, name: str
 ) -> PropertyReport:
-    bracket = mut.mutate_general(pre, e)
-    return _pair_report(name, _least_extra_pair(bracket.lower.order, exact.order)
-                        or _least_extra_pair(exact.order, bracket.upper.order))
+    """``exact`` lies between ``pre`` split at the class ``e`` and ``pre``
+    itself, row by row on the masks: each row keeps the split's row and adds
+    nothing beyond the pre-order's.  Only a failure names a pair: the least
+    one the split keeps and ``exact`` drops, else the least one ``exact``
+    adds."""
+    up, got = pre.order.up, exact.order.up
+    kept = [m & (e if e >> i & 1 else ~e) for i, m in enumerate(up)]
+    if not any(k & ~g or g & ~m for k, g, m in zip(kept, got, up)):
+        return PropertyReport(name)
+    dropped = enumerate(k & ~g for k, g in zip(kept, got))
+    added = enumerate(g & ~m for g, m in zip(got, up))
+    return _pair_report(name, _least_pair(exact.order, dropped)
+                        or _least_pair(exact.order, added))
 
 
 def _baseline(
@@ -242,7 +251,7 @@ def _baseline(
 
     if small:
         axioms = check_axioms(order)
-        failures = _witness(failures=set(axioms.failures))
+        failures = _witness(failures=set(axioms.failures)) if axioms.failures else None
         out.append(PropertyReport(f"{tag}:t0", None if axioms.t0 else failures))
         out.append(PropertyReport(f"{tag}:sober", None if axioms.sober else failures))
 
@@ -259,7 +268,7 @@ def _baseline(
     not_maximal = forced & ~order.maximal(order.full_mask)
     out.append(PropertyReport(
         f"{tag}:maximal-difference",
-        _witness(point=order.elements[next(bits(not_maximal))]) if not_maximal else None))
+        _witness(point=order.elements[bits(not_maximal)[0]]) if not_maximal else None))
 
     out.append(_cb_report(order, cb_filtration(order), f"{tag}:cb"))
     return out

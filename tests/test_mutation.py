@@ -373,6 +373,86 @@ class TestChain:
         assert third.count("_walk") <= 1
 
 
+def assert_like_fresh(order):
+    """``order``'s cached structure, inherited or not, is what an order
+    built afresh from its masks derives: its points are in a linear
+    extension, and its down-sets, heights, layers and lower sets agree."""
+    fresh = Order(order.elements, order.up)
+    position = {i: k for k, i in enumerate(order._bottom_up)}
+    assert sorted(position) == list(range(len(order.up)))
+    assert all(position[i] < position[j]
+               for i, m in enumerate(fresh.up) for j in po.bits(m) if j != i)
+    assert order.down == fresh.down
+    assert order.heights == fresh.heights
+    assert po.cb_filtration(order) == po.cb_filtration(fresh)
+    assert set(order.lower_sets[0]) == set(fresh.lower_sets[0])
+
+
+class TestInheritedStructure:
+    """Orders derived by removing relations keep their parent's cached
+    linear extension, and a split its down-sets; both must be what the
+    derived order would find for itself."""
+
+    @staticmethod
+    def parents(seed):
+        """About 300 random orders, two in three with their linear
+        extension and down-sets cached, each with its lower sets as found
+        on a twin, so that listing them caches nothing on the order."""
+        rng = random.Random(seed)
+        for _ in range(300):
+            order = random_order(rng, max_size=9)
+            if rng.random() < 2 / 3:
+                order.down
+            yield rng, order, po.closed_masks(Order(order.elements, order.up))
+
+    def test_splits_at_every_closed_class(self):
+        kept = inherited = 0
+        for _, order, closed in self.parents(20261023):
+            cached = "down" in vars(order)
+            for e in closed:
+                split = order._split(e)
+                crossing = any(m & (~e if e >> i & 1 else e) for i, m in enumerate(order.up))
+                assert (split is order) == (not crossing), (order, e)
+                if split is order:
+                    kept += 1
+                    continue
+                assert "_bottom_up" in vars(split) and "down" in vars(split) or not cached
+                inherited += cached
+                assert_like_fresh(split)
+        assert kept > 300 and inherited > 1000
+
+    def test_onestep_orders(self):
+        inherited = 0
+        for rng, order, _ in self.parents(20261024):
+            poset = poset_from_order(order)
+            base = poset.base
+            for _ in range(4):
+                cached = "_bottom_up" in vars(base)
+                v = random_upper_set(rng, base, base.full_mask)
+                got = onestep_order(poset, v, POLICY_ASSUME_NONCOHERENT).order
+                if got.up == base.up:  # no cross pair dropped: the same order
+                    assert got is base
+                    continue
+                assert "_bottom_up" in vars(got) or not cached
+                inherited += cached
+                assert_like_fresh(got)
+        assert inherited > 100
+
+    def test_bracket_upper_bounds(self):
+        inherited = 0
+        for rng, order, closed in self.parents(20261025):
+            cached = "_bottom_up" in vars(order)
+            for e in rng.sample(closed, min(4, len(closed))):
+                co = ClosureOrder(order, ("test",))
+                upper = claimed_bracket(co, e, rng.getrandbits(len(order.up))).upper.order
+                if upper is order:
+                    continue
+                assert "_bottom_up" in vars(upper) or not cached
+                inherited += cached
+                assert_like_fresh(upper)
+        assert inherited > 100
+
+
 class TestBoundedOrder:
     def test_rejects(self):
         """A bracket that is not one is an InvalidArgument, so a GspecError

@@ -419,6 +419,23 @@ class TestMaskRepresentation:
         object.__setattr__(twin, "covers", ())
         assert order == twin and hash(order) == hash(twin) and repr(order) == repr(twin)
 
+    def test_bits_matches_lowest_bit_reference(self):
+        """The byte tables below 2^16 and the lowest-bit loop above it list
+        the set bits ascending, so the first is the lowest."""
+        def reference(m):
+            while m:
+                low = m & -m
+                yield low.bit_length() - 1
+                m ^= low
+
+        rng = random.Random(20261020)
+        masks = [0, 1, 255, 256, 65535, 65536, (1 << 81) - 1]
+        masks += [rng.getrandbits(rng.randint(0, 100)) for _ in range(3000)]
+        for m in masks:
+            assert list(bits(m)) == list(reference(m)), m
+            if m:
+                assert bits(m)[0] == (m & -m).bit_length() - 1, m
+
     def test_select_matches_bits(self):
         rng = random.Random(20261118)
         for n in range(9):

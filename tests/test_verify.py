@@ -14,6 +14,7 @@ from gspec import verify as verify_module
 from gspec import (
     ClosureOrder,
     ElementMismatch,
+    GspecError,
     Order,
     PropertyReport,
     SpFiltration,
@@ -23,6 +24,7 @@ from gspec import (
     cb_filtration,
     check_piecewise,
     check_refinement,
+    covering_pairs,
     forced_maximal,
     level_indices,
     longest_chain,
@@ -180,6 +182,50 @@ class TestWitnesses:
         tilted = as_closure(build_order(self.els, [("p1", "o")]))
         report = check_piecewise(self.incl, tilted, mask({"o"}))
         assert report.counterexample == (("E", "{o}"), ("reason", "E not closed after"))
+
+
+class TestSandwich:
+    """``sandwich`` against a restatement over names and pairs, on exact
+    orders built outside it: the pre-order split at a closed E, then given
+    an extra cross pair, or a pair inside E taken away, or both."""
+
+    @staticmethod
+    def reference(pre, E, exact):
+        """The least pair the split keeps and ``exact`` lacks, else the
+        least pair ``exact`` adds to ``pre``; None when it lies between."""
+        split = {(p, q) for p, q in pre.relation if (p in E) == (q in E)}
+        missing = sorted(split - exact.relation)
+        extra = sorted(exact.relation - pre.relation)
+        return (missing or extra or [None])[0]
+
+    def test_against_names_and_pairs(self, rng):
+        from gspec.verify import _pair_report, _sandwich
+        seen = {"passed": 0, "extra": 0, "missing": 0}
+        for _ in range(600):
+            pre = random_order(rng, max_size=8)
+            els = pre.elements
+            E = rng.choice(sorted(brute_lower_sets(pre), key=sorted))
+            split = {(p, q) for p, q in strict_pairs(pre) if (p in E) == (q in E)}
+            pairs = set(split)
+            # Without one of its covers, a transitive relation stays transitive.
+            inside = [(p, q) for p, q in covering_pairs(pre) if p in E and q in E]
+            if inside and rng.random() < 0.5:
+                pairs.discard(rng.choice(inside))
+            cross = [(p, q) for p in els for q in els if (p in E) != (q in E)]
+            if cross and rng.random() < 0.5:
+                pairs.add(rng.choice(cross))
+            try:
+                exact = build_order(els, pairs)
+            except GspecError:  # the extra pair closed a cycle
+                continue
+            expected = self.reference(pre, E, exact)
+            got = _sandwich(as_closure(pre), pre.mask(E), as_closure(exact), "sandwich")
+            assert got == _pair_report("sandwich", expected), (pre, E, exact)
+            if expected is None:
+                seen["passed"] += 1
+            else:
+                seen["missing" if expected in split else "extra"] += 1
+        assert min(seen.values()) > 50, seen
 
 
 def peeling_report(order, layers, name):
