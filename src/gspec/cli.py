@@ -17,7 +17,7 @@ import functools
 import json
 import sys
 from operator import xor
-from typing import Collection, Iterable, Mapping, NoReturn
+from typing import Callable, Collection, Iterable, Mapping, NoReturn
 
 from . import filtration as spf
 from . import mutation as mut
@@ -419,18 +419,12 @@ class _OrderWriter:
         return "".join(self.parts)
 
 
-def hasse_dot(order: Order, heights: Mapping[str, int]) -> str:
-    """Hasse diagram as deterministic DOT: transitive reduction, nodes in
-    rank groups by height, edges from the smaller prime to the larger."""
-    quoted = ['"' + p.replace("\\", "\\\\").replace('"', '\\"') + '"' for p in order.elements]
-    lines = ["digraph gspec {", "  rankdir=BT;", "  node [shape=circle];"]
-    for h in sorted(set(heights[p] for p in order.elements)):
-        group = " ".join(f"{q};" for p, q in zip(order.elements, quoted) if heights[p] == h)
-        lines.append(f"  {{ rank=same; {group} }}")
-    for q, m in zip(quoted, order.covers):
-        lines.extend(f"  {q} -> {quoted[j]};" for j in bits(m))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+def hasse_dot(order: Order, quoted: list[str], header: str) -> str:
+    """Hasse diagram as deterministic DOT after the header and with the
+    quoted names :func:`_renderer` builds: transitive reduction, edges from
+    the smaller prime to the larger."""
+    return header + "".join(f"  {q} -> {t};\n" for q, m in zip(quoted, order.covers)
+                            for t in select(quoted, m)) + "}\n"
 
 
 def _string_list(texts: Iterable[str], newline: str) -> str:
@@ -482,18 +476,27 @@ def _order_text(order: Order) -> str:
     return head + "".join(f"{p} < {q}\n" for p, q in covers)
 
 
-def _render_bounded(args: argparse.Namespace, poset: PrimePoset,
-                    bounded: mut.BoundedOrder) -> str:
+def _renderer(args: argparse.Namespace,
+              poset: PrimePoset) -> Callable[[mut.BoundedOrder], str]:
+    """The command's text of a bracket in its ``--format``.  The DOT header,
+    with the nodes in rank groups by height, and the quoted names are built
+    once, for every order the command renders."""
+    elements = poset.base.elements
     if args.format == "json":
-        return _bracket_json(poset.base.elements, bounded)
+        return functools.partial(_bracket_json, elements)
     if args.format == "dot":
-        render, heads = (lambda order: hasse_dot(order, poset.height)), (
+        quoted = ['"' + p.replace("\\", "\\\\").replace('"', '\\"') + '"' for p in elements]
+        groups: dict[int, list[str]] = {}
+        for p, q in zip(elements, quoted):
+            groups.setdefault(poset.height[p], []).append(q + ";")
+        header = "digraph gspec {\n  rankdir=BT;\n  node [shape=circle];\n" + "".join(
+            f"  {{ rank=same; {' '.join(groups[h])} }}\n" for h in sorted(groups))
+        render, heads = functools.partial(hasse_dot, quoted=quoted, header=header), (
             "// inexact result: lower bound\n", "// inexact result: upper bound\n")
     else:
         render, heads = _order_text, ("inexact; lower bound:\n", "upper bound:\n")
-    if bounded.exact:
-        return render(bounded.lower.order)
-    return heads[0] + render(bounded.lower.order) + heads[1] + render(bounded.upper.order)
+    return lambda bounded: render(bounded.lower.order) if bounded.exact else (
+        heads[0] + render(bounded.lower.order) + heads[1] + render(bounded.upper.order))
 
 
 # -- subcommands -------------------------------------------------------------
@@ -540,14 +543,14 @@ def _cmd_closure(args: argparse.Namespace) -> int:
             text = _steps_json(poset.base.elements, steps, final)
         else:
             prefix = "// " if args.format == "dot" else ""
-            chunks = []
+            render, chunks = _renderer(args, poset), []
             for step, post in steps:
                 suffix = " (perfect)" if step.perfect else ""
                 chunks.append(f"{prefix}step {step.index}: {step.rule}{suffix}\n")
-                chunks.append(_render_bounded(args, poset, post))
+                chunks.append(render(post))
             text = "".join(chunks)
     else:
-        text = _render_bounded(args, poset, final)
+        text = _renderer(args, poset)(final)
     _emit(args, text)
     return 1 if warned else 0
 
@@ -587,7 +590,7 @@ def _cmd_mutate(args: argparse.Namespace) -> int:
         result = mut.mutate_general(current, e)
     if args.require_exact and not result.exact:
         raise Inexact("result is inexact")
-    _emit(args, _render_bounded(args, poset, result))
+    _emit(args, _renderer(args, poset)(result))
     return 1 if warned else 0
 
 

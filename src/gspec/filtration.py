@@ -14,9 +14,11 @@ and forth losslessly on normal forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import or_
 from typing import Iterable, Mapping
 
-from .poset import GspecError, InvalidArgument, bits, covering_pairs
+from .poset import GspecError, InvalidArgument, Order, bits, covering_pairs
 from .spectra import PrimePoset, SchemaError
 
 
@@ -164,7 +166,7 @@ def classify(poset: PrimePoset, filt: SpFiltration) -> dict[str, bool]:
     be an antichain.
     """
     base = poset.base
-    truncated = all(base.is_discrete(filt.difference(i)) for i in range(filt.n))
+    truncated = _stratum_pass(base, filt)[0]
     is_slice = truncated and base.is_discrete(filt.level(filt.n - 1))
     return {"intermediate": True, "slice": is_slice, "truncated_slice": truncated}
 
@@ -197,8 +199,13 @@ def forced_maximal(poset: PrimePoset, filt: SpFiltration) -> tuple[int, ...]:
     maximal in the order that step produces: the inclusion-maximal primes
     and the inclusion-maxima of the strata cut out by this and the earlier
     steps.  Each mask is the one before it and one more stratum's maxima."""
-    base = poset.base
-    forced = [base.maximal(base.full_mask)]
-    for j in range(filt.n):
-        forced.append(forced[-1] | base.maximal(filt.difference(j)))
-    return tuple(forced)
+    return _stratum_pass(poset.base, filt)[1]
+
+
+def _stratum_pass(base: Order, filt: SpFiltration) -> tuple[bool, tuple[int, ...]]:
+    """The inclusion-maxima of each stratum, read once (the strata are
+    disjoint), give both whether every stratum is an antichain (the
+    truncated-slice test) and :func:`forced_maximal`."""
+    maxima = [base.maximal(filt.difference(j)) for j in range(filt.n)]
+    truncated = all(top == filt.difference(j) for j, top in enumerate(maxima))
+    return truncated, tuple(accumulate(maxima, or_, initial=base.maximal(base.full_mask)))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from . import filtration as spf
-from .poset import GspecError, InvalidArgument, Order, bits, longest_chain
+from .poset import GspecError, InvalidArgument, Order, bits, longest_chain, select
 from .spectra import COHERENT, NOT_COHERENT, UNDETERMINED, PrimePoset
 
 POLICY_ERROR = "error"
@@ -219,9 +219,7 @@ def chain_order(
             raise UnknownStep(
                 f"step annotation 'i' is {i}, outside the chain's steps 1..{filt.n}"
             )
-    truncated = spf.classify(poset, filt)["truncated_slice"]
-    forced: tuple[int, ...] = ()  # forced_maximal, taken at the first bracket
-    vanishing = 0  # _vanishing_level, taken at the first step that asks
+    truncated, forced = spf._stratum_pass(poset.base, filt)
     steps: list[tuple[MutationStep, BoundedOrder]] = []
     current = exact_bounds(standard_order(poset))
 
@@ -235,13 +233,13 @@ def chain_order(
         elif truncated or (top := current.upper.order.maximal(e)) == e:
             rule = RULE_DISCRETE
             post = _each_bound(current, lambda co: mutate_discrete(co, e))
-        elif annotations.get(i, False) or support == (
-                vanishing := vanishing or _vanishing_level(poset)):
+        # Built-in certificate: dimension <= 2, tilting at the one maximal point forced[0].
+        elif annotations.get(i, False) or (support == forced[0] and support.bit_count() == 1
+                                           and longest_chain(poset.base) <= 2):
             rule = RULE_PERFECT
             post = _each_bound(current, lambda co: mutate_perfect(co, e))
         else:
             rule = RULE_BOUNDED
-            forced = forced or spf.forced_maximal(poset, filt)
             post = _bracket(current, e, forced[i] & top)
         step = MutationStep(i, support, e, rule, current, post)
         steps.append((step, post))
@@ -266,7 +264,7 @@ def _check_policy(policy: str) -> None:
 
 def _label(order: Order, e: int) -> str:
     """The names of a mask in braces; ascending bits are sorted names."""
-    return "{" + ",".join(order.elements[i] for i in bits(e)) + "}"
+    return "{" + ",".join(select(order.elements, e)) + "}"
 
 
 def _require_closed(order: Order, e: int) -> None:
@@ -312,12 +310,4 @@ def _each_bound(
     if current.exact:
         return exact_bounds(rule(current.lower))
     return BoundedOrder(rule(current.lower), rule(current.upper))
-
-
-def _vanishing_level(poset: PrimePoset) -> int:
-    """The level of the built-in perfectness certificate: a local model of
-    dimension at most two tilting at its unique closed point.  That point's
-    mask, or -1, which is no level, when the poset is not such a model."""
-    maxima = poset.base.maximal(poset.base.full_mask)
-    return maxima if maxima.bit_count() == 1 and longest_chain(poset.base) <= 2 else -1
 

@@ -131,9 +131,7 @@ class Order:
         must be a partial order on ``elements`` and ``covers`` its
         transitive reduction."""
         order = cls.__new__(cls)
-        object.__setattr__(order, "elements", elements)
-        object.__setattr__(order, "up", up)
-        object.__setattr__(order, "covers", covers)
+        order.__dict__.update(elements=elements, up=up, covers=covers)
         return order
 
     def _with_rows(self, up: tuple[int, ...], rows: Iterable[int]) -> "Order | None":
@@ -194,7 +192,8 @@ class Order:
     def _bottom_up(self) -> tuple[int, ...]:
         """The points in a linear extension, each after everything below it:
         by up-set size, largest first (what is below a point has a larger one),
-        or handed on from an order this one is contained in, as it is one here too."""
+        or handed on by :func:`build_order` or an order this one is contained
+        in, as a linear extension there is one here too."""
         up = self.up
         return tuple(sorted(range(len(up)), key=lambda i: -up[i].bit_count()))
 
@@ -333,44 +332,55 @@ def build_order(elements: Iterable[str], relations: Iterable[tuple[str, str]]) -
     ``elements``.  The rows are closed in reverse topological order (Kahn,
     CACM 1962): a point's row is itself and the closed rows of its
     generators, and its covers are the generators no other generator's row
-    reaches.  Generators with a cycle leave points unclosed; they are closed
-    by :func:`transitive_closure` and rejected by the constructor with
-    :class:`CycleError`, which names the pair it finds there.
+    reaches.  The order caches the Kahn order reversed, a linear extension,
+    and the heights pushed up the generators along it.  Generators with a
+    cycle leave points unclosed; they are closed by :func:`transitive_closure`
+    and rejected by the constructor with :class:`CycleError`, which names the
+    pair it finds there.
     """
     els = tuple(sorted(set(elements)))
     index = {e: i for i, e in enumerate(els)}
     succ = [0] * len(els)
-    # Per point, its generators' sources, and how many of its own
-    # generators (repeats counted, as in ``preds``) are not closed yet.
+    # Per point, its generators' targets and sources, repeats kept; a point
+    # waits on each of its own generators until that target is closed.
+    targets: list[list[int]] = [[] for _ in els]
     preds: list[list[int]] = [[] for _ in els]
-    waiting = [0] * len(els)
     for a, b in relations:
-        for p in (a, b):
-            if p not in index:
-                raise UnknownElement(f"{p!r} is not one of the elements")
-        if a != b:
-            i, j = index[a], index[b]
+        i, j = index.get(a), index.get(b)
+        if i is None or j is None:
+            raise UnknownElement(f"{a if i is None else b!r} is not one of the elements")
+        if i != j:
             succ[i] |= 1 << j
+            targets[i].append(j)
             preds[j].append(i)
-            waiting[i] += 1
+    waiting = list(map(len, targets))
     ready = [i for i, w in enumerate(waiting) if not w]
     strict = [0] * len(els)
     covers = [0] * len(els)
     for i in ready:  # grows while it is read
-        s = succ[i]
         beyond = 0
-        for j in bits(s):
+        for j in targets[i]:
             beyond |= strict[j]
-        covers[i] = s & ~beyond
-        strict[i] = s | beyond
+        covers[i] = succ[i] & ~beyond
+        strict[i] = succ[i] | beyond
         for k in preds[i]:
             waiting[k] -= 1
             if not waiting[k]:
                 ready.append(k)
     if len(ready) < len(els):
         return Order(els, transitive_closure([1 << i | s for i, s in enumerate(succ)]))
-    return Order._derived(els, tuple(m | 1 << i for i, m in enumerate(strict)),
-                          tuple(covers))
+    # Every cover is a generator and every generator a relation, so the
+    # longest generator path up to a point is the longest chain below it.
+    ready.reverse()
+    height = [0] * len(els)
+    for i in ready:
+        for j in targets[i]:
+            if height[j] <= height[i]:
+                height[j] = height[i] + 1
+    order = Order._derived(els, tuple(m | 1 << i for i, m in enumerate(strict)),
+                           tuple(covers))
+    order.__dict__.update(_bottom_up=tuple(ready), heights=tuple(height))
+    return order
 
 
 def covering_pairs(order: Order) -> tuple[tuple[str, str], ...]:

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
+from operator import or_
 from typing import Iterable, Mapping
 
 from .poset import (
@@ -58,8 +60,8 @@ _TRIVIAL = CoherenceVerdict(COHERENT, "trivial")
 _DIMENSION_ONE = CoherenceVerdict(COHERENT, "dimension-one")
 _GENERIC_COMPLEMENT = CoherenceVerdict(COHERENT, "generic-complement")
 _DEEP_MINIMAL = CoherenceVerdict(NOT_COHERENT, "deep-minimal")
-_ANNOTATED = {True: CoherenceVerdict(COHERENT, "annotation"),
-              False: CoherenceVerdict(NOT_COHERENT, "annotation")}
+_ANNOTATED_COHERENT = CoherenceVerdict(COHERENT, "annotation")
+_ANNOTATED_NOT_COHERENT = CoherenceVerdict(NOT_COHERENT, "annotation")
 _NO_RULE = CoherenceVerdict(UNDETERMINED, "no-rule")
 
 AnnotationKey = tuple[str, str, frozenset[str]]
@@ -92,9 +94,23 @@ class PrimePoset:
             for j in bits(m):
                 if heights[j] <= heights[i]:
                     raise SchemaError(f"height not compatible with cover {els[i]!r} < {els[j]!r}")
-        keyed = {self._validate_annotation_key(p, q, W): known
-                 for (p, q, W), known in self.coherence.items()}
-        object.__setattr__(self, "_annotation_masks", keyed)
+        self._key_annotations()
+
+    @classmethod
+    def _derived(cls, base: Order, coherence: Mapping[AnnotationKey, bool]) -> "PrimePoset":
+        """A poset with its order's own heights, the longest chain below each
+        point, which pass the constructor's two height checks, so those are skipped."""
+        poset = cls.__new__(cls)
+        poset.__dict__.update(base=base, height=dict(zip(base.elements, base.heights)),
+                              coherence=coherence)
+        poset._key_annotations()
+        return poset
+
+    def _key_annotations(self) -> None:
+        """Check every annotation key and keep the annotations by mask."""
+        self.__dict__["_annotation_masks"] = {
+            self._validate_annotation_key(p, q, W): known
+            for (p, q, W), known in self.coherence.items()}
 
     def _validate_annotation_key(self, p: str, q: str, W: frozenset[str]) -> tuple[int, int, int]:
         """Check an annotation key; returns it as ``(i, j, W mask)``."""
@@ -124,11 +140,13 @@ class PrimePoset:
 
     @cached_property
     def _shallow(self) -> tuple[int, ...]:
-        """Per point p, the mask of points of height below h(p) + 2."""
+        """Per point p, the mask of points of height below h(p) + 2: height buckets, ORed up."""
         heights = [self.height[p] for p in self.base.elements]
-        below = {h: sum(1 << r for r, g in enumerate(heights) if g < h + 2)
-                 for h in set(heights)}
-        return tuple(below[h] for h in heights)
+        buckets = dict.fromkeys(sorted(set(heights)), 0)
+        for r, g in enumerate(heights):
+            buckets[g] |= 1 << r
+        upto = dict(zip(buckets, accumulate(buckets.values(), or_)))
+        return tuple(upto.get(g + 1, upto[g]) for g in heights)
 
     def interval(self, p: str, q: str) -> "PrimePoset":
         """The sub-poset ``{r : p <= r <= q}`` with re-based heights.
@@ -218,17 +236,19 @@ class PrimePoset:
                 deep |= t
             deep &= left
             left &= ~deep
-        annotated = {True: 0, False: 0}
+        coherent = incoherent = 0  # annotated either way
         if self._annotation_masks and left:
             down = self.base.down
             for j in bits(left):
                 known = self._annotation_masks.get((i, j, cross & down[j]))
-                if known is not None:
-                    annotated[known] |= 1 << j
-        no_rule = left & ~annotated[True] & ~annotated[False]
+                if known:
+                    coherent |= 1 << j
+                elif known is not None:
+                    incoherent |= 1 << j
+        no_rule = left & ~coherent & ~incoherent
         return ((_DIMENSION_ONE, dimension_one), (_GENERIC_COMPLEMENT, generic),
-                (_DEEP_MINIMAL, deep), (_ANNOTATED[True], annotated[True]),
-                (_ANNOTATED[False], annotated[False]), (_NO_RULE, no_rule))
+                (_DEEP_MINIMAL, deep), (_ANNOTATED_COHERENT, coherent),
+                (_ANNOTATED_NOT_COHERENT, incoherent), (_NO_RULE, no_rule))
 
 
 def load_prime_poset(document: Mapping) -> PrimePoset:
@@ -269,9 +289,7 @@ def load_prime_poset(document: Mapping) -> PrimePoset:
     base = build_order(elements, [tuple(c) for c in covers])
 
     heights = document.get("heights")
-    if heights is None:
-        height_map = dict(zip(base.elements, base.heights))
-    else:
+    if heights is not None:
         if not isinstance(heights, Mapping) or not all(
             isinstance(k, str) and isinstance(v, int) and not isinstance(v, bool)
             for k, v in heights.items()
@@ -310,7 +328,8 @@ def load_prime_poset(document: Mapping) -> PrimePoset:
             )
         annotations[key] = entry["coherent"]
 
-    return PrimePoset(base, height_map, annotations)
+    return (PrimePoset._derived(base, annotations) if heights is None
+            else PrimePoset(base, height_map, annotations))
 
 
 def _diamond_document(coherent: bool) -> dict:

@@ -11,10 +11,12 @@ from gspec import (
     Order,
     PrimePoset,
     build_order,
+    cb_filtration,
     covering_pairs,
     load_prime_poset,
     onestep_order,
 )
+from gspec.poset import bits
 
 # The text of the AssertionError ``onestep_order`` raises when a blanket
 # assume-coherent answer contradicts the oracle (a known defect, pinned).
@@ -93,6 +95,21 @@ def reference_verdict(poset, p, q, V0):
     if known is not None:
         return (COHERENT if known else NOT_COHERENT), "annotation"
     return UNDETERMINED, "no-rule"
+
+
+def assert_like_fresh(order):
+    """``order``'s cached structure, inherited or not, is what an order
+    built afresh from its masks derives: its points are in a linear
+    extension, and its down-sets, heights, layers and lower sets agree."""
+    fresh = Order(order.elements, order.up)
+    position = {i: k for k, i in enumerate(order._bottom_up)}
+    assert sorted(position) == list(range(len(order.up)))
+    assert all(position[i] < position[j]
+               for i, m in enumerate(fresh.up) for j in bits(m) if j != i)
+    assert order.down == fresh.down
+    assert order.heights == fresh.heights
+    assert cb_filtration(order) == cb_filtration(fresh)
+    assert set(order.lower_sets[0]) == set(fresh.lower_sets[0])
 
 
 def poset_from_order(order: Order) -> PrimePoset:

@@ -451,16 +451,22 @@ class TestParsePaths:
 
 
 class TestClosureCommand:
+    # Options beyond the table's, by golden.  The bounded LOC3 chain renders
+    # three orders in one command (the one-step order, then a lower and an
+    # upper bound), each after the header the command builds once.
+    DOT_OPTIONS = {"loc3_bounded_steps.dot": ("--policy", "assume-coherent", "--steps")}
+
     @pytest.mark.parametrize("preset_name,levels,golden", [
         ("LOC2", '[["m"]]', "loc2_onestep.dot"),
         ("LOC2", '[["m"],["m"]]', "loc2_twostep.dot"),
         ("LOC2M", '[["m"]]', "loc2m_onestep.dot"),
         ("LOC2M", '[["m"],["m"]]', "loc2m_twostep.dot"),
+        ("LOC3", '[["m","r1","r2","r3"],["m"]]', "loc3_bounded_steps.dot"),
     ])
     def test_golden_dot(self, capsys, preset_name, levels, golden):
         code, out, _ = run(
             capsys, "closure", "--preset", preset_name,
-            "--levels", levels, "--format", "dot",
+            "--levels", levels, "--format", "dot", *self.DOT_OPTIONS.get(golden, ()),
         )
         assert code == 0
         assert out == (GOLDEN / golden).read_text(encoding="utf-8")

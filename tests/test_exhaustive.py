@@ -4,13 +4,16 @@ The posets are enumerated here, without gspec: every naturally labelled
 poset on the points 0..n-1 (its strict relations only climb, i < j) for
 n <= 4, as a set of climbing pairs closed under transitivity.  Each one
 runs the property suite on every one- and two-level filtration by
-non-trivial upper sets, under every policy, and its one-step order at
-every such upper set is compared with the definition's.
+non-trivial upper sets, under every policy; its one-step order at every
+such upper set, and each chain step's rule and bracket, are compared with
+their definitions over names and pairs.
 """
 
 from itertools import combinations
 
 from conftest import reference_verdict
+from gspec.mutation import RULE_BOUNDED, RULE_DISCRETE, RULE_ONESTEP, RULE_PERFECT
+from gspec.poset import bits
 from gspec import (
     NOT_COHERENT,
     POLICIES,
@@ -20,6 +23,7 @@ from gspec import (
     GspecError,
     UndeterminedCoherence,
     chain_order,
+    forced_maximal,
     load_prime_poset,
     onestep_order,
     run_suite,
@@ -152,3 +156,108 @@ def test_onestep_order_matches_its_definition():
                 assert got == inside | {pair for pair, verdict in verdicts.items()
                                         if verdict in related}, where
     assert cases == 3 * 306
+
+
+def maxima(points, relation):
+    """The points of a set with none of the set strictly above them in a
+    relation given as name pairs."""
+    return {p for p in points if not any(a == p and b in points and b != p for a, b in relation)}
+
+
+def longest_chain_names(names, strict):
+    """Edges of a longest chain of strict name pairs: a point's longest
+    chain below is one more than that of the longest below any point under
+    it, and a point under another has fewer points under it."""
+    below = {}
+    for q in sorted(names, key=lambda q: sum((p, q) in strict for p in names)):
+        below[q] = max((below[p] + 1 for p, r in strict if r == q), default=0)
+    return max(below.values(), default=-1)
+
+
+def reference_steps(poset, levels, annotations, steps):
+    """Each step's rule restated over names and pairs, and for a bracketed
+    step the points whose rows its upper bound prunes: the truncated-slice
+    test takes the discrete rule everywhere; otherwise step 1 is the
+    one-step rule, a later step is discrete when E is an antichain of the
+    upper bound before it, perfect when annotated or at the vanishing level
+    (the unique maximal point of a poset whose chains have at most two
+    edges), and bounded otherwise.  The forced points are the maxima of
+    the whole order and of the strata cut out so far; a bracket prunes
+    those among E's maxima in the upper bound whose rows hold more than
+    themselves."""
+    names, inclusion = set(poset.base.elements), poset.base.relation
+    strict = {(p, q) for p, q in inclusion if p != q}
+    V = [names] + levels  # V[i] is V_{i-1}
+    strata = [V[j] - V[j + 1] for j in range(len(levels))]
+    truncated = not any(p in S and q in S for S in strata for p, q in strict)
+    forced = [maxima(names, inclusion)]
+    for S in strata:
+        forced.append(forced[-1] | maxima(S, inclusion))
+    vanishing = forced[0] if len(forced[0]) == 1 and longest_chain_names(names, strict) <= 2 \
+        else None
+    for (i, (step, _)) in enumerate(steps, 1):
+        support, upper = V[i], step.pre.upper.order.relation
+        E = names - support
+        pruned = set()
+        if i == 1 and not truncated:
+            rule = RULE_ONESTEP
+        elif truncated or not any(p in E and q in E and p != q for p, q in upper):
+            rule = RULE_DISCRETE
+        elif annotations.get(i) or support == vanishing:
+            rule = RULE_PERFECT
+        else:
+            rule = RULE_BOUNDED
+            pruned = {p for p in forced[i] & maxima(E, upper)
+                      if any(a == p != b for a, b in upper)}
+        yield rule, pruned
+
+
+def test_chain_rules_match_their_definition():
+    """Every step of every one- and two-level chain of every poset on at most
+    four points, under every policy and with or without step 2 annotated
+    perfect, takes the rule of its definition.  A bracketed step's upper
+    bound is the upper bound before it with exactly the reference's pruned
+    rows made singletons, which are also the points of ``forced_maximal``
+    among E's maxima there; its lower bound is the lower bound before it
+    split at E."""
+    seen = {rule: 0 for rule in (RULE_ONESTEP, RULE_DISCRETE, RULE_PERFECT, RULE_BOUNDED)}
+    pruned_steps = vanishing = 0
+    for names, relation, poset in small_posets():
+        uppers = upper_sets(len(names), relation)
+        chains = [[v] for v in uppers] + [[v, w] for v in uppers for w in uppers if w <= v]
+        for levels in chains:
+            levels = [{names[i] for i in v} for v in levels]
+            filt = validate_filtration(poset, [sorted(v) for v in levels])
+            forced = forced_maximal(poset, filt)
+            for policy in POLICIES:
+                for annotations in ({}, {2: True}) if len(levels) == 2 else ({},):
+                    where = (names, sorted(relation), levels, policy, annotations)
+                    try:
+                        steps = chain_order(poset, filt, annotations, policy)
+                    except UndeterminedCoherence:
+                        assert policy == POLICY_ERROR, where
+                        continue
+                    reference = reference_steps(poset, levels, annotations, steps)
+                    for (step, post), (rule, pruned) in zip(steps, reference, strict=True):
+                        assert step.rule == rule, (where, step.index)
+                        seen[rule] += 1
+                        vanishing += rule == RULE_PERFECT and not annotations
+                        if rule != RULE_BOUNDED:
+                            continue
+                        at = (where, step.index)
+                        pre, E = step.pre, step.mutation_class
+                        upper, lower = pre.upper.order, pre.lower.order
+                        assert post.upper.order.relation == {
+                            (p, q) for p, q in upper.relation if p == q or p not in pruned}, at
+                        claimed = forced[step.index] & upper.maximal(E)
+                        assert poset.base.mask(pruned) == sum(
+                            1 << k for k in bits(claimed) if upper.up[k] != 1 << k), at
+                        inside = lower.names(E)
+                        assert post.lower.order.relation == {
+                            (p, q) for p, q in lower.relation if (p in inside) == (q in inside)}, at
+                        pruned_steps += bool(pruned)
+    # Each rule is reached, perfect also at the vanishing level unannotated,
+    # and some brackets prune rows.
+    assert seen == {RULE_ONESTEP: 1940, RULE_DISCRETE: 7248, RULE_PERFECT: 834,
+                    RULE_BOUNDED: 742}
+    assert (vanishing, pruned_steps) == (46, 60)

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import (
     ONESTEP_NOT_TRANSITIVE,
+    assert_like_fresh,
     down_names,
     onestep,
     poset_from_order,
@@ -371,21 +372,6 @@ class TestChain:
         third = log[log.index("MutationStep", log.index("MutationStep") + 1) + 1:-1]
         assert third.count("_split") == 1
         assert third.count("_walk") <= 1
-
-
-def assert_like_fresh(order):
-    """``order``'s cached structure, inherited or not, is what an order
-    built afresh from its masks derives: its points are in a linear
-    extension, and its down-sets, heights, layers and lower sets agree."""
-    fresh = Order(order.elements, order.up)
-    position = {i: k for k, i in enumerate(order._bottom_up)}
-    assert sorted(position) == list(range(len(order.up)))
-    assert all(position[i] < position[j]
-               for i, m in enumerate(fresh.up) for j in po.bits(m) if j != i)
-    assert order.down == fresh.down
-    assert order.heights == fresh.heights
-    assert po.cb_filtration(order) == po.cb_filtration(fresh)
-    assert set(order.lower_sets[0]) == set(fresh.lower_sets[0])
 
 
 class TestInheritedStructure:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    assert_like_fresh,
     brute_lower_sets,
     brute_upper_sets,
     down_names,
@@ -97,11 +98,13 @@ class TestBuildOrder:
 
     def test_matches_closure_then_constructor(self):
         """On seeded random generator sets, acyclic (drawn along a random
-        linear extension) or not, build_order gives the up-sets and covers
-        of the constructor's walk over Warshall's closure, or raises the
-        same error."""
+        linear extension) or not, with repeated and self-loop generators
+        mixed in, build_order gives the up-sets and covers of the
+        constructor's walk over Warshall's closure, or raises the same
+        error.  An acyclic order starts with the linear extension and the
+        heights it hands on, and they are what a fresh order derives."""
         rng = random.Random(20261020)
-        cyclic = 0
+        cyclic = repeated = looped = 0
         for _ in range(4000):
             n = rng.randint(0, 10)
             names = [f"x{i}" for i in range(n)]
@@ -112,6 +115,13 @@ class TestBuildOrder:
                 if acyclic and rank.index(a) > rank.index(b):
                     a, b = b, a
                 gens.append((names[a], names[b]))
+            if gens and rng.random() < 0.3:
+                gens.append(rng.choice(gens))
+                repeated += 1
+            if n and rng.random() < 0.3:
+                p = rng.choice(names)
+                gens.insert(rng.randint(0, len(gens)), (p, p))
+                looped += 1
             up = [1 << i for i in range(n)]
             for a, b in gens:
                 up[names.index(a)] |= 1 << names.index(b)
@@ -122,7 +132,9 @@ class TestBuildOrder:
                 continue
             order, walked = build_order(names, gens), Order(tuple(names), transitive_closure(up))
             assert (order.up, order.covers) == (walked.up, walked.covers), gens
-        assert cyclic > 500
+            assert {"_bottom_up", "heights"} <= vars(order).keys(), gens
+            assert_like_fresh(order)
+        assert cyclic > 500 and repeated > 500 and looped > 500
 
     def test_unknown_endpoint(self):
         with pytest.raises(UnknownElement):

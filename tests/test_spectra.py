@@ -237,6 +237,72 @@ class TestCoherentComplement:
                 assert verdict.verdict != UNDETERMINED
 
 
+def longest_below(order):
+    """Each point's longest chain below it, straight from the strict pairs:
+    a point below another has fewer points below it, so it comes first."""
+    strict = strict_pairs(order)
+    height = {}
+    for q in sorted(order.elements, key=lambda q: sum((p, q) in strict for p in order.elements)):
+        height[q] = max((height[p] + 1 for p, r in strict if r == q), default=0)
+    return height
+
+
+class TestDerivedHeights:
+    """A document without heights takes its order's own, which cannot fail
+    the height checks, so the loader skips them; with the same heights
+    written in, the checks run and must give the same poset."""
+
+    @staticmethod
+    def documents(seed):
+        """300 random documents without heights, half of them annotated with
+        valid keys: each W an interval's part of a random upper set."""
+        rng = random.Random(seed)
+        for _ in range(300):
+            order = random_order(rng, max_size=10)
+            document = {"elements": list(order.elements),
+                        "covers": [list(c) for c in covering_pairs(order)]}
+            if rng.random() < 0.5:
+                seeds = rng.sample(order.elements, rng.randint(1, len(order.elements)))
+                upper = {q for p, q in order.relation if p in seeds}
+                document["coherence"] = [
+                    {"p": p, "q": q, "W": sorted(between(order, p, q) & upper),
+                     "coherent": rng.random() < 0.5}
+                    for p, q in sorted(order.relation) if rng.random() < 0.4]
+            yield rng, order, document
+
+    def test_same_poset_as_written_heights(self):
+        annotated = 0
+        for _, order, document in self.documents(20261029):
+            heights = longest_below(order)
+            derived = load_prime_poset(document)
+            written = load_prime_poset({**document, "heights": heights})
+            assert derived.height == written.height == heights, document
+            assert derived.base == written.base and derived.base.covers == written.base.covers
+            assert derived._annotation_masks == written._annotation_masks, document
+            assert derived == written
+            annotated += bool(derived._annotation_masks)
+        assert annotated > 100
+
+    def test_incompatible_written_heights_name_the_cover(self):
+        """Lowering a point to at most the height of a point it covers
+        breaks that cover; the first broken cover in sorted order is named."""
+        broken = 0
+        for rng, order, document in self.documents(20261030):
+            covers = covering_pairs(order)
+            if not covers:
+                continue
+            heights = longest_below(order)
+            p, q = rng.choice(covers)
+            heights[q] = rng.randint(0, heights[p])
+            first = next((a, b) for a, b in covers if heights[b] <= heights[a])
+            with pytest.raises(SchemaError) as caught:
+                load_prime_poset({**document, "heights": heights})
+            assert str(caught.value) == (
+                f"height not compatible with cover {first[0]!r} < {first[1]!r}")
+            broken += 1
+        assert broken > 200
+
+
 def random_model(rng):
     """A random model on a random order and four random upper sets of it.
 
