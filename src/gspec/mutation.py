@@ -198,6 +198,8 @@ def chain_order(
     filt: spf.SpFiltration,
     step_annotations: Mapping[int, bool] | None = None,
     policy: str = POLICY_ERROR,
+    *,
+    stratum_pass: tuple[bool, tuple[int, ...]] | None = None,
 ) -> list[tuple[MutationStep, BoundedOrder]]:
     """Run the whole mutation chain for a filtration.
 
@@ -210,7 +212,8 @@ def chain_order(
 
     Truncated-slice filtrations take the discrete rule at every step,
     including the first.  An annotation outside steps 1..n raises
-    :class:`UnknownStep`.
+    :class:`UnknownStep`.  A caller that has already run the filtration's
+    stratum pass on the base order hands it on as ``stratum_pass``.
     """
     _check_policy(policy)
     annotations = dict(step_annotations or {})
@@ -219,7 +222,7 @@ def chain_order(
             raise UnknownStep(
                 f"step annotation 'i' is {i}, outside the chain's steps 1..{filt.n}"
             )
-    truncated, forced = spf._stratum_pass(poset.base, filt)
+    truncated, forced = stratum_pass or spf._stratum_pass(poset.base, filt)
     steps: list[tuple[MutationStep, BoundedOrder]] = []
     current = exact_bounds(standard_order(poset))
 

@@ -1,12 +1,15 @@
 """Property reports for the mutation engine.
 
 The two laws, ``t0`` and ``sober`` read closed sets from
-:attr:`Order.lower_sets`, enumerated once per order, and share no code with
-the rewrite rules.  Refinement, piecewise, sandwich, refines-inclusion,
-levels-open, strata-restriction and cb are direct mask checks; cb tests the
-layers against the up-sets, not the covers :func:`cb_filtration` reads.
-Maximal-difference (through ``filtration.forced_maximal``, which the
-bracket's pruning also reads) reuses an engine definition.
+:attr:`Order.closed_family`, one integer per order whose bit S marks the
+closed set S, and share no code with the rewrite rules.  The laws build
+their expected families with whole-family bit operations and compare them
+with one XOR; only a failure lists sets, to name its witness.  Refinement,
+piecewise, sandwich, refines-inclusion, levels-open, strata-restriction and
+cb are direct mask checks; cb tests the layers against the up-sets, not the
+covers :func:`cb_filtration` reads.  Maximal-difference reuses an engine
+definition: ``filtration.forced_maximal``, from the one stratum pass that
+:func:`run_suite` hands to the chain, whose bracket pruning reads it too.
 """
 
 from __future__ import annotations
@@ -23,8 +26,9 @@ from .poset import (
     bits,
     cb_filtration,
     check_axioms,
-    closed_masks,
+    holding,
     longest_chain,
+    members,
 )
 from .spectra import PrimePoset
 
@@ -124,14 +128,14 @@ def check_piecewise(
     return PropertyReport(name)
 
 
-def _closed_sets_report(name: str, pre: Order, post: Order, expected: set[int]) -> PropertyReport:
-    """Passes when ``post``'s closed sets are exactly ``expected``; the
-    witness is the first set in only one of them, by size, then by sorted
-    member names."""
-    wrong = expected ^ set(closed_masks(post))
+def _closed_sets_report(name: str, pre: Order, post: Order, expected: int) -> PropertyReport:
+    """Passes when ``post``'s closed family is exactly the family
+    ``expected``; the witness is the first set in only one of them, by
+    size, then by sorted member names."""
+    wrong = expected ^ post.closed_family
     if not wrong:
         return PropertyReport(name)
-    offender = min(map(pre.names, wrong), key=lambda s: (len(s), sorted(s)))
+    offender = min(map(pre.names, members(wrong)), key=lambda s: (len(s), sorted(s)))
     return PropertyReport(name, _witness(set=offender))
 
 
@@ -142,10 +146,15 @@ def brute_force_discrete_law(
     name: str = "discrete-law",
 ) -> PropertyReport:
     """After a discrete mutation at the class with mask ``e`` the closed sets
-    are exactly the U whose union with E was closed before."""
+    are exactly the U whose union with E was closed before: per point of E,
+    the family keeps the sets that hold it, and gains each of them without
+    it."""
     _same_elements(pre, post)
-    pre_closed = set(closed_masks(pre.order))
-    expected = {U for U in range(1 << len(pre.order.elements)) if U | e in pre_closed}
+    expected = pre.order.closed_family
+    holds = holding(len(pre.order.elements))
+    for b in bits(e):
+        expected &= holds[b]
+        expected |= expected >> (1 << b)
     return _closed_sets_report(name, pre.order, post.order, expected)
 
 
@@ -159,13 +168,22 @@ def brute_force_perfect_law(
     are exactly the mixtures of a closed set inside E with a closed set
     outside it."""
     _same_elements(pre, post)
-    pre_closed = closed_masks(pre.order)
-    # A mixture is fixed by its two disjoint halves, so take the product of
-    # the distinct halves rather than of all pairs of closed sets.
-    inside = {V & e for V in pre_closed}
-    outside = {V & ~e for V in pre_closed}
-    expected = {A | B for A in inside for B in outside}
-    return _closed_sets_report(name, pre.order, post.order, expected)
+    order = pre.order
+    inside = outside = order.closed_family
+    holds = holding(len(order.elements))
+    # Project the closed sets onto E and onto its complement, a point at a time.
+    for b, family in enumerate(holds):
+        if e >> b & 1:
+            taken = outside & family
+            outside = outside ^ taken | taken >> (1 << b)
+        else:
+            taken = inside & family
+            inside = inside ^ taken | taken >> (1 << b)
+    # A mixture is fixed by its two disjoint halves, so the product of the
+    # two families adds each mixture's bit once and never carries: subset
+    # convolution on disjoint supports (Bjorklund, Husfeldt, Kaski and
+    # Koivisto, "Fourier meets Mobius", STOC 2007) needs no transform.
+    return _closed_sets_report(name, order, post.order, inside * outside)
 
 
 def run_suite(
@@ -183,7 +201,8 @@ def run_suite(
     on posets of at most ``DEFAULT_ENUMERATION_BOUND`` points and are left
     out above it; every other report always runs.
     """
-    steps = mut.chain_order(poset, filt, step_annotations, policy)
+    stratum_pass = spf._stratum_pass(poset.base, filt)
+    steps = mut.chain_order(poset, filt, step_annotations, policy, stratum_pass=stratum_pass)
     reports: list[PropertyReport] = []
     small = len(poset.base.elements) <= DEFAULT_ENUMERATION_BOUND
 
@@ -207,9 +226,11 @@ def run_suite(
 
     ordered = [(0, mut.standard_order(poset))]
     ordered += [(step.index, post.lower) for step, post in steps if post.exact]
-    forced, level_of = spf.forced_maximal(poset, filt), spf.level_indices(filt)
+    forced, level_of = stratum_pass[1], spf.level_indices(filt)
+    strata = [filt.difference(i) for i in range(filt.n + 1)]
     for position, co in ordered:
-        reports.extend(_baseline(poset, filt, position, co, small, forced[position], level_of))
+        reports.extend(_baseline(poset, filt, position, co, small, forced[position],
+                                 level_of, strata))
     return reports
 
 
@@ -239,10 +260,11 @@ def _baseline(
     small: bool,
     forced: int,
     level_of: list[int],
+    strata: list[int],
 ) -> list[PropertyReport]:
     """The checks of one exact order of the chain; ``forced`` is the step's
-    ``forced_maximal`` mask and ``level_of`` the filtration's level function
-    by point index."""
+    ``forced_maximal`` mask, ``level_of`` the filtration's level function
+    by point index and ``strata`` its strata V_(i-1) minus V_i by index i."""
     tag = f"order-{position}"
     order, base = co.order, poset.base
     out: list[PropertyReport] = []
@@ -259,7 +281,7 @@ def _baseline(
     out.append(PropertyReport(f"{tag}:levels-open",
                               None if bad_level is None else _witness(level=bad_level)))
 
-    bad_stratum = _first_changed_stratum(order, base, level_of)
+    bad_stratum = _first_changed_stratum(order, base, level_of, strata)
     out.append(PropertyReport(
         f"{tag}:strata-restriction",
         None if bad_stratum is None else
@@ -284,14 +306,13 @@ def _first_unopen_level(order: Order, level_of: list[int]) -> int | None:
                 for j in bits(m) if level_of[j] < f), default=None)
 
 
-def _first_changed_stratum(order: Order, base: Order, level_of: list[int]) -> int | None:
-    """The least index i of a stratum V_{i-1} minus V_i inside which ``order``
-    and ``base`` relate a pair differently, or ``None`` when they agree
-    inside every stratum.  A point of level f lies in stratum f + 1, so each
-    row is compared once, inside its own point's stratum."""
-    strata = [0] * (max(level_of, default=-1) + 2)
-    for j, f in enumerate(level_of):
-        strata[f + 1] |= 1 << j
+def _first_changed_stratum(order: Order, base: Order, level_of: list[int],
+                           strata: list[int]) -> int | None:
+    """The least index i of a stratum V_{i-1} minus V_i (``strata[i]``)
+    inside which ``order`` and ``base`` relate a pair differently, or
+    ``None`` when they agree inside every stratum.  A point of level f lies
+    in stratum f + 1, so each row is compared once, inside its own point's
+    stratum."""
     return min((f + 1 for f, a, b in zip(level_of, order.up, base.up)
                 if (a ^ b) & strata[f + 1]), default=None)
 

@@ -109,7 +109,7 @@ def assert_like_fresh(order):
     assert order.down == fresh.down
     assert order.heights == fresh.heights
     assert cb_filtration(order) == cb_filtration(fresh)
-    assert set(order.lower_sets[0]) == set(fresh.lower_sets[0])
+    assert order.closed_family == fresh.closed_family
 
 
 def poset_from_order(order: Order) -> PrimePoset:

@@ -5,8 +5,8 @@ poset on the points 0..n-1 (its strict relations only climb, i < j) for
 n <= 4, as a set of climbing pairs closed under transitivity.  Each one
 runs the property suite on every one- and two-level filtration by
 non-trivial upper sets, under every policy; its one-step order at every
-such upper set, and each chain step's rule and bracket, are compared with
-their definitions over names and pairs.
+such upper set, and each chain step's rule and bracket on one to three
+levels, are compared with their definitions over names and pairs.
 """
 
 from itertools import combinations
@@ -213,24 +213,32 @@ def reference_steps(poset, levels, annotations, steps):
 
 
 def test_chain_rules_match_their_definition():
-    """Every step of every one- and two-level chain of every poset on at most
-    four points, under every policy and with or without step 2 annotated
-    perfect, takes the rule of its definition.  A bracketed step's upper
-    bound is the upper bound before it with exactly the reference's pruned
-    rows made singletons, which are also the points of ``forced_maximal``
-    among E's maxima there; its lower bound is the lower bound before it
-    split at E."""
-    seen = {rule: 0 for rule in (RULE_ONESTEP, RULE_DISCRETE, RULE_PERFECT, RULE_BOUNDED)}
-    pruned_steps = vanishing = 0
+    """Every step of every one-, two- and three-level chain of every poset
+    on at most four points, under every policy and with or without its last
+    step annotated perfect (after a bracket, on three levels), takes the rule
+    of its definition.  A bracketed
+    step's upper bound is the upper bound before it with exactly the
+    reference's pruned rows made singletons, which are also the points of
+    ``forced_maximal`` among E's maxima there; its lower bound is the lower
+    bound before it split at E."""
+    rules = (RULE_ONESTEP, RULE_DISCRETE, RULE_PERFECT, RULE_BOUNDED)
+    # Per number of levels: steps by rule, unannotated perfect steps (the
+    # vanishing level), perfect steps after a bracket, and brackets that
+    # prune rows.
+    counted = rules + ("vanishing", "after-bracket", "pruned")
+    seen = {depth: dict.fromkeys(counted, 0) for depth in (1, 2, 3)}
     for names, relation, poset in small_posets():
         uppers = upper_sets(len(names), relation)
         chains = [[v] for v in uppers] + [[v, w] for v in uppers for w in uppers if w <= v]
+        chains += [[v, w, x] for v, w in (c for c in chains if len(c) == 2)
+                   for x in uppers if x <= w]
         for levels in chains:
             levels = [{names[i] for i in v} for v in levels]
+            count = seen[len(levels)]
             filt = validate_filtration(poset, [sorted(v) for v in levels])
             forced = forced_maximal(poset, filt)
             for policy in POLICIES:
-                for annotations in ({}, {2: True}) if len(levels) == 2 else ({},):
+                for annotations in ({}, {len(levels): True}) if len(levels) > 1 else ({},):
                     where = (names, sorted(relation), levels, policy, annotations)
                     try:
                         steps = chain_order(poset, filt, annotations, policy)
@@ -240,8 +248,9 @@ def test_chain_rules_match_their_definition():
                     reference = reference_steps(poset, levels, annotations, steps)
                     for (step, post), (rule, pruned) in zip(steps, reference, strict=True):
                         assert step.rule == rule, (where, step.index)
-                        seen[rule] += 1
-                        vanishing += rule == RULE_PERFECT and not annotations
+                        count[rule] += 1
+                        count["vanishing"] += rule == RULE_PERFECT and step.index not in annotations
+                        count["after-bracket"] += rule == RULE_PERFECT and not step.pre.exact
                         if rule != RULE_BOUNDED:
                             continue
                         at = (where, step.index)
@@ -255,9 +264,13 @@ def test_chain_rules_match_their_definition():
                         inside = lower.names(E)
                         assert post.lower.order.relation == {
                             (p, q) for p, q in lower.relation if (p in inside) == (q in inside)}, at
-                        pruned_steps += bool(pruned)
+                        count["pruned"] += bool(pruned)
     # Each rule is reached, perfect also at the vanishing level unannotated,
-    # and some brackets prune rows.
-    assert seen == {RULE_ONESTEP: 1940, RULE_DISCRETE: 7248, RULE_PERFECT: 834,
-                    RULE_BOUNDED: 742}
-    assert (vanishing, pruned_steps) == (46, 60)
+    # and some brackets prune rows; on three levels, perfect steps also
+    # follow a bracket.  One and two levels together count as before.
+    assert {key: seen[1][key] + seen[2][key] for key in counted} == {
+        RULE_ONESTEP: 1940, RULE_DISCRETE: 7248, RULE_PERFECT: 834, RULE_BOUNDED: 742,
+        "vanishing": 46, "after-bracket": 0, "pruned": 60}
+    assert seen[3] == {
+        RULE_ONESTEP: 2424, RULE_DISCRETE: 21888, RULE_PERFECT: 1378, RULE_BOUNDED: 3038,
+        "vanishing": 166, "after-bracket": 258, "pruned": 180}

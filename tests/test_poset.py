@@ -14,6 +14,7 @@ from conftest import (
     strict_pairs,
     up_names,
 )
+from test_exhaustive import small_posets
 from gspec import (
     AxiomReport,
     CycleError,
@@ -32,6 +33,7 @@ from gspec import (
 from gspec.poset import (
     bits,
     closed_masks,
+    holding,
     select,
     transitive_closure,
 )
@@ -265,6 +267,48 @@ class TestCheckAxioms:
         report = check_axioms(CHAIN3)
         assert report.sober and report.failures == ()
 
+    @staticmethod
+    def reference_failures(order):
+        """``check_axioms``' failures restated over names and pairs: T0 from
+        the up- and down-set names of each point, then each lower set with
+        exactly one maximal point that is not that point's down-set, by size
+        and then by sorted names."""
+        failures = []
+        if any(up_names(order, p) & down_names(order, p) != {p} for p in order.elements):
+            failures.append("t0")
+        reducible = []
+        for S in brute_lower_sets(order):
+            tops = [p for p in S if not any(a == p != b and b in S for a, b in order.relation)]
+            if len(tops) == 1 and S != down_names(order, tops[0]):
+                reducible.append(S)
+        reducible.sort(key=lambda S: (len(S), sorted(S)))
+        return failures + [f"sober:{sorted(S)}" for S in reducible]
+
+    def test_planted_sober_failures_match_reference(self):
+        """``down`` rows corrupted after the family is cached (a point's
+        closure shrunk, grown or replaced by another point's) make
+        ``check_axioms`` name exactly the reference's failing sets, in its
+        order; the intact orders pass."""
+        rng = random.Random(20261020)
+        seen, several = {"pass": 0, "sober": 0, "t0": 0}, 0
+        for _ in range(300):
+            order = random_order(rng, max_size=8)
+            assert check_axioms(order) == AxiomReport(True, True, ())  # caches the family
+            assert self.reference_failures(order) == []
+            down = list(order.down)
+            for _ in range(rng.randint(1, 3)):
+                p, q = rng.randrange(len(down)), rng.randrange(len(down))
+                down[p] = rng.choice([down[p] & ~(1 << q), down[p] | 1 << q, down[q]])
+            order.__dict__["down"] = tuple(down)
+            expected = self.reference_failures(order)
+            report = check_axioms(order)
+            assert list(report.failures) == expected, (order, down)
+            assert report.t0 == ("t0" not in expected)
+            assert report.sober == (not any(f.startswith("sober") for f in expected))
+            seen["pass" if not expected else "t0" if "t0" in expected else "sober"] += 1
+            several += sum(f.startswith("sober") for f in expected) > 1
+        assert min(seen.values()) > 20 and several > 20, (seen, several)
+
 
 class TestEnumerateClosedSets:
     def test_two_chain(self):
@@ -290,27 +334,44 @@ class TestEnumerateClosedSets:
         assert set(got) == brute_lower_sets(DIAMOND)
 
     def test_size_bound(self):
+        """Every reader of the closed family stops at the bound."""
+        from gspec import ClosureOrder, brute_force_discrete_law, brute_force_perfect_law
         big = build_order([f"x{i}" for i in range(17)], [])
-        with pytest.raises(SizeExceeded, match="17 elements exceeds enumeration bound 16"):
-            enumerate_closed_sets(big)
+        co = ClosureOrder(big, ("test",))
+        for read in (lambda: enumerate_closed_sets(big), lambda: closed_masks(big),
+                     lambda: check_axioms(big), lambda: brute_force_discrete_law(co, 1, co),
+                     lambda: brute_force_perfect_law(co, 1, co)):
+            with pytest.raises(SizeExceeded, match="17 elements exceeds enumeration bound 16"):
+                read()
 
     def test_closed_masks_match_definition(self):
-        """The enumeration reaches each lower set once, and the maxima it
-        carries beside a set are the set's maximal points."""
+        """The family holds each lower set once: its members, ascending, are
+        the lower sets of the definition, on every poset of the exhaustive
+        fence and on random orders."""
         rng = random.Random(20261019)
-        orders = [build_order([], [])] + [random_order(rng, max_size=12) for _ in range(200)]
+        orders = [poset.base for _, _, poset in small_posets()]
+        orders += [build_order([], [])] + [random_order(rng, max_size=12) for _ in range(200)]
         for order in orders:
             masks = closed_masks(order)
-            assert len(set(masks)) == len(masks)
+            assert masks == sorted(set(masks))
             assert {order.names(m) for m in masks} == brute_lower_sets(order)
-            found, maxima = order.lower_sets
-            assert list(found) == masks
-            assert list(maxima) == [order.maximal(m) for m in found]
+            assert order.closed_family == sum(1 << m for m in masks)
 
     def test_chain_of_sixteen_has_seventeen_lower_sets(self):
         names = [f"x{i:02d}" for i in range(16)]
         masks = closed_masks(build_order(names, zip(names, names[1:])))
-        assert sorted(masks) == [(1 << k) - 1 for k in range(17)]
+        assert masks == [(1 << k) - 1 for k in range(17)]
+
+    def test_antichain_of_sixteen_has_every_subset(self):
+        order = build_order([f"x{i:02d}" for i in range(16)], [])
+        assert order.closed_family == (1 << (1 << 16)) - 1
+        assert closed_masks(order) == list(range(1 << 16))
+
+    def test_holding_families(self):
+        """Bit S of point b's family is set exactly when S holds b."""
+        for n in range(7):
+            assert holding(n) == tuple(sum(1 << S for S in range(1 << n) if S >> b & 1)
+                                       for b in range(n))
 
 
 class TestProperties:

@@ -41,6 +41,11 @@ def as_closure(order: Order) -> ClosureOrder:
     return ClosureOrder(order, ("test",))
 
 
+def strata(filt: SpFiltration) -> list[int]:
+    """The strata V_(i-1) minus V_i by index i, as ``run_suite`` hands them on."""
+    return [filt.difference(i) for i in range(filt.n + 1)]
+
+
 LOC2_BELOW_M = {"o", "p1", "p2", "p3", "p4", "p5"}
 
 
@@ -108,7 +113,8 @@ class TestWitnesses:
     def failures(self, order):
         from gspec.verify import _baseline
         reports = _baseline(self.poset, self.filt, 1, as_closure(order), True,
-                            forced_maximal(self.poset, self.filt)[1], level_indices(self.filt))
+                            forced_maximal(self.poset, self.filt)[1], level_indices(self.filt),
+                            strata(self.filt))
         return {r.name: r.counterexample for r in reports if not r.passed}
 
     def test_baseline_witnesses(self):
@@ -169,7 +175,8 @@ class TestWitnesses:
             filt = SpFiltration(els, levels)
             expected = next((i for i in range(filt.n + 1)
                              if _least_change(order, base, filt.difference(i))), None)
-            assert _first_changed_stratum(order, base, level_indices(filt)) == expected
+            assert _first_changed_stratum(order, base, level_indices(filt),
+                                          strata(filt)) == expected
             outcomes.append(expected)
         assert outcomes.count(None) > 200 and {0, 1, 2, 3} <= set(outcomes)
 
@@ -389,6 +396,78 @@ class TestLawWitnesses:
             assert report.to_json()["counterexample"] == self.smallest(expected ^ lowers)
 
 
+class TestLawsMatchSetDefinitions:
+    """Both laws against their definitions over sets of masks, kept as
+    references: the discrete law scans every subset U for a closed U | E,
+    the perfect law takes the product of the distinct halves of the closed
+    sets.  Pre-orders are random, E is a random closed class (or now and
+    then any mask), and the post-order is the pre-order, a random order,
+    or either rule's result as it is or with one pair taken away and one
+    planted; the reports, witnesses included, must be the same."""
+
+    @staticmethod
+    def closed(order):
+        return {order.mask(S) for S in brute_lower_sets(order)}
+
+    @classmethod
+    def report(cls, name, pre, post, expected):
+        wrong = expected ^ cls.closed(post)
+        if not wrong:
+            return PropertyReport(name)
+        offender = min(map(pre.names, wrong), key=lambda S: (len(S), sorted(S)))
+        return PropertyReport(name, (("set", "{" + ",".join(sorted(offender)) + "}"),))
+
+    @classmethod
+    def discrete(cls, pre, e, post):
+        closed = cls.closed(pre)
+        expected = {U for U in range(1 << len(pre.elements)) if U | e in closed}
+        return cls.report("discrete-law", pre, post, expected)
+
+    @classmethod
+    def perfect(cls, pre, e, post):
+        closed = cls.closed(pre)
+        inside, outside = {V & e for V in closed}, {V & ~e for V in closed}
+        return cls.report("perfect-law", pre, post, {A | B for A in inside for B in outside})
+
+    @staticmethod
+    def posts(rng, co, e):
+        els = co.order.elements
+        yield co
+        yield as_closure(build_order(els, [(p, q) for i, p in enumerate(els)
+                                           for q in els[i + 1:] if rng.random() < 0.3]))
+        for rule in (mutate_discrete, mutate_perfect):
+            try:
+                post = rule(co, e)
+            except GspecError:
+                continue
+            yield post
+            pairs = sorted(strict_pairs(post.order))
+            if pairs:
+                pairs.remove(rng.choice(pairs))
+            pairs.append((rng.choice(els), rng.choice(els)))
+            try:
+                yield as_closure(build_order(els, [(p, q) for p, q in pairs if p != q]))
+            except GspecError:  # the planted pair closed a cycle
+                pass
+
+    def test_against_set_definitions(self, rng):
+        seen = {"discrete-law": [0, 0], "perfect-law": [0, 0]}
+        for _ in range(300):
+            pre = random_order(rng, max_size=8)
+            if rng.random() < 0.8:
+                e = pre.mask(rng.choice(sorted(brute_lower_sets(pre), key=sorted)))
+            else:
+                e = rng.randrange(pre.full_mask + 1)
+            co = as_closure(pre)
+            for post in self.posts(rng, co, e):
+                for law, reference in ((brute_force_discrete_law, self.discrete),
+                                       (brute_force_perfect_law, self.perfect)):
+                    expected = reference(pre, e, post.order)
+                    assert law(co, e, post) == expected, (pre, e, post.order)
+                    seen[expected.name][expected.passed] += 1
+        assert min(min(counts) for counts in seen.values()) > 100, seen
+
+
 class TestRandomisedLaws:
     """The rewrite rules against the enumeration laws on random inputs."""
 
@@ -469,11 +548,11 @@ class TestRunSuite:
 
     def test_suite_enumerates_each_order_once(self, monkeypatch):
         """On LOC2 with 14 height-one primes (16 points), both laws and
-        check_axioms read each order's lower sets from one enumeration."""
+        check_axioms read each order's closed family from one enumeration."""
         from functools import cached_property
 
         from gspec import load_prime_poset
-        enumerate_ = Order.__dict__["lower_sets"].func
+        enumerate_ = Order.__dict__["closed_family"].func
         enumerated = []
 
         def counted(order):
@@ -481,8 +560,8 @@ class TestRunSuite:
             return enumerate_(order)
 
         prop = cached_property(counted)
-        prop.__set_name__(Order, "lower_sets")
-        monkeypatch.setattr(Order, "lower_sets", prop)
+        prop.__set_name__(Order, "closed_family")
+        monkeypatch.setattr(Order, "closed_family", prop)
         primes = [f"p{i:02d}" for i in range(14)]
         covers = [["o", p] for p in primes] + [[p, "m"] for p in primes]
         poset = load_prime_poset({"elements": ["o", *primes, "m"], "covers": covers})
@@ -523,11 +602,11 @@ class TestRunSuite:
             filt = height_filtration(poset)
             orders = [poset.base] + [post.lower.order for _, post in chain_order(poset, filt)
                                      if post.exact]
-            level_of = level_indices(filt)
+            level_of, by_index = level_indices(filt), strata(filt)
             steps[0] = 0
             for order in orders:
                 assert _cb_report(order, cb_filtration(order), "cb").passed
-                assert _first_changed_stratum(order, poset.base, level_of) is None
+                assert _first_changed_stratum(order, poset.base, level_of, by_index) is None
             counts[n] = steps[0]
         assert len(orders) == 200 and counts[100] > 0
         assert counts[200] <= 4.5 * counts[100]
