@@ -232,7 +232,7 @@ def chain_order(
         if i == 1 and not truncated:
             rule = RULE_ONESTEP
             post = exact_bounds(onestep_order(poset, support, policy))
-        # E's maxima in the upper bound: all of E when it is discrete, else the prunable ones.
+        # E's maxima in the upper bound: all of E when it is discrete, else the pruned ones.
         elif truncated or (top := current.upper.order.maximal(e)) == e:
             rule = RULE_DISCRETE
             post = _each_bound(current, lambda co: mutate_discrete(co, e))
@@ -243,7 +243,7 @@ def chain_order(
             post = _each_bound(current, lambda co: mutate_perfect(co, e))
         else:
             rule = RULE_BOUNDED
-            post = _bracket(current, e, forced[i] & top)
+            post = _bracket(current, e, top)
         step = MutationStep(i, support, e, rule, current, post)
         steps.append((step, post))
         current = post
@@ -286,7 +286,17 @@ def _bracket(current: BoundedOrder, e: int, pruned: int) -> BoundedOrder:
     ``pruned`` (maximal in E) made singletons.  Bounds that meet are one order,
     whose bracket both new bounds take from the lower bound, provenance
     included.  :class:`NotClosed` when ``e`` is not closed in the upper bound,
-    which is where it fails first, as the lower bound refines it."""
+    which is where it fails first, as the lower bound refines it.
+
+    The chain prunes every maximal point of E in the upper bound, as each is
+    forced to stay maximal (:func:`filtration.forced_maximal`).  E is the
+    union of the strata cut out so far, and every bound of the chain agrees
+    with inclusion inside each stratum: the one-step order keeps inclusion
+    inside V_0 and inside its complement, a split keeps the pairs inside E
+    and inside its complement, and a bracket empties only rows of points
+    maximal in E, which have nothing above them in their own stratum.  So a
+    point maximal in E in the upper bound is maximal in its stratum under
+    inclusion."""
     lower = current.lower
     upper = lower if current.exact else current.upper
     _require_closed(upper.order, e)

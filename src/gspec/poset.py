@@ -15,7 +15,7 @@ points lexicographically so that repeated runs are byte-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache
 from itertools import accumulate, compress
 from operator import or_
 from typing import Iterable, Iterator, NoReturn, Sequence
@@ -44,6 +44,28 @@ class SizeExceeded(GspecError):
     """The order is too large for exhaustive closed-set enumeration."""
 
 
+def _within_bound(n: int) -> None:
+    """:class:`SizeExceeded` when n points are above ``DEFAULT_ENUMERATION_BOUND``."""
+    if n > DEFAULT_ENUMERATION_BOUND:
+        raise SizeExceeded(f"{n} elements exceeds enumeration bound {DEFAULT_ENUMERATION_BOUND}")
+
+
+class derived:
+    """A property computed on its first read and kept in the instance
+    ``__dict__``, which shadows this non-data descriptor from then on.  Unlike
+    :class:`functools.cached_property` on CPython 3.10 and 3.11, it takes no
+    lock; ``func`` is the function it reads through."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
+
+
 _BYTE = tuple(tuple(j for j in range(8) if m >> j & 1) for m in range(256))
 _HIGH = tuple(tuple(j + 8 for j in row) for row in _BYTE)
 
@@ -69,8 +91,7 @@ def holding(n: int) -> tuple[int, ...]:
     b, as one integer: bit S is set exactly when S holds b.  Its pattern,
     2^b sets without b then 2^b with it, is doubled out to 2^n bits, so
     :class:`SizeExceeded` above ``DEFAULT_ENUMERATION_BOUND`` points."""
-    if n > DEFAULT_ENUMERATION_BOUND:
-        raise SizeExceeded(f"{n} elements exceeds enumeration bound {DEFAULT_ENUMERATION_BOUND}")
+    _within_bound(n)
     table = []
     for b in range(n):
         width = 2 << b
@@ -202,12 +223,12 @@ class Order:
                     raise InvalidArgument("relation not transitively closed")
         raise AssertionError("a row was rejected, but every member passed")
 
-    @cached_property
+    @derived
     def index(self) -> dict[str, int]:
         """Position of each point name in ``elements``."""
         return {p: i for i, p in enumerate(self.elements)}
 
-    @cached_property
+    @derived
     def _bottom_up(self) -> tuple[int, ...]:
         """The points in a linear extension, each after everything below it:
         by up-set size, largest first (what is below a point has a larger one),
@@ -216,7 +237,7 @@ class Order:
         up = self.up
         return tuple(sorted(range(len(up)), key=lambda i: -up[i].bit_count()))
 
-    @cached_property
+    @derived
     def down(self) -> tuple[int, ...]:
         """Per-point down-set masks (closures of the points): each point's
         down-set is pushed up its covers, bottom first."""
@@ -227,7 +248,7 @@ class Order:
                 down[j] |= down[i]
         return tuple(down)
 
-    @cached_property
+    @derived
     def heights(self) -> tuple[int, ...]:
         """Per-point heights, the longest chain strictly below each point: a
         longest chain climbs by covers, so heights are pushed along them,
@@ -239,7 +260,7 @@ class Order:
                 height[j] = max(height[j], height[i] + 1)
         return tuple(height)
 
-    @cached_property
+    @derived
     def closed_family(self) -> int:
         """Every lower set as one integer whose bit S is set exactly when the
         set with mask S is lower; :class:`SizeExceeded` above
@@ -264,7 +285,7 @@ class Order:
                 needs[j] &= holds[i]
         return family
 
-    @cached_property
+    @derived
     def relation(self) -> frozenset[tuple[str, str]]:
         """All pairs ``(p, q)`` with ``p <= q``: for output and pair-based checks."""
         els = self.elements
@@ -447,24 +468,23 @@ def check_axioms(order: Order) -> AxiomReport:
     """Check T0 (no other point lies both above and below a point) and
     soberness, by the unique-maximal-element criterion: a closed set is
     irreducible exactly when it has a single maximal point, and it must
-    then be the closure of that point.  Read from
-    :attr:`Order.closed_family`: p is maximal in a closed S exactly when
-    S minus p is closed too, so the sets where p is maximal are one family
-    per point, and those in exactly one of them have a single maximal
-    point."""
-    family, down = order.closed_family, order.down
-    t0 = all(u & d == 1 << i for i, (u, d) in enumerate(zip(order.up, down)))
-    once = more = bad = 0
-    for p, holds in enumerate(holding(len(down))):
-        tops = family & holds & family << (1 << p)
-        more |= once & tops
-        once |= tops
-        bad |= tops & ~(1 << down[p])
-    bad &= ~more
+    then be the closure of that point.  Read from the columns of ``up``: the
+    points whose up-set holds p form the one lower set whose single maximal
+    point is p, so that set must be ``down[p]``.  No closed set is
+    enumerated, but :class:`SizeExceeded` above
+    ``DEFAULT_ENUMERATION_BOUND`` points, as for the reports that do."""
+    _within_bound(len(order.up))
+    up, down = order.up, order.down
+    columns = [0] * len(up)
+    for q, m in enumerate(up):
+        for p in bits(m):
+            columns[p] |= 1 << q
+    t0 = all(u & d == 1 << i for i, (u, d) in enumerate(zip(up, down)))
+    bad = [c for c, d in zip(columns, down) if c != d]
     if t0 and not bad:
         return _AXIOMS_HOLD
     failures = ["t0"] if not t0 else []
-    reducible = sorted(map(order.names, members(bad)), key=_by_size_then_names)
+    reducible = sorted(map(order.names, bad), key=_by_size_then_names)
     failures.extend(f"sober:{sorted(closed)}" for closed in reducible)
     return AxiomReport(t0=t0, sober=not bad, failures=tuple(failures))
 

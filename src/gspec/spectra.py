@@ -14,7 +14,6 @@ per-interval annotations supplied with the model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import accumulate
 from operator import or_
 from typing import Iterable, Mapping
@@ -25,6 +24,7 @@ from .poset import (
     Order,
     bits,
     build_order,
+    derived,
     select,
 )
 
@@ -138,7 +138,7 @@ class PrimePoset:
             raise NotComparable(f"{p!r} not contained in {q!r}")
         return i, j, self.base.up[i] & self.base.down[j]
 
-    @cached_property
+    @derived
     def _shallow(self) -> tuple[int, ...]:
         """Per point p, the mask of points of height below h(p) + 2: height buckets, ORed up."""
         heights = [self.height[p] for p in self.base.elements]

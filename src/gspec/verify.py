@@ -1,15 +1,17 @@
 """Property reports for the mutation engine.
 
-The two laws, ``t0`` and ``sober`` read closed sets from
-:attr:`Order.closed_family`, one integer per order whose bit S marks the
-closed set S, and share no code with the rewrite rules.  The laws build
-their expected families with whole-family bit operations and compare them
-with one XOR; only a failure lists sets, to name its witness.  Refinement,
-piecewise, sandwich, refines-inclusion, levels-open, strata-restriction and
-cb are direct mask checks; cb tests the layers against the up-sets, not the
-covers :func:`cb_filtration` reads.  Maximal-difference reuses an engine
-definition: ``filtration.forced_maximal``, from the one stratum pass that
-:func:`run_suite` hands to the chain, whose bracket pruning reads it too.
+The two laws read closed sets from :attr:`Order.closed_family`, one
+integer per order whose bit S marks the closed set S, and share no code
+with the rewrite rules.  They build their expected families with
+whole-family bit operations and compare them with one XOR; only a failure
+lists sets, to name its witness.  ``t0`` and ``sober`` read the up- and
+down-set masks alone (:func:`check_axioms`), so a family is built only for
+an order a law reads.  Refinement, piecewise, sandwich, refines-inclusion,
+levels-open, strata-restriction and cb are direct mask checks; cb tests the
+layers against the up-sets, not the covers :func:`cb_filtration` reads.
+Maximal-difference reuses an engine definition:
+``filtration.forced_maximal``, from the one stratum pass that
+:func:`run_suite` also hands to the chain.
 """
 
 from __future__ import annotations
@@ -196,10 +198,10 @@ def run_suite(
 
     The reports come back in a fixed order: per-step checks by step index,
     then the baseline checks of each exact order in chain position order.
-    Each step is compared bound for bound with the step before.  Reports
-    that enumerate closed sets (the two laws, ``t0`` and ``sober``) run only
-    on posets of at most ``DEFAULT_ENUMERATION_BOUND`` points and are left
-    out above it; every other report always runs.
+    Each step is compared bound for bound with the step before.  The two
+    laws, which enumerate closed sets, and ``t0`` and ``sober`` run only on
+    posets of at most ``DEFAULT_ENUMERATION_BOUND`` points and are left out
+    above it; every other report always runs.
     """
     stratum_pass = spf._stratum_pass(poset.base, filt)
     steps = mut.chain_order(poset, filt, step_annotations, policy, stratum_pass=stratum_pass)

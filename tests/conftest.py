@@ -119,8 +119,8 @@ def poset_from_order(order: Order) -> PrimePoset:
     )
 
 
-def random_order(rng: random.Random, max_size: int = 10) -> Order:
-    n = rng.randint(1, max_size)
+def random_order(rng: random.Random, max_size: int = 10, min_size: int = 1) -> Order:
+    n = rng.randint(min_size, max_size)
     names = [f"x{i}" for i in range(n)]
     relations = [
         (names[i], names[j])

@@ -285,15 +285,30 @@ class TestCheckAxioms:
         return failures + [f"sober:{sorted(S)}" for S in reducible]
 
     def test_planted_sober_failures_match_reference(self):
-        """``down`` rows corrupted after the family is cached (a point's
+        """``down`` rows corrupted after they are derived (a point's
         closure shrunk, grown or replaced by another point's) make
         ``check_axioms`` name exactly the reference's failing sets, in its
         order; the intact orders pass."""
         rng = random.Random(20261020)
+        seen, several = self.planted(rng, (random_order(rng, max_size=8) for _ in range(300)))
+        assert min(seen.values()) > 20 and several > 20, (seen, several)
+
+    def test_planted_sober_failures_past_one_byte(self):
+        """The same on orders of 9 to 12 points, whose up-sets ``bits``
+        reads from both of its byte tables."""
+        rng = random.Random(20261021)
+        orders = (random_order(rng, max_size=12, min_size=9) for _ in range(40))
+        seen, several = self.planted(rng, orders)
+        assert min(seen.values()) >= 5 and several >= 5, (seen, several)
+
+    def planted(self, rng, orders):
+        """Per order, drawn as it is needed, check it intact, then plant one
+        to three ``down`` rows and compare with the reference; returns how
+        many planted orders passed, failed T0 or failed only soberness, and
+        how many named more than one set."""
         seen, several = {"pass": 0, "sober": 0, "t0": 0}, 0
-        for _ in range(300):
-            order = random_order(rng, max_size=8)
-            assert check_axioms(order) == AxiomReport(True, True, ())  # caches the family
+        for order in orders:
+            assert check_axioms(order) == AxiomReport(True, True, ())  # derives down
             assert self.reference_failures(order) == []
             down = list(order.down)
             for _ in range(rng.randint(1, 3)):
@@ -307,7 +322,7 @@ class TestCheckAxioms:
             assert report.sober == (not any(f.startswith("sober") for f in expected))
             seen["pass" if not expected else "t0" if "t0" in expected else "sober"] += 1
             several += sum(f.startswith("sober") for f in expected) > 1
-        assert min(seen.values()) > 20 and several > 20, (seen, several)
+        return seen, several
 
 
 class TestEnumerateClosedSets:

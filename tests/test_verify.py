@@ -547,8 +547,10 @@ class TestRunSuite:
         assert all(r.passed for r in reports)
 
     def test_suite_enumerates_each_order_once(self, monkeypatch):
-        """On LOC2 with 14 height-one primes (16 points), both laws and
-        check_axioms read each order's closed family from one enumeration."""
+        """On LOC2 with 14 height-one primes (16 points), both laws read
+        each order's closed family from one enumeration; ``check_axioms``
+        reads none, so a LOC3 chain with no discrete or perfect step builds
+        no family."""
         from functools import cached_property
 
         from gspec import load_prime_poset
@@ -573,6 +575,13 @@ class TestRunSuite:
             assert all(r.passed for r in reports)
             assert laws | {"order-2:sober"} <= {r.name for r in reports}
             assert len({id(order) for order in enumerated}) == len(enumerated) >= 2
+        enumerated.clear()
+        loc3 = preset("LOC3")
+        reports = run_suite(loc3, validate_filtration(loc3, [{"r1", "r2", "r3", "m"}, {"m"}]))
+        names = {r.name for r in reports}
+        assert {"order-0:t0", "order-0:sober", "order-1:t0", "order-1:sober"} <= names
+        assert not any(name.endswith("-law") for name in names)
+        assert all(r.passed for r in reports) and enumerated == []
 
     def test_tall_chain_cb_and_strata_steps_grow_quadratically(self, monkeypatch):
         """Over every exact order of a chain's height-filtration run, the
