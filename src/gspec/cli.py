@@ -184,7 +184,8 @@ def _plain_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Na
             given[dest] = True
     if not required <= given.keys():
         return None
-    return argparse.Namespace(**(defaults | given))
+    vars(args := argparse.Namespace()).update(defaults, **given)
+    return args
 
 
 # -- input plumbing ----------------------------------------------------------
@@ -199,13 +200,16 @@ def _load_poset(args: argparse.Namespace) -> PrimePoset:
 
 
 def _read_json(flag: str, value: str, path: bool = False) -> object:
-    """JSON of an option, or of the file it names.  A file that cannot be
+    """JSON of an option, or of the file it names, decoded as text mode would
+    (strict UTF-8, ``\\r\\n`` and ``\\r`` read as ``\\n``).  A file that cannot be
     read, or text that is not UTF-8, not JSON, nested too deeply or holding
     an integer too long to convert, is reported against the flag."""
     try:
         if path:
-            with open(value, encoding="utf-8") as handle:
-                value = handle.read()
+            with open(value, "rb", buffering=0) as handle:
+                value = handle.read().decode()
+            if "\r" in value:
+                value = value.replace("\r\n", "\n").replace("\r", "\n")
         return json.loads(value)
     except OSError as exc:
         raise UsageError(f"{flag} cannot be read: {exc}") from None
@@ -320,12 +324,23 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         raise UsageError(f"--out cannot be written: {exc}") from None
 
 
-def _emit_document(args: argparse.Namespace, payload: dict, lines: list[str]) -> None:
-    """``payload`` as a JSON document under ``--format json``, else ``lines``."""
-    if args.format == "json":
-        _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        _emit(args, "\n".join(lines) + "\n")
+def _emit_document(args: argparse.Namespace, members: dict[str, str], lines: list[str]) -> None:
+    """Under ``--format json`` the object of ``members``, each a key and its
+    JSON text at depth 1; else ``lines``."""
+    entries = (_escape(key) + ": " + members[key] for key in sorted(members))
+    text = _string_list(entries, "\n", "{}") if args.format == "json" else "\n".join(lines)
+    _emit(args, text + "\n")
+
+
+def _name_lists(lists: Iterable[Iterable[str]]) -> str:
+    """The JSON text at depth 1 of a list of lists of names."""
+    return _string_list((_string_list(map(_escape, names), "\n    ") for names in lists), "\n  ")
+
+
+def _scalars(values: Mapping[str, object], text: Callable[[object], str] = int.__repr__) -> str:
+    """The JSON text at depth 1 of an object of scalars, each written by ``text``."""
+    return _string_list((_escape(k) + ": " + text(values[k]) for k in sorted(values)),
+                        "\n  ", "{}")
 
 
 # -- output builders ---------------------------------------------------------
@@ -427,14 +442,14 @@ def hasse_dot(order: Order, quoted: list[str], header: str) -> str:
                             for t in select(quoted, m)) + "}\n"
 
 
-def _string_list(texts: Iterable[str], newline: str) -> str:
-    """A JSON list of JSON texts (never empty ones) whose opening bracket is
-    at ``newline``'s depth.  JSON strings hold no raw newline, so every
-    newline in the list starts a line, and it is placed deeper by indenting
-    those."""
+def _string_list(texts: Iterable[str], newline: str, brackets: str = "[]") -> str:
+    """A JSON list of JSON texts, or with ``brackets`` ``"{}"`` an object of
+    member texts (never empty ones), whose opening bracket is at ``newline``'s
+    depth.  JSON strings hold no raw newline, so every newline in the list
+    starts a line, and it is placed deeper by indenting those."""
     inner = newline + "  "
     text = ("," + inner).join(texts)
-    return "[" + inner + text + newline + "]" if text else "[]"
+    return brackets[0] + inner + text + newline + brackets[1] if text else brackets
 
 
 def _bracket_json(elements: tuple[str, ...], bounded: mut.BoundedOrder) -> str:
@@ -514,7 +529,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     poset = _load_poset(args)
     covers = covering_pairs(poset.base)
     elements = poset.base.elements
-    _emit_document(args, {"covers": covers, "elements": elements, "heights": poset.height},
+    _emit_document(args, {"covers": _name_lists(covers), "heights": _scalars(poset.height),
+                          "elements": _string_list(map(_escape, elements), "\n  ")},
                    [f"{len(elements)} primes, {len(covers)} covers"])
     return 0
 
@@ -525,7 +541,8 @@ def _cmd_filtration(args: argparse.Namespace) -> int:
     flags = spf.classify(poset, filt)
     f = spf.filtration_to_f(filt)
     levels = [list(select(poset.base.elements, level)) for level in filt.levels]
-    _emit_document(args, {"levels": levels, "f": f, "classification": flags}, [
+    _emit_document(args, {"levels": _name_lists(levels), "f": _scalars(f),
+                          "classification": _scalars(flags, {True: "true", False: "false"}.get)}, [
         f"length {filt.n}",
         *(f"V{i} = {{{','.join(level)}}}" for i, level in enumerate(levels)),
         "classification: " + ", ".join(k for k, v in sorted(flags.items()) if v)])
@@ -563,7 +580,7 @@ def _cmd_cb(args: argparse.Namespace) -> int:
     layers = [list(select(poset.base.elements, layer))
               for layer in cb_filtration(final.lower.order)]
     rank = len(layers) - 1
-    _emit_document(args, {"rank": rank, "layers": layers}, [
+    _emit_document(args, {"rank": int.__repr__(rank), "layers": _name_lists(layers)}, [
         f"rank {rank}", *(f"X{i} = {{{','.join(layer)}}}" for i, layer in enumerate(layers))])
     return 1 if warned else 0
 

@@ -18,7 +18,7 @@ from itertools import accumulate
 from operator import or_
 from typing import Iterable, Mapping
 
-from .poset import GspecError, InvalidArgument, Order, bits, covering_pairs
+from .poset import GspecError, InvalidArgument, Order, bits, covering_pairs, select
 from .spectra import PrimePoset, SchemaError
 
 
@@ -83,33 +83,28 @@ def validate_filtration(poset: PrimePoset, levels: Iterable[Iterable[str]]) -> S
     :class:`NotDescending` with the offending index.  Explicit full or empty
     levels are stripped silently, so a chain of k levels lost ``k - n`` of them.
     """
-    bound = max(MAX_LEVELS, len(poset.base.elements))
+    base = poset.base
+    bound = max(MAX_LEVELS, len(base.elements))
     masks = []
     for i, level in enumerate(levels):
         if i == bound:
             raise InvalidArgument(f"more than the bound of {bound} levels given")
         if isinstance(level, str):
             raise InvalidArgument(f"level {i} is a string, not a collection of point names")
-        masks.append(poset.base.mask(level))
-    return _normal_form(poset, masks)
-
-
-def _normal_form(poset: PrimePoset, chain: list[int]) -> SpFiltration:
-    """Check level masks; strip leading full and trailing empty levels."""
-    base = poset.base
-    for i, level in enumerate(chain):
+        masks.append(base.mask(level))
+    for i, level in enumerate(masks):
         if not base.is_upper_set(level):
             raise NotSpecializationClosed(i)
-    for i in range(1, len(chain)):
-        if chain[i] & ~chain[i - 1]:
+    for i in range(1, len(masks)):
+        if masks[i] & ~masks[i - 1]:
             raise NotDescending(i)
     start = 0
-    while start < len(chain) and chain[start] == base.full_mask:
+    while start < len(masks) and masks[start] == base.full_mask:
         start += 1
-    stop = len(chain)
-    while stop > start and not chain[stop - 1]:
+    stop = len(masks)
+    while stop > start and not masks[stop - 1]:
         stop -= 1
-    return SpFiltration(base.elements, tuple(chain[start:stop]))
+    return SpFiltration(base.elements, tuple(masks[start:stop]))
 
 
 def filtration_to_f(filt: SpFiltration) -> dict[str, int]:
@@ -138,18 +133,28 @@ def f_to_filtration(poset: PrimePoset, f: Mapping[str, int]) -> SpFiltration:
     :class:`SchemaError`, and a span max f - min f above both
     :data:`MAX_LEVELS` and the number of points raises
     :class:`InvalidArgument` before any level is built.  Repeated levels are
-    kept: a repeated step can change the result.
+    kept: a repeated step can change the result.  Every level is open
+    exactly when f never drops along a cover, and a drop along p < q first
+    breaks the level at index f(q) - min f, which
+    :class:`NotSpecializationClosed` names.
     """
-    elements = poset.base.elements
-    _require_every_point(elements, f)
-    values = [f[p] for p in elements] or [-1]
+    base = poset.base
+    _require_every_point(base.elements, f)
+    values = [f[p] for p in base.elements] or [-1]
     low, high = min(values), max(values)
-    bound = max(MAX_LEVELS, len(elements))
+    bound = max(MAX_LEVELS, len(base.elements))
     if high - low > bound:
         raise InvalidArgument(
             f"level function spans {high - low} levels, above the bound of {bound}")
-    return _normal_form(poset, [sum(1 << k for k, x in enumerate(values) if x >= i)
-                                for i in range(low + 1, high + 1)])
+    buckets = [0] * (high - low + 1)  # at v - min f: the points with f = v
+    for k, x in enumerate(values):
+        buckets[x - low] |= 1 << k
+    at_least = list(accumulate(reversed(buckets), or_))[::-1]  # {p : f(p) >= v}
+    drops = [fq for cover, fp in zip(base.covers, values)
+             if (lower := cover & ~at_least[fp - low]) for fq in select(values, lower)]
+    if drops:
+        raise NotSpecializationClosed(min(drops) - low)
+    return SpFiltration(base.elements, tuple(at_least[1:]))
 
 
 def _require_every_point(elements: tuple[str, ...], f: Mapping[str, int]) -> None:
@@ -206,6 +211,6 @@ def _stratum_pass(base: Order, filt: SpFiltration) -> tuple[bool, tuple[int, ...
     """The inclusion-maxima of each stratum, read once (the strata are
     disjoint), give both whether every stratum is an antichain (the
     truncated-slice test) and :func:`forced_maximal`."""
-    maxima = [base.maximal(filt.difference(j)) for j in range(filt.n)]
-    truncated = all(top == filt.difference(j) for j, top in enumerate(maxima))
-    return truncated, tuple(accumulate(maxima, or_, initial=base.maximal(base.full_mask)))
+    strata = [above & ~level for above, level in zip((base.full_mask, *filt.levels), filt.levels)]
+    maxima = list(map(base.maximal, strata))
+    return maxima == strata, tuple(accumulate(maxima, or_, initial=base.maximal(base.full_mask)))

@@ -226,8 +226,7 @@ def chain_order(
     steps: list[tuple[MutationStep, BoundedOrder]] = []
     current = exact_bounds(standard_order(poset))
 
-    for i in range(1, filt.n + 1):
-        support = filt.level(i - 1)
+    for i, support in enumerate(filt.levels, 1):
         e = poset.base.full_mask & ~support
         if i == 1 and not truncated:
             rule = RULE_ONESTEP

@@ -343,7 +343,11 @@ class Order:
 
     def maximal(self, S: int) -> int:
         """Mask of the points of ``S`` with nothing of ``S`` strictly above."""
-        return sum(1 << i for i in bits(S) if self.up[i] & S == 1 << i)
+        up, top = self.up, 0
+        for i in bits(S):
+            if up[i] & S == 1 << i:
+                top |= 1 << i
+        return top
 
     def is_discrete(self, S: int) -> bool:
         """No two points of ``S`` are comparable."""

@@ -13,10 +13,10 @@ per-interval annotations supplied with the model.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import or_
-from typing import Iterable, Mapping
 
 from .poset import (
     GspecError,

@@ -6,6 +6,7 @@ import random
 import shlex
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
@@ -21,7 +22,12 @@ from gspec import (
     Order,
     PrimePoset,
     build_order,
+    cb_filtration,
+    classify,
     covering_pairs,
+    filtration_to_f,
+    height_filtration,
+    load_prime_poset,
     preset,
 )
 from gspec import mutation as mut
@@ -174,6 +180,72 @@ class TestPresetsAndValidate:
         assert (code, out) == (1, "")
         assert err.startswith(f"gspec: {flag} cannot be {verb}: ") and err.count("\n") == 1
         assert repr(path) in err
+
+
+def _text_mode_read_json(flag, value, path=False):
+    """The reference reader: the file opened in text mode as UTF-8."""
+    try:
+        if path:
+            with open(value, encoding="utf-8") as handle:
+                value = handle.read()
+        return json.loads(value)
+    except OSError as exc:
+        raise cli.UsageError(f"{flag} cannot be read: {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        raise cli.UsageError(f"{flag} is not valid JSON: {exc}") from None
+
+
+_DOCUMENTS = {
+    "--file": {"elements": ["o", "a", "b", "m"],
+               "covers": [["o", "a"], ["o", "b"], ["a", "m"], ["b", "m"]]},
+    "--codim": {"o": 0, "p1": 1, "p2": 1, "p3": 1, "p4": 1, "p5": 1, "m": 2},
+    "--annotations": {"steps": [{"i": 2, "perfect": True}]},
+}
+
+
+class TestByteReader:
+    """Files are read as bytes and decoded as text mode would decode them,
+    so every exit code, output and message stays the text-mode reader's."""
+
+    @staticmethod
+    def contents(flag):
+        lf = json.dumps(_DOCUMENTS[flag], indent=2).encode()
+        return {
+            "lf": lf,
+            "crlf": lf.replace(b"\n", b"\r\n"),
+            "cr": lf.replace(b"\n", b"\r"),
+            "malformed-crlf": lf.replace(b"\n", b"\r\n")[:-9] + b"\r\n}",
+            "cr-in-key": lf.replace(b'": ', b'\r": ', 1),
+            "bom": b"\xef\xbb\xbf" + lf,
+            "empty": b"",
+            "not-utf8-first": b"\xff" + lf,
+            "not-utf8-past-8k": lf[:-1] + b" " * 9000 + b"\r\n\xff}",
+        }
+
+    @pytest.mark.parametrize("flag", sorted(_DOCUMENTS))
+    @pytest.mark.parametrize("kind", ["lf", "crlf", "cr", "malformed-crlf", "cr-in-key",
+                                      "bom", "empty", "not-utf8-first", "not-utf8-past-8k",
+                                      "directory", "missing"])
+    def test_same_as_text_mode(self, capsys, monkeypatch, tmp_path, flag, kind):
+        if kind == "directory":
+            path = tmp_path
+        else:
+            path = tmp_path / "input.json"
+            if kind != "missing":
+                path.write_bytes(self.contents(flag)[kind])
+        argv = {"--file": ["closure", "--file", str(path), "--height-filtration"],
+                "--codim": ["filtration", "--preset", "LOC2", "--codim", str(path)],
+                "--annotations": ["closure", "--preset", "LOC3", "--height-filtration",
+                                  "--annotations", str(path)]}[flag]
+        argv += ["--steps"] if argv[0] == "closure" else []
+        argv += ["--format", "json"]
+        got = run(capsys, *argv)
+        monkeypatch.setattr(cli, "_read_json", _text_mode_read_json)
+        assert got == run(capsys, *argv)
+        if kind in ("lf", "crlf", "cr"):
+            assert got[0] == 0 and got[1]
+        else:
+            assert got[0] == 1 and not got[1] and got[2].startswith(f"gspec: {flag} ")
 
 
 class TestFiltrationCommand:
@@ -807,6 +879,35 @@ _TEXT = st.text(st.one_of(st.characters(), _SPECIAL_CHARACTERS), max_size=8)
 
 
 class TestJsonWriter:
+    @given(st.lists(_TEXT, max_size=6, unique=True), st.data())
+    def test_documents_match_json_module(self, names, data):
+        """``validate``, ``filtration`` and ``cb`` give the json module's
+        bytes for their documents, for any names, empty lists and objects
+        included."""
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=6))
+        doc = {"elements": names,
+               "covers": [[names[i], names[j]] for i, j in pairs if i < j < len(names)]}
+        poset = load_prime_poset(doc)
+        base = poset.base
+        filt = height_filtration(poset)
+        expected = {
+            "validate": {"covers": [list(c) for c in covering_pairs(base)],
+                         "elements": list(base.elements), "heights": dict(poset.height)},
+            "filtration": {"levels": [sorted(base.names(level)) for level in filt.levels],
+                           "f": filtration_to_f(filt), "classification": classify(poset, filt)},
+            "cb": {"layers": [sorted(base.names(layer)) for layer in cb_filtration(base)],
+                   "rank": len(cb_filtration(base)) - 1}}
+        with tempfile.TemporaryDirectory() as work:
+            path = os.path.join(work, "poset.json")
+            with open(path, "w", encoding="ascii") as handle:
+                handle.write(json.dumps(doc))
+            for command, payload in expected.items():
+                extra = ["--height-filtration"] if command == "filtration" else []
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    assert main([command, "--file", path, *extra, "--format", "json"]) == 0
+                assert out.getvalue() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
     @given(st.lists(_TEXT, max_size=8, unique=True), st.integers(min_value=0, max_value=255))
     def test_matches_json_module(self, names, mask):
         """The order writer's name lists (a step's class and support) give

@@ -1,6 +1,10 @@
 import warnings
+from itertools import accumulate
+from operator import or_
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import poset_from_order, random_monotone_f, random_order
 from gspec import (
@@ -10,7 +14,9 @@ from gspec import (
     NotDescending,
     NotSpecializationClosed,
     SchemaError,
+    SpFiltration,
     UnknownElement,
+    build_order,
     classify,
     codim_filtration,
     f_to_filtration,
@@ -20,6 +26,27 @@ from gspec import (
     preset,
     validate_filtration,
 )
+from gspec.filtration import _stratum_pass
+from gspec.poset import bits
+
+
+@st.composite
+def level_functions(draw, monotone=None):
+    """A random poset of up to 8 points and an integer per point, shifted
+    by up to 50 either way; when ``monotone`` (drawn if None), each value
+    is the largest raw value at or below the point, so f never drops
+    upward."""
+    n = draw(st.integers(min_value=0, max_value=8))
+    names = [f"x{i}" for i in range(n)]
+    pairs = draw(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=12))
+    poset = poset_from_order(build_order(
+        names, [(names[i], names[j]) for i, j in pairs if i < j < n]))
+    base = poset.base
+    raw = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+    if draw(st.booleans()) if monotone is None else monotone:
+        raw = [max(raw[j] for j in bits(down)) for down in base.down]
+    shift = draw(st.integers(-50, 50))
+    return poset, {p: v + shift for p, v in zip(base.elements, raw)}
 
 
 class TestValidate:
@@ -148,6 +175,50 @@ class TestLevelFunction:
             filt = f_to_filtration(poset, random_monotone_f(rng, poset.base))
             for level in filt.levels:
                 assert poset.base.is_upper_set(level)
+
+
+class TestLevelFunctionDefinition:
+    @given(level_functions())
+    def test_levels_match_definition(self, case):
+        """The levels are {p : f(p) >= i} for i from min f + 1 to max f, or
+        :class:`NotSpecializationClosed` names the first of them that is
+        not open."""
+        poset, f = case
+        base = poset.base
+        values = list(f.values()) or [-1]
+        levels = [base.mask(p for p in f if f[p] >= i)
+                  for i in range(min(values) + 1, max(values) + 1)]
+        closed = [base.is_upper_set(level) for level in levels]
+        if all(closed):
+            assert f_to_filtration(poset, f).levels == tuple(levels)
+        else:
+            with pytest.raises(NotSpecializationClosed) as err:
+                f_to_filtration(poset, f)
+            assert err.value.index == closed.index(False)
+        if len(set(values)) == 1:
+            assert levels == []
+
+    @given(st.integers(min_value=MAX_LEVELS + 1, max_value=10**18),
+           st.integers(min_value=-10**18, max_value=10**18), st.booleans())
+    def test_span_bound_before_levels(self, span, low, rising):
+        """Spans of up to 10^18 levels are refused at once, open or not:
+        no level is built first."""
+        f = {"o": low, "m": low + span} if rising else {"o": low + span, "m": low}
+        message = f"^level function spans {span} levels, above the bound of {MAX_LEVELS}$"
+        with pytest.raises(InvalidArgument, match=message):
+            f_to_filtration(preset("DVR1"), f)
+
+    @given(level_functions(monotone=True), st.booleans())
+    def test_stratum_pass_matches_definition(self, case, empty):
+        """Per stratum, its maxima; the strata are antichains exactly when
+        each equals its maxima; the forced masks accumulate the maxima."""
+        poset, f = case
+        base = poset.base
+        filt = SpFiltration(base.elements, ()) if empty else f_to_filtration(poset, f)
+        maxima = [base.maximal(filt.difference(j)) for j in range(filt.n)]
+        truncated = all(top == filt.difference(j) for j, top in enumerate(maxima))
+        assert _stratum_pass(base, filt) == (
+            truncated, tuple(accumulate(maxima, or_, initial=base.maximal(base.full_mask))))
 
 
 class TestForcedMaximal:

@@ -52,6 +52,17 @@ def orders(draw, max_size=6):
     return build_order(names, relations)
 
 
+@st.composite
+def orders_and_subsets(draw):
+    """A random order of up to 8 or of 17 to 24 points, so that subsets
+    reach masks above 2^16, and a subset of its points."""
+    n = draw(st.one_of(st.integers(0, 8), st.integers(17, 24)))
+    names = [f"x{i:02d}" for i in range(n)]
+    pairs = draw(st.lists(st.tuples(st.integers(0, 23), st.integers(0, 23)), max_size=40))
+    order = build_order(names, [(names[i], names[j]) for i, j in pairs if i < j < n])
+    return order, draw(st.integers(0, order.full_mask))
+
+
 CHAIN3 = build_order(["o", "p", "m"], [("o", "p"), ("p", "m")])
 DIAMOND = build_order(["o", "a", "b", "m"], [("o", "a"), ("o", "b"), ("a", "m"), ("b", "m")])
 
@@ -211,6 +222,15 @@ class TestSubsets:
             expected = {p for p in members
                         if not any((p, q) in strict_pairs(order) for q in members)}
             assert order.names(order.maximal(S)) == expected
+
+    @given(orders_and_subsets())
+    def test_maximal_matches_definition(self, case):
+        """A point of S is maximal exactly when no other point of S lies above it."""
+        order, S = case
+        points = range(len(order.up))
+        expected = sum(1 << i for i in points if S >> i & 1 and not any(
+            j != i and S >> j & 1 and order.up[i] >> j & 1 for j in points))
+        assert order.maximal(S) == expected
 
 
 class TestCbFiltration:
