@@ -243,8 +243,8 @@ def _parse_filtration(
     args: argparse.Namespace, poset: PrimePoset, required: bool = True
 ) -> tuple[spf.SpFiltration | None, bool]:
     """Returns the filtration and whether ``--levels`` lost trivial levels."""
-    given = args.height_filtration + sum(
-        source is not None for source in (args.levels, args.f, args.codim))
+    given = (args.height_filtration + (args.levels is not None) + (args.f is not None)
+             + (args.codim is not None))
     if given > 1:
         raise UsageError("give at most one filtration source")
     if not given:

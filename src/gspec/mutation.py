@@ -142,13 +142,11 @@ def onestep_order(poset: PrimePoset, v: int, policy: str = POLICY_ERROR) -> Clos
     for i in outside:
         kept = up[i] & ~v
         for verdict, m in poset.row_verdicts(i, v):
-            answer = verdict.verdict
-            if answer == UNDETERMINED and m:
-                if policy == POLICY_ERROR:
+            if m and verdict.verdict != COHERENT:
+                if verdict.verdict == UNDETERMINED and policy == POLICY_ERROR:
                     raise UndeterminedCoherence(els[i], els[bits(m)[0]])
-                answer = COHERENT if policy == POLICY_ASSUME_COHERENT else NOT_COHERENT
-            if answer == NOT_COHERENT:
-                kept |= m
+                if verdict.verdict == NOT_COHERENT or policy == POLICY_ASSUME_NONCOHERENT:
+                    kept |= m
         up[i] = kept
     # The rows are base rows with bits removed, so only transitivity can fail.
     order = base._with_rows(tuple(up), outside)

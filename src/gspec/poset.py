@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import accumulate, compress
-from operator import or_
+from operator import and_, or_
 from typing import Iterable, Iterator, NoReturn, Sequence
 
 DEFAULT_ENUMERATION_BOUND = 16
@@ -107,8 +107,10 @@ _BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
 def select(items: Sequence, mask: int) -> Iterator:
-    """The items at the set bits of ``mask``, in index order; for masks
-    within ``items``, the same as ``(items[j] for j in bits(mask))``."""
+    """The items at the set bits of a mask within ``items``, in index order:
+    read through :func:`bits` below 2^16, above it compressed by bit flags."""
+    if mask < 65536:
+        return map(items.__getitem__, bits(mask))
     return compress(items, bin(mask)[:1:-1].encode().translate(_BIT_FLAGS))
 
 
@@ -195,12 +197,12 @@ class Order:
         so the covers of each part are the order's covers inside it.  So are
         the down-sets, when this order has them cached."""
         parts = [e if e >> i & 1 else ~e for i in range(len(self.up))]
-        up = tuple(map(int.__and__, self.up, parts))
+        up = tuple(map(and_, self.up, parts))
         if up == self.up:
             return self
-        split = self._refined(up, tuple(map(int.__and__, self.covers, parts)))
+        split = self._refined(up, tuple(map(and_, self.covers, parts)))
         if "down" in self.__dict__:
-            split.__dict__["down"] = tuple(map(int.__and__, self.down, parts))
+            split.__dict__["down"] = tuple(map(and_, self.down, parts))
         return split
 
     def _refined(self, up: tuple[int, ...], covers: tuple[int, ...]) -> "Order":
@@ -335,9 +337,8 @@ class Order:
 
     def refines(self, other: "Order") -> bool:
         """Every relation of this order holds in ``other``, on the same points."""
-        return self.elements == other.elements and not any(
-            a & ~b for a, b in zip(self.up, other.up)
-        )
+        return self.elements == other.elements and tuple(
+            map(and_, self.up, other.up)) == self.up
 
     # -- structure ---------------------------------------------------------
 

@@ -286,7 +286,7 @@ def load_prime_poset(document: Mapping) -> PrimePoset:
     ):
         raise SchemaError("'covers' must be a list of [string, string] pairs")
 
-    base = build_order(elements, [tuple(c) for c in covers])
+    base = build_order(elements, covers)
 
     heights = document.get("heights")
     if heights is not None:

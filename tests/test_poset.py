@@ -63,6 +63,19 @@ def orders_and_subsets(draw):
     return order, draw(st.integers(0, order.full_mask))
 
 
+@st.composite
+def order_pairs(draw):
+    """Two random orders on the same points, up to 8 or 17 to 24 of them;
+    the second is generated by the first's generators and more, so that
+    either way round both answers of ``refines`` come up."""
+    n = draw(st.one_of(st.integers(0, 8), st.integers(17, 24)))
+    names = [f"x{i:02d}" for i in range(n)]
+    pairs = st.lists(st.tuples(st.integers(0, 23), st.integers(0, 23)), max_size=40)
+    first, more = draw(pairs), draw(pairs)
+    return tuple(build_order(names, [(names[i], names[j]) for i, j in gens if i < j < n])
+                 for gens in (first, first + more))
+
+
 CHAIN3 = build_order(["o", "p", "m"], [("o", "p"), ("p", "m")])
 DIAMOND = build_order(["o", "a", "b", "m"], [("o", "a"), ("o", "b"), ("a", "m"), ("b", "m")])
 
@@ -231,6 +244,13 @@ class TestSubsets:
         expected = sum(1 << i for i in points if S >> i & 1 and not any(
             j != i and S >> j & 1 and order.up[i] >> j & 1 for j in points))
         assert order.maximal(S) == expected
+
+    @given(order_pairs())
+    def test_refines_matches_definition(self, orders):
+        """An order refines another on the same points exactly when every
+        relation of the first holds in the second."""
+        for a, b in (orders, orders[::-1]):
+            assert a.refines(b) == (a.relation <= b.relation)
 
 
 class TestCbFiltration:
@@ -546,7 +566,7 @@ class TestMaskRepresentation:
 
     def test_select_matches_bits(self):
         rng = random.Random(20261118)
-        for n in range(9):
+        for n in (*range(9), 16, 17, 40, 100):  # both sides of 2^16
             items = [f"x{i}" for i in range(n)]
             for m in [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(20)]:
                 assert list(select(items, m)) == [items[j] for j in bits(m)]
