@@ -65,15 +65,15 @@ def orders_and_subsets(draw):
 
 @st.composite
 def order_pairs(draw):
-    """Two random orders on the same points, up to 8 or 17 to 24 of them;
-    the second is generated by the first's generators and more, so that
-    either way round both answers of ``refines`` come up."""
-    n = draw(st.one_of(st.integers(0, 8), st.integers(17, 24)))
-    names = [f"x{i:02d}" for i in range(n)]
-    pairs = st.lists(st.tuples(st.integers(0, 23), st.integers(0, 23)), max_size=40)
-    first, more = draw(pairs), draw(pairs)
-    return tuple(build_order(names, [(names[i], names[j]) for i, j in gens if i < j < n])
-                 for gens in (first, first + more))
+    """An order of :func:`orders_and_subsets` and one on the same points
+    generated by its covers and more pairs, so that either way round both
+    answers of ``refines`` come up."""
+    first, _ = draw(orders_and_subsets())
+    names = first.elements
+    point = st.integers(0, max(len(names) - 1, 0))
+    pairs = draw(st.lists(st.tuples(point, point), max_size=8))
+    return first, build_order(names, [*covering_pairs(first), *(
+        (names[i], names[j]) for i, j in pairs if i < j)])
 
 
 CHAIN3 = build_order(["o", "p", "m"], [("o", "p"), ("p", "m")])
