@@ -538,7 +538,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_filtration(args: argparse.Namespace) -> int:
     poset = _load_poset(args)
     filt, warned = _parse_filtration(args, poset)
-    flags = spf.classify(poset, filt)
+    flags = spf.classify(filt)
     f = spf.filtration_to_f(filt)
     levels = [list(select(poset.base.elements, level)) for level in filt.levels]
     _emit_document(args, {"levels": _name_lists(levels), "f": _scalars(f),

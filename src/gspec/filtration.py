@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import or_
+from operator import and_, invert, or_
 from typing import Iterable, Mapping
 
-from .poset import GspecError, InvalidArgument, Order, bits, covering_pairs, select
+from .poset import GspecError, InvalidArgument, Order, bits, covering_pairs, derived, select
 from .spectra import PrimePoset, SchemaError
 
 
@@ -52,26 +52,50 @@ class NotCodimensionFunction(GspecError):
 @dataclass(frozen=True)
 class SpFiltration:
     """Normal-form descending chain of specialisation-closed subsets, each a
-    mask over ``elements`` (the base order's sorted points)."""
+    mask over the points of ``base``, the inclusion order.  The facts the
+    chain and the reports read are derived from the levels on first read."""
 
-    elements: tuple[str, ...]
+    base: Order
     levels: tuple[int, ...]
+
+    @property
+    def elements(self) -> tuple[str, ...]:
+        return self.base.elements
 
     @property
     def n(self) -> int:
         return len(self.levels)
 
-    def level(self, i: int) -> int:
-        """V_i with the implicit conventions for i outside 0..n-1."""
-        if i < 0:
-            return (1 << len(self.elements)) - 1
-        if i >= self.n:
-            return 0
-        return self.levels[i]
+    @derived
+    def strata(self) -> tuple[int, ...]:
+        """V_(i-1) minus V_i for i = 0..n, with V_(-1) all points and V_n empty."""
+        return tuple(map(and_, (self.base.full_mask, *self.levels), map(invert, (*self.levels, 0))))
 
-    def difference(self, i: int) -> int:
-        """The stratum V_{i-1} minus V_i."""
-        return self.level(i - 1) & ~self.level(i)
+    @derived
+    def level_of(self) -> tuple[int, ...]:
+        """The level function by point index: a point of stratum i + 1 is
+        last in V_i, so each point is read once."""
+        f = [-1] * len(self.elements)
+        for i, stratum in enumerate(self.strata[1:]):
+            for j in bits(stratum):
+                f[j] = i
+        return tuple(f)
+
+    @derived
+    def stratum_pass(self) -> tuple[bool, tuple[int, ...]]:
+        """The inclusion-maxima of strata 0..n-1, all but the last level,
+        read once (the strata are disjoint).  They give whether each is an
+        antichain (the truncated-slice test) and, per step 0..n of the chain,
+        the mask of the points known to be maximal in the order that step
+        produces: the inclusion-maximal primes and the maxima of the strata
+        cut out by this and the earlier steps.  Every chain reads this pass,
+        so it cuts its strata itself: reading them through :attr:`strata`
+        would add a second derived read to every command."""
+        base = self.base
+        strata = list(map(and_, (base.full_mask, *self.levels), map(invert, self.levels)))
+        maxima = list(map(base.maximal, strata))
+        forced = accumulate(maxima, or_, initial=base.maximal(base.full_mask))
+        return maxima == strata, tuple(forced)
 
 
 def validate_filtration(poset: PrimePoset, levels: Iterable[Iterable[str]]) -> SpFiltration:
@@ -104,23 +128,12 @@ def validate_filtration(poset: PrimePoset, levels: Iterable[Iterable[str]]) -> S
     stop = len(masks)
     while stop > start and not masks[stop - 1]:
         stop -= 1
-    return SpFiltration(base.elements, tuple(masks[start:stop]))
+    return SpFiltration(base, tuple(masks[start:stop]))
 
 
 def filtration_to_f(filt: SpFiltration) -> dict[str, int]:
     """Level function: f(p) = max index i with p in V_i (so -1 off V_0)."""
-    return dict(zip(filt.elements, level_indices(filt)))
-
-
-def level_indices(filt: SpFiltration) -> list[int]:
-    """The level function by point index.  The last level V_i holding a
-    point is the one with the point in the stratum V_i minus V_{i+1}, so
-    each point is read once."""
-    f = [-1] * len(filt.elements)
-    for i in range(filt.n):
-        for j in bits(filt.difference(i + 1)):
-            f[j] = i
-    return f
+    return dict(zip(filt.elements, filt.level_of))
 
 
 def f_to_filtration(poset: PrimePoset, f: Mapping[str, int]) -> SpFiltration:
@@ -154,7 +167,7 @@ def f_to_filtration(poset: PrimePoset, f: Mapping[str, int]) -> SpFiltration:
              if (lower := cover & ~at_least[fp - low]) for fq in select(values, lower)]
     if drops:
         raise NotSpecializationClosed(min(drops) - low)
-    return SpFiltration(base.elements, tuple(at_least[1:]))
+    return SpFiltration(base, tuple(at_least[1:]))
 
 
 def _require_every_point(elements: tuple[str, ...], f: Mapping[str, int]) -> None:
@@ -163,16 +176,15 @@ def _require_every_point(elements: tuple[str, ...], f: Mapping[str, int]) -> Non
         raise SchemaError(f"level function missing {sorted(missing)}")
 
 
-def classify(poset: PrimePoset, filt: SpFiltration) -> dict[str, bool]:
+def classify(filt: SpFiltration) -> dict[str, bool]:
     """Slice / truncated-slice flags.
 
     Truncated-slice means every stratum before the last level is an
     antichain for inclusion; slice additionally requires the last level to
     be an antichain.
     """
-    base = poset.base
-    truncated = _stratum_pass(base, filt)[0]
-    is_slice = truncated and base.is_discrete(filt.level(filt.n - 1))
+    truncated = filt.stratum_pass[0]
+    is_slice = truncated and filt.base.is_discrete(filt.strata[-1])
     return {"intermediate": True, "slice": is_slice, "truncated_slice": truncated}
 
 
@@ -197,20 +209,3 @@ def codim_filtration(poset: PrimePoset, d: Mapping[str, int]) -> SpFiltration:
         if d[q] != d[p] + 1:
             raise NotCodimensionFunction((p, q))
     return f_to_filtration(poset, {p: d[p] - 1 for p in poset.base.elements})
-
-
-def forced_maximal(poset: PrimePoset, filt: SpFiltration) -> tuple[int, ...]:
-    """Per step 0..n of the chain, the mask of the points known to be
-    maximal in the order that step produces: the inclusion-maximal primes
-    and the inclusion-maxima of the strata cut out by this and the earlier
-    steps.  Each mask is the one before it and one more stratum's maxima."""
-    return _stratum_pass(poset.base, filt)[1]
-
-
-def _stratum_pass(base: Order, filt: SpFiltration) -> tuple[bool, tuple[int, ...]]:
-    """The inclusion-maxima of each stratum, read once (the strata are
-    disjoint), give both whether every stratum is an antichain (the
-    truncated-slice test) and :func:`forced_maximal`."""
-    strata = [above & ~level for above, level in zip((base.full_mask, *filt.levels), filt.levels)]
-    maxima = list(map(base.maximal, strata))
-    return maxima == strata, tuple(accumulate(maxima, or_, initial=base.maximal(base.full_mask)))

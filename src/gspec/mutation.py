@@ -196,8 +196,6 @@ def chain_order(
     filt: spf.SpFiltration,
     step_annotations: Mapping[int, bool] | None = None,
     policy: str = POLICY_ERROR,
-    *,
-    stratum_pass: tuple[bool, tuple[int, ...]] | None = None,
 ) -> list[tuple[MutationStep, BoundedOrder]]:
     """Run the whole mutation chain for a filtration.
 
@@ -210,8 +208,7 @@ def chain_order(
 
     Truncated-slice filtrations take the discrete rule at every step,
     including the first.  An annotation outside steps 1..n raises
-    :class:`UnknownStep`.  A caller that has already run the filtration's
-    stratum pass on the base order hands it on as ``stratum_pass``.
+    :class:`UnknownStep`.
     """
     _check_policy(policy)
     annotations = dict(step_annotations or {})
@@ -220,7 +217,7 @@ def chain_order(
             raise UnknownStep(
                 f"step annotation 'i' is {i}, outside the chain's steps 1..{filt.n}"
             )
-    truncated, forced = stratum_pass or spf._stratum_pass(poset.base, filt)
+    truncated, forced = filt.stratum_pass
     steps: list[tuple[MutationStep, BoundedOrder]] = []
     current = exact_bounds(standard_order(poset))
 
@@ -286,7 +283,7 @@ def _bracket(current: BoundedOrder, e: int, pruned: int) -> BoundedOrder:
     which is where it fails first, as the lower bound refines it.
 
     The chain prunes every maximal point of E in the upper bound, as each is
-    forced to stay maximal (:func:`filtration.forced_maximal`).  E is the
+    forced to stay maximal (:attr:`SpFiltration.stratum_pass`).  E is the
     union of the strata cut out so far, and every bound of the chain agrees
     with inclusion inside each stratum: the one-step order keeps inclusion
     inside V_0 and inside its complement, a split keeps the pairs inside E

@@ -194,16 +194,12 @@ class Order:
         discrete, and the lower bound of the general bracket.
 
         E must be closed.  A lower set and its complement are then convex,
-        so the covers of each part are the order's covers inside it.  So are
-        the down-sets, when this order has them cached."""
+        so the covers of each part are the order's covers inside it."""
         parts = [e if e >> i & 1 else ~e for i in range(len(self.up))]
         up = tuple(map(and_, self.up, parts))
         if up == self.up:
             return self
-        split = self._refined(up, tuple(map(and_, self.covers, parts)))
-        if "down" in self.__dict__:
-            split.__dict__["down"] = tuple(map(and_, self.down, parts))
-        return split
+        return self._refined(up, tuple(map(and_, self.covers, parts)))
 
     def _refined(self, up: tuple[int, ...], covers: tuple[int, ...]) -> "Order":
         """The order of ``up`` and ``covers``, with this order's cached linear extension."""

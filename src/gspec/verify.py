@@ -9,15 +9,14 @@ down-set masks alone (:func:`check_axioms`), so a family is built only for
 an order a law reads.  Refinement, piecewise, sandwich, refines-inclusion,
 levels-open, strata-restriction and cb are direct mask checks; cb tests the
 layers against the up-sets, not the covers :func:`cb_filtration` reads.
-Maximal-difference reuses an engine definition:
-``filtration.forced_maximal``, from the one stratum pass that
-:func:`run_suite` also hands to the chain.
+Maximal-difference reuses an engine definition: the filtration's
+:attr:`SpFiltration.stratum_pass`, which the chain also reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from . import filtration as spf
 from . import mutation as mut
@@ -203,8 +202,7 @@ def run_suite(
     posets of at most ``DEFAULT_ENUMERATION_BOUND`` points and are left out
     above it; every other report always runs.
     """
-    stratum_pass = spf._stratum_pass(poset.base, filt)
-    steps = mut.chain_order(poset, filt, step_annotations, policy, stratum_pass=stratum_pass)
+    steps = mut.chain_order(poset, filt, step_annotations, policy)
     reports: list[PropertyReport] = []
     small = len(poset.base.elements) <= DEFAULT_ENUMERATION_BOUND
 
@@ -220,7 +218,7 @@ def run_suite(
             reports.append(
                 brute_force_discrete_law(pre.lower, E, post.lower, f"{tag}:discrete-law")
             )
-        if small and step.rule in (mut.RULE_DISCRETE, mut.RULE_PERFECT):
+        if small and step.perfect:
             reports.append(
                 brute_force_perfect_law(pre.lower, E, post.lower, f"{tag}:perfect-law")
             )
@@ -228,11 +226,8 @@ def run_suite(
 
     ordered = [(0, mut.standard_order(poset))]
     ordered += [(step.index, post.lower) for step, post in steps if post.exact]
-    forced, level_of = stratum_pass[1], spf.level_indices(filt)
-    strata = [filt.difference(i) for i in range(filt.n + 1)]
     for position, co in ordered:
-        reports.extend(_baseline(poset, filt, position, co, small, forced[position],
-                                 level_of, strata))
+        reports.extend(_baseline(filt, position, co, small))
     return reports
 
 
@@ -254,21 +249,11 @@ def _sandwich(
                         or _least_pair(exact.order, added))
 
 
-def _baseline(
-    poset: PrimePoset,
-    filt: spf.SpFiltration,
-    position: int,
-    co: mut.ClosureOrder,
-    small: bool,
-    forced: int,
-    level_of: list[int],
-    strata: list[int],
-) -> list[PropertyReport]:
-    """The checks of one exact order of the chain; ``forced`` is the step's
-    ``forced_maximal`` mask, ``level_of`` the filtration's level function
-    by point index and ``strata`` its strata V_(i-1) minus V_i by index i."""
+def _baseline(filt: spf.SpFiltration, position: int, co: mut.ClosureOrder,
+              small: bool) -> list[PropertyReport]:
+    """The checks of the exact order of step ``position`` of the chain."""
     tag = f"order-{position}"
-    order, base = co.order, poset.base
+    order, base = co.order, filt.base
     out: list[PropertyReport] = []
 
     out.append(_pair_report(f"{tag}:refines-inclusion", _least_extra_pair(order, base)))
@@ -279,17 +264,16 @@ def _baseline(
         out.append(PropertyReport(f"{tag}:t0", None if axioms.t0 else failures))
         out.append(PropertyReport(f"{tag}:sober", None if axioms.sober else failures))
 
-    bad_level = _first_unopen_level(order, level_of)
+    bad_level = _first_unopen_level(order, filt.level_of)
     out.append(PropertyReport(f"{tag}:levels-open",
                               None if bad_level is None else _witness(level=bad_level)))
 
-    bad_stratum = _first_changed_stratum(order, base, level_of, strata)
+    bad_stratum = _first_changed_stratum(order, base, filt.level_of, filt.strata)
     out.append(PropertyReport(
         f"{tag}:strata-restriction",
-        None if bad_stratum is None else
-        _witness(stratum=order.names(filt.difference(bad_stratum)))))
+        None if bad_stratum is None else _witness(stratum=order.names(filt.strata[bad_stratum]))))
 
-    not_maximal = forced & ~order.maximal(order.full_mask)
+    not_maximal = filt.stratum_pass[1][position] & ~order.maximal(order.full_mask)
     out.append(PropertyReport(
         f"{tag}:maximal-difference",
         _witness(point=order.elements[bits(not_maximal)[0]]) if not_maximal else None))
@@ -298,7 +282,7 @@ def _baseline(
     return out
 
 
-def _first_unopen_level(order: Order, level_of: list[int]) -> int | None:
+def _first_unopen_level(order: Order, level_of: Sequence[int]) -> int | None:
     """The least index of a level that is not an upper set of ``order``, or
     ``None`` when every level is one; ``level_of`` is the level function by
     point index.  Every level is open exactly when the function never drops
@@ -308,8 +292,8 @@ def _first_unopen_level(order: Order, level_of: list[int]) -> int | None:
                 for j in bits(m) if level_of[j] < f), default=None)
 
 
-def _first_changed_stratum(order: Order, base: Order, level_of: list[int],
-                           strata: list[int]) -> int | None:
+def _first_changed_stratum(order: Order, base: Order, level_of: Sequence[int],
+                           strata: Sequence[int]) -> int | None:
     """The least index i of a stratum V_{i-1} minus V_i (``strata[i]``)
     inside which ``order`` and ``base`` relate a pair differently, or
     ``None`` when they agree inside every stratum.  A point of level f lies

@@ -36,18 +36,28 @@ def powerset(items):
     ]
 
 
+def pairs_of(order: Order) -> frozenset[tuple[str, str]]:
+    """All pairs ``(p, q)`` with ``p <= q``, read from the ``up`` masks bit
+    by bit with a loop of its own, so that the oracles built on it share no
+    code with the order they check."""
+    els = order.elements
+    return frozenset((p, els[j]) for p, row in zip(els, order.up)
+                     for j in range(len(els)) if row >> j & 1)
+
+
 def brute_lower_sets(order: Order) -> set[frozenset[str]]:
     """Independent enumeration straight from the definition."""
+    rel = pairs_of(order)
     out = set()
     for S in powerset(order.elements):
-        if all(q in S for p in S for (q, r) in order.relation if r == p):
+        if all(q in S for p in S for (q, r) in rel if r == p):
             out.add(S)
     return out
 
 
 def strict_pairs(order: Order) -> set[tuple[str, str]]:
     """The relation without its diagonal."""
-    return {(p, q) for p, q in order.relation if p != q}
+    return {(p, q) for p, q in pairs_of(order) if p != q}
 
 
 def up_names(order: Order, p: str) -> frozenset[str]:
@@ -74,12 +84,13 @@ def onestep(poset: PrimePoset, V0, policy: str = "error") -> ClosureOrder:
 
 def between(order, p, q):
     """The interval [p, q] read from the pair relation."""
-    return {r for r in order.elements if (p, r) in order.relation and (r, q) in order.relation}
+    rel = pairs_of(order)
+    return {r for r in order.elements if (p, r) in rel and (r, q) in rel}
 
 
 def reference_verdict(poset, p, q, V0):
     """The five rules of the oracle restated over names and pairs."""
-    rel = poset.base.relation
+    rel = pairs_of(poset.base)
     members = between(poset.base, p, q)
     W = members & V0
     if not W or W == members:
@@ -134,9 +145,10 @@ def random_order(rng: random.Random, max_size: int = 10, min_size: int = 1) -> O
 def random_monotone_f(rng: random.Random, order: Order) -> dict[str, int]:
     """A bounded monotone level function in normal form (minimum -1)."""
     f = {p: 0 for p in order.elements}
+    rel = pairs_of(order)
     for _ in range(rng.randint(0, 6)):
         seed = rng.choice(sorted(order.elements))
-        up = {q for q in order.elements if (seed, q) in order.relation}
+        up = {q for q in order.elements if (seed, q) in rel}
         for q in up:
             f[q] += 1
     low = min(f.values())

@@ -894,7 +894,7 @@ class TestJsonWriter:
             "validate": {"covers": [list(c) for c in covering_pairs(base)],
                          "elements": list(base.elements), "heights": dict(poset.height)},
             "filtration": {"levels": [sorted(base.names(level)) for level in filt.levels],
-                           "f": filtration_to_f(filt), "classification": classify(poset, filt)},
+                           "f": filtration_to_f(filt), "classification": classify(filt)},
             "cb": {"layers": [sorted(base.names(layer)) for layer in cb_filtration(base)],
                    "rank": len(cb_filtration(base)) - 1}}
         with tempfile.TemporaryDirectory() as work:

@@ -11,7 +11,7 @@ levels, are compared with their definitions over names and pairs.
 
 from itertools import combinations
 
-from conftest import reference_verdict
+from conftest import pairs_of, reference_verdict
 from gspec.mutation import RULE_BOUNDED, RULE_DISCRETE, RULE_ONESTEP, RULE_PERFECT
 from gspec.poset import bits
 from gspec import (
@@ -23,7 +23,6 @@ from gspec import (
     GspecError,
     UndeterminedCoherence,
     chain_order,
-    forced_maximal,
     load_prime_poset,
     onestep_order,
     run_suite,
@@ -134,7 +133,7 @@ def test_onestep_order_matches_its_definition():
     error policy raises exactly when some cross pair is undetermined."""
     cases = 0
     for names, relation, poset in small_posets():
-        inclusion = poset.base.relation
+        inclusion = pairs_of(poset.base)
         for members in upper_sets(len(names), relation):
             V0 = {names[i] for i in members}
             inside = {(p, q) for p, q in inclusion if (p in V0) == (q in V0)}
@@ -148,7 +147,7 @@ def test_onestep_order_matches_its_definition():
                     related.add(UNDETERMINED)
                 where = (names, sorted(relation), sorted(V0), policy)
                 try:
-                    got = onestep_order(poset, poset.base.mask(V0), policy).order.relation
+                    got = pairs_of(onestep_order(poset, poset.base.mask(V0), policy).order)
                 except UndeterminedCoherence as exc:
                     assert policy == POLICY_ERROR and exc.pair in undetermined, where
                     continue
@@ -185,7 +184,7 @@ def reference_steps(poset, levels, annotations, steps):
     the whole order and of the strata cut out so far; a bracket prunes
     those among E's maxima in the upper bound whose rows hold more than
     themselves."""
-    names, inclusion = set(poset.base.elements), poset.base.relation
+    names, inclusion = set(poset.base.elements), pairs_of(poset.base)
     strict = {(p, q) for p, q in inclusion if p != q}
     V = [names] + levels  # V[i] is V_{i-1}
     strata = [V[j] - V[j + 1] for j in range(len(levels))]
@@ -196,7 +195,7 @@ def reference_steps(poset, levels, annotations, steps):
     vanishing = forced[0] if len(forced[0]) == 1 and longest_chain_names(names, strict) <= 2 \
         else None
     for (i, (step, _)) in enumerate(steps, 1):
-        support, upper = V[i], step.pre.upper.order.relation
+        support, upper = V[i], pairs_of(step.pre.upper.order)
         E = names - support
         pruned = set()
         if i == 1 and not truncated:
@@ -218,9 +217,9 @@ def test_chain_rules_match_their_definition():
     step annotated perfect (after a bracket, on three levels), takes the rule
     of its definition.  A bracketed
     step's upper bound is the upper bound before it with exactly the
-    reference's pruned rows made singletons, which are also the points of
-    ``forced_maximal`` among E's maxima there; its lower bound is the lower
-    bound before it split at E."""
+    reference's pruned rows made singletons, which are also the forced
+    points of the filtration's stratum pass among E's maxima there; its
+    lower bound is the lower bound before it split at E."""
     rules = (RULE_ONESTEP, RULE_DISCRETE, RULE_PERFECT, RULE_BOUNDED)
     # Per number of levels: steps by rule, unannotated perfect steps (the
     # vanishing level), perfect steps after a bracket, and brackets that
@@ -236,7 +235,7 @@ def test_chain_rules_match_their_definition():
             levels = [{names[i] for i in v} for v in levels]
             count = seen[len(levels)]
             filt = validate_filtration(poset, [sorted(v) for v in levels])
-            forced = forced_maximal(poset, filt)
+            forced = filt.stratum_pass[1]
             for policy in POLICIES:
                 for annotations in ({}, {len(levels): True}) if len(levels) > 1 else ({},):
                     where = (names, sorted(relation), levels, policy, annotations)
@@ -256,14 +255,15 @@ def test_chain_rules_match_their_definition():
                         at = (where, step.index)
                         pre, E = step.pre, step.mutation_class
                         upper, lower = pre.upper.order, pre.lower.order
-                        assert post.upper.order.relation == {
-                            (p, q) for p, q in upper.relation if p == q or p not in pruned}, at
+                        assert pairs_of(post.upper.order) == {
+                            (p, q) for p, q in pairs_of(upper) if p == q or p not in pruned}, at
                         claimed = forced[step.index] & upper.maximal(E)
                         assert poset.base.mask(pruned) == sum(
                             1 << k for k in bits(claimed) if upper.up[k] != 1 << k), at
                         inside = lower.names(E)
-                        assert post.lower.order.relation == {
-                            (p, q) for p, q in lower.relation if (p in inside) == (q in inside)}, at
+                        assert pairs_of(post.lower.order) == {
+                            (p, q) for p, q in pairs_of(lower)
+                            if (p in inside) == (q in inside)}, at
                         count["pruned"] += bool(pruned)
     # Each rule is reached, perfect also at the vanishing level unannotated,
     # and some brackets prune rows; on three levels, perfect steps also

@@ -1,12 +1,10 @@
 import warnings
-from itertools import accumulate
-from operator import or_
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import poset_from_order, random_monotone_f, random_order
+from conftest import pairs_of, poset_from_order, random_monotone_f, random_order
 from gspec import (
     MAX_LEVELS,
     InvalidArgument,
@@ -21,12 +19,10 @@ from gspec import (
     codim_filtration,
     f_to_filtration,
     filtration_to_f,
-    forced_maximal,
     height_filtration,
     preset,
     validate_filtration,
 )
-from gspec.filtration import _stratum_pass
 from gspec.poset import bits
 
 
@@ -112,12 +108,13 @@ class TestValidate:
         assert filt.n == 0 and filt.levels == ()
 
     def test_difference_conventions(self):
+        """The strata are the differences V_(i-1) minus V_i for i = 0..n,
+        with V_(-1) all points and V_n empty."""
         poset = preset("LOC2")
         filt = validate_filtration(poset, [{"m"}])
-        names = poset.base.names
-        assert names(filt.difference(0)) == set(poset.base.elements) - {"m"}
-        assert names(filt.difference(1)) == {"m"}
-        assert filt.level(-1) == poset.base.full_mask and filt.level(1) == 0
+        assert list(map(poset.base.names, filt.strata)) == [
+            set(poset.base.elements) - {"m"}, {"m"}]
+        assert filt.elements == poset.base.elements and filt.base is poset.base
 
 
 class TestLevelFunction:
@@ -208,17 +205,44 @@ class TestLevelFunctionDefinition:
         with pytest.raises(InvalidArgument, match=message):
             f_to_filtration(preset("DVR1"), f)
 
+    @staticmethod
+    def filtration(case, empty):
+        """A filtration of a random poset and its levels as sets of names,
+        with V_(-1) all points in front and V_n empty behind."""
+        poset, f = case
+        filt = SpFiltration(poset.base, ()) if empty else f_to_filtration(poset, f)
+        names = set(filt.elements)
+        return poset, filt, [names, *map(poset.base.names, filt.levels), set()]
+
+    @given(level_functions(monotone=True), st.booleans())
+    def test_strata_and_level_function_match_definition(self, case, empty):
+        """Stratum i is V_(i-1) minus V_i for i = 0..n, and the level
+        function at p is the largest i with p in V_i (-1 off V_0)."""
+        poset, filt, V = self.filtration(case, empty)
+        assert len(filt.strata) == filt.n + 1
+        assert [poset.base.names(S) for S in filt.strata] == [
+            V[i] - V[i + 1] for i in range(filt.n + 1)]
+        assert filt.level_of == tuple(
+            max((i for i in range(filt.n) if p in V[i + 1]), default=-1) for p in filt.elements)
+
     @given(level_functions(monotone=True), st.booleans())
     def test_stratum_pass_matches_definition(self, case, empty):
-        """Per stratum, its maxima; the strata are antichains exactly when
-        each equals its maxima; the forced masks accumulate the maxima."""
-        poset, f = case
-        base = poset.base
-        filt = SpFiltration(base.elements, ()) if empty else f_to_filtration(poset, f)
-        maxima = [base.maximal(filt.difference(j)) for j in range(filt.n)]
-        truncated = all(top == filt.difference(j) for j, top in enumerate(maxima))
-        assert _stratum_pass(base, filt) == (
-            truncated, tuple(accumulate(maxima, or_, initial=base.maximal(base.full_mask))))
+        """Over names and pairs: the strata before the last level are
+        antichains exactly when each is its own set of maxima, and step k's
+        forced points are the maximal points and the maxima of strata
+        0..k-1, accumulated."""
+        poset, filt, V = self.filtration(case, empty)
+        rel = pairs_of(poset.base)
+
+        def maxima(S):
+            return {p for p in S if not any(p != q and (p, q) in rel for q in S)}
+
+        strata = [V[i] - V[i + 1] for i in range(filt.n)]
+        forced = [maxima(V[0])]
+        for S in strata:
+            forced.append(forced[-1] | maxima(S))
+        assert filt.stratum_pass == (all(maxima(S) == S for S in strata),
+                                     tuple(map(poset.base.mask, forced)))
 
 
 class TestForcedMaximal:
@@ -229,43 +253,42 @@ class TestForcedMaximal:
             poset = poset_from_order(random_order(rng))
             base = poset.base
             filt = f_to_filtration(poset, random_monotone_f(rng, base))
-            forced = forced_maximal(poset, filt)
+            forced = filt.stratum_pass[1]
             assert len(forced) == filt.n + 1
             for step, mask in enumerate(forced):
                 expected = base.maximal(base.full_mask)
                 for j in range(step):
-                    expected |= base.maximal(filt.difference(j))
+                    expected |= base.maximal(filt.strata[j])
                 assert mask == expected
 
 
 class TestClassify:
     def test_loc3_height_is_slice(self):
         poset = preset("LOC3")
-        flags = classify(poset, height_filtration(poset))
+        flags = classify(height_filtration(poset))
         assert flags == {"intermediate": True, "slice": True, "truncated_slice": True}
 
     def test_loc2_single_level_neither(self):
         poset = preset("LOC2")
-        flags = classify(poset, validate_filtration(poset, [{"m"}]))
+        flags = classify(validate_filtration(poset, [{"m"}]))
         assert not flags["slice"] and not flags["truncated_slice"]
 
     def test_loc2_two_level_slice(self):
         poset = preset("LOC2")
         levels = [{"p1", "p2", "p3", "p4", "p5", "m"}, {"m"}]
-        flags = classify(poset, validate_filtration(poset, levels))
+        flags = classify(validate_filtration(poset, levels))
         assert flags["slice"] and flags["truncated_slice"]
 
     def test_truncated_but_not_slice(self):
         poset = preset("LOC2")
-        flags = classify(poset, validate_filtration(poset,
-                                                    [{"p1", "p2", "p3", "p4", "p5", "m"}]))
+        flags = classify(validate_filtration(poset, [{"p1", "p2", "p3", "p4", "p5", "m"}]))
         assert flags["truncated_slice"] and not flags["slice"]
 
     def test_slice_implies_truncated_random(self, rng):
         for _ in range(50):
             poset = poset_from_order(random_order(rng))
             filt = f_to_filtration(poset, random_monotone_f(rng, poset.base))
-            flags = classify(poset, filt)
+            flags = classify(filt)
             assert not flags["slice"] or flags["truncated_slice"]
 
 
@@ -293,7 +316,7 @@ class TestHeightFiltration:
         # These presets have height equal to longest chain below, a
         # codimension function, so the height filtration must be a slice.
         poset = preset(name)
-        assert classify(poset, height_filtration(poset))["slice"]
+        assert classify(height_filtration(poset))["slice"]
 
 
 class TestCodimFiltration:

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import between, random_order, reference_verdict, strict_pairs
+from conftest import between, pairs_of, random_order, reference_verdict, strict_pairs
 from gspec import (
     COHERENT,
     NOT_COHERENT,
@@ -161,7 +161,7 @@ class TestInterval:
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_nesting_functorial(self, name):
         poset = preset(name)
-        rel = poset.base.relation
+        rel = pairs_of(poset.base)
         for p, q in rel:
             for q2 in poset.base.elements:
                 if (p, q2) in rel and (q2, q) in rel:
@@ -204,7 +204,7 @@ class TestCoherentComplement:
     def test_trivial_restrictions(self, name):
         poset = preset(name)
         universe = frozenset(poset.base.elements)
-        for p, q in poset.base.relation:
+        for p, q in pairs_of(poset.base):
             assert poset.coherent_complement(p, q, frozenset()).verdict == COHERENT
             assert poset.coherent_complement(p, q, universe).verdict == COHERENT
 
@@ -232,7 +232,7 @@ class TestCoherentComplement:
     def test_never_undetermined_on_presets(self, name, levels):
         poset = preset(name)
         for V0 in levels:
-            for p, q in poset.base.relation:
+            for p, q in pairs_of(poset.base):
                 verdict = poset.coherent_complement(p, q, frozenset(V0))
                 assert verdict.verdict != UNDETERMINED
 
@@ -263,11 +263,11 @@ class TestDerivedHeights:
                         "covers": [list(c) for c in covering_pairs(order)]}
             if rng.random() < 0.5:
                 seeds = rng.sample(order.elements, rng.randint(1, len(order.elements)))
-                upper = {q for p, q in order.relation if p in seeds}
+                upper = {q for p, q in pairs_of(order) if p in seeds}
                 document["coherence"] = [
                     {"p": p, "q": q, "W": sorted(between(order, p, q) & upper),
                      "coherent": rng.random() < 0.5}
-                    for p, q in sorted(order.relation) if rng.random() < 0.4]
+                    for p, q in sorted(pairs_of(order)) if rng.random() < 0.4]
             yield rng, order, document
 
     def test_same_poset_as_written_heights(self):
@@ -311,7 +311,8 @@ def random_model(rng):
     upper sets to an interval, with a random verdict.
     """
     order = random_order(rng, max_size=9)
-    rel, pairs = order.relation, sorted(order.relation)
+    rel = pairs_of(order)
+    pairs = sorted(rel)
     covers = covering_pairs(order)
     document = {"elements": list(order.elements), "covers": [list(c) for c in covers]}
     if rng.random() < 0.5:
@@ -340,7 +341,7 @@ class TestVerdictAgainstReference:
             poset, uppers = random_model(rng)
             explicit = poset.height != dict(zip(poset.base.elements, poset.base.heights))
             for V0 in uppers:
-                for p, q in sorted(poset.base.relation):
+                for p, q in sorted(pairs_of(poset.base)):
                     got = poset.coherent_complement(p, q, V0)
                     assert (got.verdict, got.reason) == reference_verdict(poset, p, q, V0), \
                         (poset, p, q, sorted(V0))

@@ -5,6 +5,7 @@ import pytest
 from conftest import (
     brute_lower_sets,
     onestep,
+    pairs_of,
     powerset,
     random_monotone_f,
     random_order,
@@ -25,8 +26,6 @@ from gspec import (
     check_piecewise,
     check_refinement,
     covering_pairs,
-    forced_maximal,
-    level_indices,
     longest_chain,
     mutate_discrete,
     mutate_perfect,
@@ -39,11 +38,6 @@ from gspec import (
 
 def as_closure(order: Order) -> ClosureOrder:
     return ClosureOrder(order, ("test",))
-
-
-def strata(filt: SpFiltration) -> list[int]:
-    """The strata V_(i-1) minus V_i by index i, as ``run_suite`` hands them on."""
-    return [filt.difference(i) for i in range(filt.n + 1)]
 
 
 LOC2_BELOW_M = {"o", "p1", "p2", "p3", "p4", "p5"}
@@ -112,9 +106,7 @@ class TestWitnesses:
 
     def failures(self, order):
         from gspec.verify import _baseline
-        reports = _baseline(self.poset, self.filt, 1, as_closure(order), True,
-                            forced_maximal(self.poset, self.filt)[1], level_indices(self.filt),
-                            strata(self.filt))
+        reports = _baseline(self.filt, 1, as_closure(order), True)
         return {r.name: r.counterexample for r in reports if not r.passed}
 
     def test_baseline_witnesses(self):
@@ -144,10 +136,10 @@ class TestWitnesses:
             values = [f[p] for p in order.elements]
             levels = tuple(sum(1 << j for j, x in enumerate(values) if x >= i)
                            for i in range(max(values) + 1))
-            filt = SpFiltration(order.elements, levels)
+            filt = SpFiltration(order, levels)
             expected = next((i for i in range(filt.n)
-                             if not order.is_upper_set(filt.level(i))), None)
-            assert _first_unopen_level(order, level_indices(filt)) == expected
+                             if not order.is_upper_set(filt.levels[i])), None)
+            assert _first_unopen_level(order, filt.level_of) == expected
             outcomes.append(expected)
         assert outcomes.count(None) > 500 and {0, 1, 2, 3} <= set(outcomes)
 
@@ -172,11 +164,10 @@ class TestWitnesses:
             values = [f[p] for p in els]
             levels = tuple(sum(1 << j for j, x in enumerate(values) if x >= i)
                            for i in range(max(values) + 1))
-            filt = SpFiltration(els, levels)
+            filt = SpFiltration(base, levels)
             expected = next((i for i in range(filt.n + 1)
-                             if _least_change(order, base, filt.difference(i))), None)
-            assert _first_changed_stratum(order, base, level_indices(filt),
-                                          strata(filt)) == expected
+                             if _least_change(order, base, filt.strata[i])), None)
+            assert _first_changed_stratum(order, base, filt.level_of, filt.strata) == expected
             outcomes.append(expected)
         assert outcomes.count(None) > 200 and {0, 1, 2, 3} <= set(outcomes)
 
@@ -194,20 +185,23 @@ class TestWitnesses:
 class TestSandwich:
     """``sandwich`` against a restatement over names and pairs, on exact
     orders built outside it: the pre-order split at a closed E, then given
-    an extra cross pair, or a pair inside E taken away, or both."""
+    an extra cross pair, or a pair inside E or inside its complement taken
+    away, or several of these."""
 
     @staticmethod
     def reference(pre, E, exact):
         """The least pair the split keeps and ``exact`` lacks, else the
         least pair ``exact`` adds to ``pre``; None when it lies between."""
-        split = {(p, q) for p, q in pre.relation if (p in E) == (q in E)}
-        missing = sorted(split - exact.relation)
-        extra = sorted(exact.relation - pre.relation)
+        split = {(p, q) for p, q in pairs_of(pre) if (p in E) == (q in E)}
+        missing = sorted(split - pairs_of(exact))
+        extra = sorted(pairs_of(exact) - pairs_of(pre))
         return (missing or extra or [None])[0]
 
     def test_against_names_and_pairs(self, rng):
+        """Also, wherever ``sandwich`` fails, ``piecewise`` or ``refinement``
+        fails too, so the two reports catch every plant that it catches."""
         from gspec.verify import _pair_report, _sandwich
-        seen = {"passed": 0, "extra": 0, "missing": 0}
+        seen = {"passed": 0, "extra": 0, "missing": 0, "complement": 0}
         for _ in range(600):
             pre = random_order(rng, max_size=8)
             els = pre.elements
@@ -215,9 +209,14 @@ class TestSandwich:
             split = {(p, q) for p, q in strict_pairs(pre) if (p in E) == (q in E)}
             pairs = set(split)
             # Without one of its covers, a transitive relation stays transitive.
-            inside = [(p, q) for p, q in covering_pairs(pre) if p in E and q in E]
+            covers = covering_pairs(pre)
+            inside = [(p, q) for p, q in covers if p in E and q in E]
             if inside and rng.random() < 0.5:
                 pairs.discard(rng.choice(inside))
+            outside = [(p, q) for p, q in covers if p not in E and q not in E]
+            dropped_outside = outside and rng.random() < 0.4
+            if dropped_outside:
+                pairs.discard(rng.choice(outside))
             cross = [(p, q) for p in els for q in els if (p in E) != (q in E)]
             if cross and rng.random() < 0.5:
                 pairs.add(rng.choice(cross))
@@ -226,8 +225,13 @@ class TestSandwich:
             except GspecError:  # the extra pair closed a cycle
                 continue
             expected = self.reference(pre, E, exact)
-            got = _sandwich(as_closure(pre), pre.mask(E), as_closure(exact), "sandwich")
+            e, before, after = pre.mask(E), as_closure(pre), as_closure(exact)
+            got = _sandwich(before, e, after, "sandwich")
             assert got == _pair_report("sandwich", expected), (pre, E, exact)
+            seen["complement"] += bool(dropped_outside)
+            if not got.passed:
+                assert not (check_piecewise(before, after, e).passed
+                            and check_refinement(before, after).passed), (pre, E, exact)
             if expected is None:
                 seen["passed"] += 1
             else:
@@ -368,7 +372,7 @@ class TestLawWitnesses:
         while found < 40:
             order = random_order(rng, max_size=7)
             E = rng.choice(sorted(brute_lower_sets(order), key=sorted))
-            if any(p in E and q not in E for p, q in order.relation):
+            if any(p in E and q not in E for p, q in pairs_of(order)):
                 found += 1
                 yield order, E
 
@@ -500,8 +504,8 @@ class TestRandomisedLaws:
         from gspec import mutate_general
         for co, E in self._random_cases(rng):
             bounds = mutate_general(co, E)
-            assert bounds.lower.order.relation <= bounds.upper.order.relation
-            assert bounds.upper.order.relation <= co.order.relation
+            assert pairs_of(bounds.lower.order) <= pairs_of(bounds.upper.order)
+            assert pairs_of(bounds.upper.order) <= pairs_of(co.order)
             assert check_piecewise(co, bounds.lower, E).passed
             assert check_piecewise(co, bounds.upper, E).passed
 
@@ -545,6 +549,27 @@ class TestRunSuite:
         names = [r.name for r in reports]
         assert "step-2:piecewise-upper" in names
         assert all(r.passed for r in reports)
+
+    def test_suite_runs_the_stratum_pass_once(self, monkeypatch):
+        """The chain and every ``maximal-difference`` report read one
+        stratum pass: ``run_suite`` on a new filtration runs it once, and
+        a second suite on the same filtration does not run it again, on a
+        bracketed chain and on a truncated slice."""
+        descriptor = SpFiltration.__dict__["stratum_pass"]
+        original, computed = descriptor.func, []
+
+        def counted(filt):
+            computed.append(filt)
+            return original(filt)
+
+        monkeypatch.setattr(descriptor, "func", counted)
+        poset = preset("LOC3")
+        for levels in ([{"r1", "r2", "r3", "m"}, {"m"}],
+                       [{"q1", "q2", "q3", "r1", "r2", "r3", "m"}, {"r1", "r2", "r3", "m"}]):
+            filt = validate_filtration(poset, levels)
+            assert all(r.passed for r in run_suite(poset, filt))
+            run_suite(poset, filt)
+            assert len(computed) == 1 and computed.pop() is filt
 
     def test_suite_enumerates_each_order_once(self, monkeypatch):
         """On LOC2 with 14 height-one primes (16 points), both laws read
@@ -611,7 +636,7 @@ class TestRunSuite:
             filt = height_filtration(poset)
             orders = [poset.base] + [post.lower.order for _, post in chain_order(poset, filt)
                                      if post.exact]
-            level_of, by_index = level_indices(filt), strata(filt)
+            level_of, by_index = filt.level_of, filt.strata
             steps[0] = 0
             for order in orders:
                 assert _cb_report(order, cb_filtration(order), "cb").passed
@@ -644,7 +669,7 @@ class TestRunSuite:
             filt = height_filtration(poset)
             orders = [poset.base] + [b.order for _, post in chain_order(poset, filt)
                                      for b in (post.lower, post.upper)]
-            level_of = level_indices(filt)
+            level_of = filt.level_of
             calls[0] = steps[0] = 0
             for order in orders:
                 assert _first_unopen_level(order, level_of) is None
@@ -680,7 +705,7 @@ class TestRunSuite:
             annotations = {i: True for i in range(2, filt.n + 1) if rng.random() < 0.3}
             steps = chain_order(poset, filt, annotations, POLICY_ASSUME_NONCOHERENT)
             rules = [step.rule for step, _ in steps]
-            if classify(poset, filt)["truncated_slice"]:
+            if classify(filt)["truncated_slice"]:
                 assert set(rules) <= {"discrete"}
             else:
                 assert rules[0] == "onestep"
