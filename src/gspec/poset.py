@@ -495,13 +495,6 @@ def members(family: int) -> Iterator[int]:
     return select(range(family.bit_length()), family)
 
 
-def closed_masks(order: Order) -> list[int]:
-    """Every lower set as a mask, ascending: the members of
-    :attr:`Order.closed_family`, so the enumeration runs once per order;
-    :class:`SizeExceeded` above ``DEFAULT_ENUMERATION_BOUND`` points."""
-    return list(members(order.closed_family))
-
-
 def _by_size_then_names(subset: frozenset[str]) -> tuple[int, list[str]]:
     return len(subset), sorted(subset)
 
@@ -509,4 +502,4 @@ def _by_size_then_names(subset: frozenset[str]) -> tuple[int, list[str]]:
 def enumerate_closed_sets(order: Order) -> tuple[frozenset[str], ...]:
     """All lower sets, sorted by size then lexicographically by members;
     :class:`SizeExceeded` above ``DEFAULT_ENUMERATION_BOUND`` points."""
-    return tuple(sorted(map(order.names, closed_masks(order)), key=_by_size_then_names))
+    return tuple(sorted(map(order.names, members(order.closed_family)), key=_by_size_then_names))

@@ -168,24 +168,15 @@ class PrimePoset:
         return PrimePoset(self.base.subspace(members), heights, kept)
 
     def coherent_complement(self, p: str, q: str, V0: Iterable[str]) -> CoherenceVerdict:
-        """Decide whether ``V0`` restricted to ``[p, q]`` has coherent complement.
-
-        The name-based entry point to :meth:`verdict_at`: raises
-        :class:`NotComparable` unless p <= q and :class:`UnknownElement` for
-        a name of ``V0`` outside the poset.
-        """
-        i, j, _ = self._interval_ends(p, q)
-        return self.verdict_at(i, j, self.base.mask(V0))
-
-    def verdict_at(self, i: int, j: int, v: int) -> CoherenceVerdict:
-        """The oracle on point indices ``i <= j`` and the mask ``v`` of V0: a
-        trivial restriction, or the entry of ``j`` in :meth:`row_verdicts`
-        of ``i``.  Raises :class:`InvalidArgument` unless V0 is
-        specialisation-closed."""
+        """Whether ``V0`` restricted to ``[p, q]`` has coherent complement: a
+        trivial restriction, or the entry of q in :meth:`row_verdicts` of p.
+        Raises, in this order, :class:`NotComparable` unless p <= q,
+        :class:`UnknownElement` for a name of ``V0`` outside the poset and
+        :class:`InvalidArgument` unless V0 is specialisation-closed."""
+        i, j, members = self._interval_ends(p, q)
+        v = self.base.mask(V0)
         if not self.base.is_upper_set(v):
-            raise InvalidArgument(
-                f"{sorted(self.base.names(v))} is not specialisation-closed")
-        members = self.base.up[i] & self.base.down[j]
+            raise InvalidArgument(f"{sorted(self.base.names(v))} is not specialisation-closed")
         W = members & v
         if not W or W == members:
             return _TRIVIAL
@@ -276,7 +267,8 @@ def load_prime_poset(document: Mapping) -> PrimePoset:
     if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
         raise SchemaError("'elements' must be a list of strings")
     if len(set(elements)) < len(elements):
-        repeated = next(e for k, e in enumerate(elements) if e in elements[:k])
+        seen: set[str] = set()
+        repeated = next(e for e in elements if e in seen or seen.add(e))
         raise SchemaError(f"element {repeated!r} is listed more than once")
     covers = document.get("covers", [])
     if not isinstance(covers, list) or not all(

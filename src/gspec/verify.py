@@ -40,7 +40,8 @@ class ElementMismatch(GspecError):
 
 @dataclass(frozen=True)
 class PropertyReport:
-    """A law's outcome: it failed exactly when it carries a counterexample."""
+    """A law's outcome: it failed exactly when it carries a counterexample,
+    its ``(key, value)`` pairs sorted by key."""
 
     name: str
     counterexample: tuple[tuple[str, str], ...] | None = None
@@ -48,12 +49,6 @@ class PropertyReport:
     @property
     def passed(self) -> bool:
         return self.counterexample is None
-
-    def to_json(self) -> dict:
-        out: dict = {"name": self.name, "passed": self.passed}
-        if self.counterexample is not None:
-            out["counterexample"] = {k: v for k, v in self.counterexample}
-        return out
 
 
 def _witness(**kwargs: object) -> tuple[tuple[str, str], ...]:

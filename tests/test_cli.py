@@ -986,8 +986,8 @@ class TestJsonWriter:
         assert min(compared.values()) >= 100, compared
 
     def test_check_reports_match_json_module(self, capsys, monkeypatch):
-        """``check``'s reports, passing ones written from one template and
-        failing ones from their dicts, give the json module's bytes; names
+        """``check``'s reports, passing and failing ones each written from a
+        template, give the json module's bytes for dicts built here; names
         and witnesses carry quotes, backslashes, newlines and non-ASCII
         text."""
         texts = ["plain", 'a"b', "back\\slash", "new\nline", "\u00e9", "\U0001f600", ""]
@@ -996,14 +996,18 @@ class TestJsonWriter:
             reports.append(verify.PropertyReport(f"order-{k}:{text}"))
             reports.append(verify.PropertyReport(
                 f"step-{k}:{text}", (("pair", f"({text},m)"), ("set", "{" + text + "}"))))
+        reports += [verify.PropertyReport("one-key", (("layer", "{m}"),)),
+                    verify.PropertyReport("no-witness", ())]
         for chosen in (reports[::2], reports, reports[1::2], []):
             monkeypatch.setattr(verify, "run_suite", lambda *args: chosen)
             code, out, _ = run(capsys, "check", "--preset", "LOC2", "--levels", '[["m"]]',
                                "--format", "json")
             failed = [r for r in chosen if not r.passed]
             assert code == (1 if failed else 0)
-            assert out == json.dumps({"passed": not failed,
-                                      "reports": [r.to_json() for r in chosen]},
+            dicts = [{"name": r.name, "passed": r.passed} if r.passed else
+                     {"name": r.name, "passed": False, "counterexample": dict(r.counterexample)}
+                     for r in chosen]
+            assert out == json.dumps({"passed": not failed, "reports": dicts},
                                      indent=2, sort_keys=True) + "\n"
 
     def test_every_json_output_is_canonical(self, capsys, tmp_path):

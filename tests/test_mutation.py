@@ -390,7 +390,7 @@ class TestInheritedStructure:
             order = random_order(rng, max_size=9)
             if rng.random() < 2 / 3:
                 order.down
-            yield rng, order, po.closed_masks(Order(order.elements, order.up))
+            yield rng, order, list(po.members(Order(order.elements, order.up).closed_family))
 
     def test_splits_at_every_closed_class(self):
         kept = inherited = 0

@@ -76,6 +76,15 @@ class TestLoad:
         with pytest.raises(SchemaError, match="element 'o' is listed more than once"):
             load_prime_poset({"elements": ["o", "m", "o"], "covers": [["o", "m"]]})
 
+    def test_first_repeat_named(self):
+        """The first element in document order that repeats an earlier one
+        is named, found in one pass (50,000 points, the repeat last)."""
+        with pytest.raises(SchemaError, match="^element 'a' is listed more than once$"):
+            load_prime_poset({"elements": ["b", "a", "a", "b"]})
+        names = [f"x{k}" for k in range(50_000)]
+        with pytest.raises(SchemaError, match="^element 'x0' is listed more than once$"):
+            load_prime_poset({"elements": names + ["x0"]})
+
     def test_cover_stranger_named(self):
         with pytest.raises(UnknownElement, match="'zz' is not one of the elements"):
             load_prime_poset({"elements": ["o"], "covers": [["o", "zz"]]})
@@ -389,7 +398,7 @@ class TestRowOracle:
     def test_rows_match_per_pair_oracle(self):
         """Over random models, upper sets and annotations, each row's masks
         split its cross pairs, and every pair gets the per-pair verdict and
-        reason, from the row and from ``verdict_at``."""
+        reason, from the row and by names from ``coherent_complement``."""
         rng = random.Random(20261020)
         seen = Counter()
         for _ in range(400):
@@ -399,7 +408,7 @@ class TestRowOracle:
                 v = base.mask(V0)
                 for i, row in enumerate(base.up):
                     for j in bits(row):
-                        got = poset.verdict_at(i, j, v)
+                        got = poset.coherent_complement(base.elements[i], base.elements[j], V0)
                         assert (got.verdict, got.reason) == per_pair_verdict(poset, i, j, v)
                     if v >> i & 1:
                         continue
@@ -416,15 +425,24 @@ class TestRowOracle:
             assert seen[reason] > 0, reason
 
     def test_oracle_needs_an_upper_set(self):
-        """Both entry points refuse a V0 that is not specialisation-closed,
-        also where the pair's end lies outside it (o and m, with p1 between
-        them inside)."""
+        """The oracle refuses a V0 that is not specialisation-closed, also
+        where the pair's end lies outside it (o and m, with p1 between them
+        inside)."""
+        with pytest.raises(InvalidArgument, match=r"\['p1'\] is not specialisation-closed"):
+            preset("LOC2").coherent_complement("o", "m", {"p1"})
+
+    def test_oracle_error_order(self):
+        """An incomparable pair is refused before V0 is read, even where the
+        restriction to the (empty) interval would be trivial; a stranger in
+        V0 is named before V0 is checked specialisation-closed."""
         poset = preset("LOC2")
-        base = poset.base
-        with pytest.raises(InvalidArgument, match=r"\['p1'\] is not specialisation-closed"):
-            poset.coherent_complement("o", "m", {"p1"})
-        with pytest.raises(InvalidArgument, match=r"\['p1'\] is not specialisation-closed"):
-            poset.verdict_at(base.index["o"], base.index["m"], base.mask({"p1"}))
+        for p, q, V0 in (("m", "o", set()), ("p1", "p2", {"p1", "zz"}), ("zz", "m", {"m"})):
+            with pytest.raises(NotComparable, match=f"{p!r} not contained in {q!r}"):
+                poset.coherent_complement(p, q, V0)
+        with pytest.raises(UnknownElement, match="zz"):
+            poset.coherent_complement("o", "m", {"p1", "zz"})
+        with pytest.raises(InvalidArgument, match="not specialisation-closed"):
+            poset.coherent_complement("o", "m", {"p1", "p2"})
 
 
 class TestPresets:
