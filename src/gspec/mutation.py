@@ -15,7 +15,7 @@ guess.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 from . import filtration as spf
 from .poset import GspecError, InvalidArgument, Order, bits, longest_chain, select
@@ -188,6 +188,7 @@ def mutate_general(co: ClosureOrder, e: int) -> BoundedOrder:
     bound drops every cross relation; the upper bound is the pre-order.  Only
     the chain knows points that must stay maximal, and prunes their rows.
     """
+    _require_closed(co.order, e)
     return _bracket(exact_bounds(co), e, 0)
 
 
@@ -209,6 +210,12 @@ def chain_order(
     Truncated-slice filtrations take the discrete rule at every step,
     including the first.  An annotation outside steps 1..n raises
     :class:`UnknownStep`.
+
+    Two facts hold by construction, so no step checks them.  Every E is the
+    complement of an upper set of the base order, and every bound refines
+    the base, so E is closed in both bounds.  Under a truncated slice E is
+    discrete, by induction: the previous E was split off discrete, and the
+    new stratum is an antichain of a part whose order is still inclusion.
     """
     _check_policy(policy)
     annotations = dict(step_annotations or {})
@@ -229,15 +236,19 @@ def chain_order(
         # E's maxima in the upper bound: all of E when it is discrete, else the pruned ones.
         elif truncated or (top := current.upper.order.maximal(e)) == e:
             rule = RULE_DISCRETE
-            post = _each_bound(current, lambda co: mutate_discrete(co, e))
         # Built-in certificate: dimension <= 2, tilting at the one maximal point forced[0].
         elif annotations.get(i, False) or (support == forced[0] and support.bit_count() == 1
                                            and longest_chain(poset.base) <= 2):
             rule = RULE_PERFECT
-            post = _each_bound(current, lambda co: mutate_perfect(co, e))
         else:
             rule = RULE_BOUNDED
             post = _bracket(current, e, top)
+        if rule in (RULE_DISCRETE, RULE_PERFECT):
+            # An exact step splits the order itself, an inexact one each bound.
+            entry = f"{rule} at {_label(poset.base, e)}"
+            lower = _split_step(current.lower, e, entry)
+            post = BoundedOrder(lower, lower if current.exact
+                                else _split_step(current.upper, e, entry))
         step = MutationStep(i, support, e, rule, current, post)
         steps.append((step, post))
         current = post
@@ -279,21 +290,15 @@ def _bracket(current: BoundedOrder, e: int, pruned: int) -> BoundedOrder:
     lower bound split, and the upper bound with the rows of the points of
     ``pruned`` (maximal in E) made singletons.  Bounds that meet are one order,
     whose bracket both new bounds take from the lower bound, provenance
-    included.  :class:`NotClosed` when ``e`` is not closed in the upper bound,
-    which is where it fails first, as the lower bound refines it.
+    included.  ``e`` must be closed in the upper bound, and so in the lower
+    bound, which refines it.
 
-    The chain prunes every maximal point of E in the upper bound, as each is
-    forced to stay maximal (:attr:`SpFiltration.stratum_pass`).  E is the
-    union of the strata cut out so far, and every bound of the chain agrees
-    with inclusion inside each stratum: the one-step order keeps inclusion
-    inside V_0 and inside its complement, a split keeps the pairs inside E
-    and inside its complement, and a bracket empties only rows of points
-    maximal in E, which have nothing above them in their own stratum.  So a
-    point maximal in E in the upper bound is maximal in its stratum under
-    inclusion."""
+    The chain prunes every maximal point of E in the upper bound, each forced
+    to stay maximal (:attr:`SpFiltration.stratum_pass`): E is the union of
+    the strata cut out so far, and every bound agrees with inclusion inside
+    each stratum, so a point maximal in E there is maximal in its stratum."""
     lower = current.lower
     upper = lower if current.exact else current.upper
-    _require_closed(upper.order, e)
     label = _label(lower.order, e)
     order = upper.order
     # A row that is already a singleton stays as it is.
@@ -306,15 +311,4 @@ def _bracket(current: BoundedOrder, e: int, pruned: int) -> BoundedOrder:
     return BoundedOrder(
         _split_step(lower, e, f"{RULE_BOUNDED} at {label} (lower)"),
         ClosureOrder(order, upper.provenance + (f"{RULE_BOUNDED} at {label} (upper)",)))
-
-
-def _each_bound(
-    current: BoundedOrder, rule: Callable[[ClosureOrder], ClosureOrder]
-) -> BoundedOrder:
-    """Apply an exact step's rule to the current bounds: to the order itself
-    when it is exact, otherwise to each bound once.  The result is exact
-    when those meet."""
-    if current.exact:
-        return exact_bounds(rule(current.lower))
-    return BoundedOrder(rule(current.lower), rule(current.upper))
 

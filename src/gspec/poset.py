@@ -189,17 +189,23 @@ class Order:
 
     def _split(self, e: int) -> "Order":
         """Keep the relations inside E and inside its complement, drop the
-        ones that cross; this order itself when no relation crosses.  At a
-        closed E this is the perfect rule, the discrete rule when E is
-        discrete, and the lower bound of the general bracket.
+        ones that cross: at a closed E the perfect rule, the discrete rule
+        when E is discrete, and the lower bound of the general bracket.
 
-        E must be closed.  A lower set and its complement are then convex,
-        so the covers of each part are the order's covers inside it."""
-        parts = [e if e >> i & 1 else ~e for i in range(len(self.up))]
-        up = tuple(map(and_, self.up, parts))
-        if up == self.up:
+        E must be closed, and then this is the whole split: no row outside a
+        lower set reaches into it, so only the rows of E that reach outside
+        it are cut, masked by E with their covers (a lower set and its
+        complement are convex), and every other row is the parent's row
+        object.  This order itself when no row is cut."""
+        up, outside = self.up, ~e
+        cut = [i for i in select(range(len(up)), e) if up[i] & outside]
+        if not cut:
             return self
-        return self._refined(up, tuple(map(and_, self.covers, parts)))
+        up, covers = list(up), list(self.covers)
+        for i in cut:
+            up[i] &= e
+            covers[i] &= e
+        return self._refined(tuple(up), tuple(covers))
 
     def _refined(self, up: tuple[int, ...], covers: tuple[int, ...]) -> "Order":
         """The order of ``up`` and ``covers``, with this order's cached linear extension."""

@@ -1,22 +1,25 @@
-"""Exhaustive small-scope fence: every poset on at most four points.
+"""Exhaustive small-scope fence: every poset on at most five points.
 
 The posets are enumerated here, without gspec: every naturally labelled
 poset on the points 0..n-1 (its strict relations only climb, i < j) for
-n <= 4, as a set of climbing pairs closed under transitivity.  Each one
-runs the property suite on every one- and two-level filtration by
-non-trivial upper sets, under every policy; its one-step order at every
-such upper set, and each chain step's rule and bracket on one to three
-levels, are compared with their definitions over names and pairs.
+n <= 5, as a set of climbing pairs closed under transitivity.  Each one
+on at most four points runs the property suite on every one- and
+two-level filtration by non-trivial upper sets, under every policy; its
+one-step order at every such upper set, and each chain step's rule and
+bracket on one to three levels, are compared with their definitions over
+names and pairs.  On five points, every split of every one- and two-level
+chain is compared with its definition over pairs.
 """
 
 from itertools import combinations
 
-from conftest import pairs_of, reference_verdict
+from conftest import ONESTEP_NOT_TRANSITIVE, pairs_of, reference_verdict
 from gspec.mutation import RULE_BOUNDED, RULE_DISCRETE, RULE_ONESTEP, RULE_PERFECT
 from gspec.poset import bits
 from gspec import (
     NOT_COHERENT,
     POLICIES,
+    POLICY_ASSUME_COHERENT,
     POLICY_ASSUME_NONCOHERENT,
     POLICY_ERROR,
     UNDETERMINED,
@@ -46,10 +49,11 @@ def climbing_posets(n):
             yield relation
 
 
-def small_posets():
-    """Every naturally labelled poset on at most ``MAX_POINTS`` points: its
-    point names, its climbing pairs and the model built from its covers."""
-    for n in range(MAX_POINTS + 1):
+def small_posets(sizes=range(MAX_POINTS + 1)):
+    """Every naturally labelled poset on each number of points in ``sizes``,
+    by default at most ``MAX_POINTS``: its point names, its climbing pairs
+    and the model built from its covers."""
+    for n in sizes:
         names = tuple(f"x{i}" for i in range(n))
         for relation in climbing_posets(n):
             covers = [(i, j) for i, j in relation
@@ -211,6 +215,11 @@ def reference_steps(poset, levels, annotations, steps):
         yield rule, pruned
 
 
+def split_pairs(order, inside):
+    """The pairs of ``order`` that do not cross the set of names ``inside``."""
+    return {(p, q) for p, q in pairs_of(order) if (p in inside) == (q in inside)}
+
+
 def test_chain_rules_match_their_definition():
     """Every step of every one-, two- and three-level chain of every poset
     on at most four points, under every policy and with or without its last
@@ -219,7 +228,8 @@ def test_chain_rules_match_their_definition():
     step's upper bound is the upper bound before it with exactly the
     reference's pruned rows made singletons, which are also the forced
     points of the filtration's stratum pass among E's maxima there; its
-    lower bound is the lower bound before it split at E."""
+    lower bound is the lower bound before it split at E, and a discrete or
+    perfect step splits each bound before it at E."""
     rules = (RULE_ONESTEP, RULE_DISCRETE, RULE_PERFECT, RULE_BOUNDED)
     # Per number of levels: steps by rule, unannotated perfect steps (the
     # vanishing level), perfect steps after a bracket, and brackets that
@@ -250,20 +260,23 @@ def test_chain_rules_match_their_definition():
                         count[rule] += 1
                         count["vanishing"] += rule == RULE_PERFECT and step.index not in annotations
                         count["after-bracket"] += rule == RULE_PERFECT and not step.pre.exact
-                        if rule != RULE_BOUNDED:
+                        if rule == RULE_ONESTEP:
                             continue
                         at = (where, step.index)
                         pre, E = step.pre, step.mutation_class
                         upper, lower = pre.upper.order, pre.lower.order
+                        inside = lower.names(E)
+                        assert pairs_of(post.lower.order) == split_pairs(lower, inside), at
+                        if rule != RULE_BOUNDED:
+                            # Bounds that met before give the lower bound's split again.
+                            assert (post.upper.order.up == post.lower.order.up if pre.exact else
+                                    pairs_of(post.upper.order) == split_pairs(upper, inside)), at
+                            continue
                         assert pairs_of(post.upper.order) == {
                             (p, q) for p, q in pairs_of(upper) if p == q or p not in pruned}, at
                         claimed = forced[step.index] & upper.maximal(E)
                         assert poset.base.mask(pruned) == sum(
                             1 << k for k in bits(claimed) if upper.up[k] != 1 << k), at
-                        inside = lower.names(E)
-                        assert pairs_of(post.lower.order) == {
-                            (p, q) for p, q in pairs_of(lower)
-                            if (p in inside) == (q in inside)}, at
                         count["pruned"] += bool(pruned)
     # Each rule is reached, perfect also at the vanishing level unannotated,
     # and some brackets prune rows; on three levels, perfect steps also
@@ -274,3 +287,50 @@ def test_chain_rules_match_their_definition():
     assert seen[3] == {
         RULE_ONESTEP: 2424, RULE_DISCRETE: 21888, RULE_PERFECT: 1378, RULE_BOUNDED: 3038,
         "vanishing": 166, "after-bracket": 258, "pruned": 180}
+
+
+def test_five_point_chain_splits_match_their_definition():
+    """On every naturally labelled 5-point poset, every one- and two-level
+    chain under every policy: each discrete and perfect step's bounds, and
+    each bracket's lower bound, are the bound before without the pairs that
+    cross E.  The only failure allowed is the pinned contradiction of a
+    blanket assume-coherent answer (ROADMAP item 3), besides the error
+    policy's undetermined pairs.  Each distinct split is compared once."""
+    posets = chains = contradicted = 0
+    splits = dict.fromkeys((RULE_DISCRETE, RULE_PERFECT, RULE_BOUNDED), 0)
+    for names, relation, poset in small_posets([5]):
+        posets += 1
+        checked = set()  # (rows before, rows after, E)
+        uppers = upper_sets(5, relation)
+        for levels in [[v] for v in uppers] + [[v, w] for v in uppers for w in uppers if w <= v]:
+            filt = validate_filtration(poset, [sorted(names[i] for i in v) for v in levels])
+            for policy in POLICIES:
+                chains += 1
+                where = (names, sorted(relation), levels, policy)
+                try:
+                    steps = chain_order(poset, filt, None, policy)
+                except UndeterminedCoherence:
+                    assert policy == POLICY_ERROR, where
+                    continue
+                except AssertionError as exc:
+                    assert policy == POLICY_ASSUME_COHERENT, where
+                    assert str(exc) == ONESTEP_NOT_TRANSITIVE, where
+                    contradicted += 1
+                    continue
+                for step, post in steps:
+                    if step.rule == RULE_ONESTEP:
+                        continue
+                    splits[step.rule] += 1
+                    inside = poset.base.names(step.mutation_class)
+                    bounds = [(step.pre.lower, post.lower)]
+                    if step.rule != RULE_BOUNDED:
+                        bounds.append((step.pre.upper, post.upper))
+                    for before, after in bounds:
+                        key = (before.order.up, after.order.up, step.mutation_class)
+                        if key in checked:
+                            continue
+                        checked.add(key)
+                        assert pairs_of(after.order) == split_pairs(before.order, inside), (
+                            where, step.index)
+    assert posets == 357 and chains == 63_315 and contradicted == 9
+    assert splits == {RULE_DISCRETE: 55_146, RULE_PERFECT: 465, RULE_BOUNDED: 25_403}

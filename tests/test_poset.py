@@ -640,3 +640,39 @@ def test_constructor_fence():
         assert _outcome(Order, els, tuple(up)) == expected, (els, up)
         seen.add(expected and expected[1].split()[-1])
     assert seen == {None, "ways", "closed"} | {f"'x{i}'" for i in range(7)}
+
+
+def test_split_fence():
+    """On seeded random orders of up to 20 points (masks on both sides of
+    2^16) and random closed E, empty and full included, a split's rows are
+    each row masked by its own part, its covers are those rows' transitive
+    reduction, every row it does not cut is the parent's row object, and an
+    E that cuts nothing gives the order itself."""
+    rng = random.Random(20261021)
+    cut_rows = shared_rows = kept = 0
+    for _ in range(200):
+        order = random_order(rng, max_size=20)
+        n, up = len(order.up), order.up
+        full = (1 << n) - 1
+        for s in (0, full, *(rng.getrandbits(n) for _ in range(6))):
+            e = sum(1 << j for j in range(n) if up[j] & s)  # the closure of s
+            rows = tuple(m & (e if e >> i & 1 else ~e) for i, m in enumerate(up))
+            strict = [m & ~(1 << i) for i, m in enumerate(rows)]
+            covers = tuple(
+                sum(1 << j for j in range(n) if strict[i] >> j & 1
+                    and not any(strict[i] >> k & 1 and strict[k] >> j & 1 for k in range(n)))
+                for i in range(n))
+            split = order._split(e)
+            assert split.elements == order.elements, (order, e)
+            assert split.up == rows and split.covers == covers, (order, e)
+            if rows == up:
+                assert split is order, (order, e)
+                kept += 1
+                continue
+            for i, m in enumerate(up):
+                if rows[i] == m:
+                    assert split.up[i] is m and split.covers[i] is order.covers[i], (order, e, i)
+                    shared_rows += m > 256
+                else:
+                    cut_rows += 1
+    assert kept > 400 and cut_rows > 1000 and shared_rows > 1000
