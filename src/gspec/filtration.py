@@ -88,12 +88,9 @@ class SpFiltration:
         antichain (the truncated-slice test) and, per step 0..n of the chain,
         the mask of the points known to be maximal in the order that step
         produces: the inclusion-maximal primes and the maxima of the strata
-        cut out by this and the earlier steps.  Every chain reads this pass,
-        so it cuts its strata itself: reading them through :attr:`strata`
-        would add a second derived read to every command."""
-        base = self.base
-        strata = list(map(and_, (base.full_mask, *self.levels), map(invert, self.levels)))
-        maxima = list(map(base.maximal, strata))
+        cut out by this and the earlier steps."""
+        base, strata = self.base, self.strata[:-1]
+        maxima = tuple(map(base.maximal, strata))
         forced = accumulate(maxima, or_, initial=base.maximal(base.full_mask))
         return maxima == strata, tuple(forced)
 

@@ -143,7 +143,10 @@ class Order:
     :class:`CycleError` on a pair related both ways and
     :class:`InvalidArgument` on any other failure.  The same walk yields
     ``covers``, the transitive reduction: per point, the mask of the points
-    covering it.
+    covering it.  Every order is built with ``_bottom_up``, its points in a
+    linear extension, each after everything below it: the constructor sorts
+    them by up-set size, largest first (what is below a point has a larger
+    one), and every other order is handed one.
 
     Every order is T0, as the constructor rejects a pair related both ways,
     and sober, as a finite lower set with a single maximal point is that
@@ -163,17 +166,19 @@ class Order:
         covers = _walk(up, range(len(up)), up)  # every row walked, none kept
         if covers is None:
             self._reject()
-        object.__setattr__(self, "covers", covers)
+        self.__dict__.update(covers=covers, _bottom_up=tuple(
+            sorted(range(len(up)), key=lambda i: -up[i].bit_count())))
 
     @classmethod
     def _derived(cls, elements: tuple[str, ...], up: tuple[int, ...],
-                 covers: tuple[int, ...]) -> "Order":
+                 covers: tuple[int, ...], bottom_up: tuple[int, ...]) -> "Order":
         """An order whose masks and covers the caller derived from an order
         already checked, so the constructor's walk is skipped: the masks
-        must be a partial order on ``elements`` and ``covers`` its
-        transitive reduction."""
+        must be a partial order on ``elements``, ``covers`` its transitive
+        reduction and ``bottom_up`` a linear extension of it.  An order
+        that only removes relations from another keeps its linear extension."""
         order = cls.__new__(cls)
-        order.__dict__.update(elements=elements, up=up, covers=covers)
+        order.__dict__.update(elements=elements, up=up, covers=covers, _bottom_up=bottom_up)
         return order
 
     def _with_rows(self, up: tuple[int, ...], rows: Iterable[int]) -> "Order | None":
@@ -181,11 +186,12 @@ class Order:
         rows; every other row must keep its covers here.  None when a listed
         row is not a partial order's; this order itself when ``up`` is its
         masks.  ``up`` may only remove relations from this order, whose
-        cached linear extension is then handed on."""
+        linear extension is then handed on."""
         if up == self.up:
             return self
         covers = _walk(up, rows, self.covers)
-        return None if covers is None else self._refined(up, covers)
+        return None if covers is None else Order._derived(self.elements, up, covers,
+                                                          self._bottom_up)
 
     def _split(self, e: int) -> "Order":
         """Keep the relations inside E and inside its complement, drop the
@@ -205,14 +211,7 @@ class Order:
         for i in cut:
             up[i] &= e
             covers[i] &= e
-        return self._refined(tuple(up), tuple(covers))
-
-    def _refined(self, up: tuple[int, ...], covers: tuple[int, ...]) -> "Order":
-        """The order of ``up`` and ``covers``, with this order's cached linear extension."""
-        order = Order._derived(self.elements, up, covers)
-        if "_bottom_up" in self.__dict__:
-            order.__dict__["_bottom_up"] = self._bottom_up
-        return order
+        return Order._derived(self.elements, tuple(up), tuple(covers), self._bottom_up)
 
     def _reject(self) -> NoReturn:
         """Raise the error of the first failing row, member by member."""
@@ -231,15 +230,6 @@ class Order:
     def index(self) -> dict[str, int]:
         """Position of each point name in ``elements``."""
         return {p: i for i, p in enumerate(self.elements)}
-
-    @derived
-    def _bottom_up(self) -> tuple[int, ...]:
-        """The points in a linear extension, each after everything below it:
-        by up-set size, largest first (what is below a point has a larger one),
-        or handed on by :func:`build_order` or an order this one is contained
-        in, as a linear extension there is one here too."""
-        up = self.up
-        return tuple(sorted(range(len(up)), key=lambda i: -up[i].bit_count()))
 
     @derived
     def down(self) -> tuple[int, ...]:
@@ -322,8 +312,8 @@ class Order:
         return not any(self.up[i] & ~S for i in bits(S))
 
     def is_lower_set(self, S: int) -> bool:
-        """A set is lower exactly when nothing outside it lies below a member."""
-        return not any(self.up[i] & S for i in bits(self.full_mask & ~S))
+        """A set is closed exactly when its complement is open."""
+        return self.is_upper_set(self.full_mask & ~S)
 
     def subspace(self, S: int) -> "Order":
         """Restriction of the order to the points of ``S``.
@@ -375,11 +365,11 @@ def build_order(elements: Iterable[str], relations: Iterable[tuple[str, str]]) -
     ``elements``.  The rows are closed in reverse topological order (Kahn,
     CACM 1962): a point's row is itself and the closed rows of its
     generators, and its covers are the generators no other generator's row
-    reaches.  The order caches the Kahn order reversed, a linear extension,
-    and the heights pushed up the generators along it.  Generators with a
-    cycle leave points unclosed; they are closed by :func:`transitive_closure`
-    and rejected by the constructor with :class:`CycleError`, which names the
-    pair it finds there.
+    reaches.  The order is handed the Kahn order reversed, its linear
+    extension, and caches the heights pushed up the generators along it.
+    Generators with a cycle leave points unclosed; they are closed by
+    :func:`transitive_closure` and rejected by the constructor with
+    :class:`CycleError`, which names the pair it finds there.
     """
     els = tuple(sorted(set(elements)))
     index = {e: i for i, e in enumerate(els)}
@@ -421,8 +411,8 @@ def build_order(elements: Iterable[str], relations: Iterable[tuple[str, str]]) -
             if height[j] <= height[i]:
                 height[j] = height[i] + 1
     order = Order._derived(els, tuple(m | 1 << i for i, m in enumerate(strict)),
-                           tuple(covers))
-    order.__dict__.update(_bottom_up=tuple(ready), heights=tuple(height))
+                           tuple(covers), tuple(ready))
+    order.__dict__["heights"] = tuple(height)
     return order
 
 

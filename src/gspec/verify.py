@@ -312,10 +312,7 @@ def _cb_report(order: Order, layers: tuple[int, ...], name: str) -> PropertyRepo
         return PropertyReport(name)
     accumulated = 0
     for layer in layers:
-        remaining = order.full_mask & ~accumulated
-        isolated = sum(
-            1 << i for i in bits(remaining) if order.up[i] & remaining == 1 << i
-        )
+        isolated = order.maximal(order.full_mask & ~accumulated)
         if layer != accumulated | isolated:
             break
         accumulated |= isolated

@@ -376,15 +376,16 @@ class TestChain:
 
 
 class TestInheritedStructure:
-    """Orders derived by removing relations keep their parent's cached
-    linear extension, and a split its down-sets; both must be what the
+    """Orders derived by removing relations are handed their parent's
+    linear extension; it, and all they derive from it, must be what the
     derived order would find for itself."""
 
     @staticmethod
     def parents(seed):
-        """About 300 random orders, two in three with their linear
-        extension and down-sets cached, each with its lower sets as found
-        on a twin, so that listing them caches nothing on the order."""
+        """About 300 random orders, two in three with their down-sets
+        cached, which a derived order must not inherit, each with its lower
+        sets as found on a twin, so that listing them caches nothing on the
+        order."""
         rng = random.Random(seed)
         for _ in range(300):
             order = random_order(rng, max_size=9)
@@ -395,7 +396,6 @@ class TestInheritedStructure:
     def test_splits_at_every_closed_class(self):
         kept = inherited = 0
         for _, order, closed in self.parents(20261023):
-            cached = "down" in vars(order)
             for e in closed:
                 split = order._split(e)
                 crossing = any(m & (~e if e >> i & 1 else e) for i, m in enumerate(order.up))
@@ -403,8 +403,8 @@ class TestInheritedStructure:
                 if split is order:
                     kept += 1
                     continue
-                assert "_bottom_up" in vars(split) or not cached
-                inherited += cached
+                assert "_bottom_up" in vars(split)
+                inherited += 1
                 assert_like_fresh(split)
         assert kept > 300 and inherited > 1000
 
@@ -414,28 +414,26 @@ class TestInheritedStructure:
             poset = poset_from_order(order)
             base = poset.base
             for _ in range(4):
-                cached = "_bottom_up" in vars(base)
                 v = random_upper_set(rng, base, base.full_mask)
                 got = onestep_order(poset, v, POLICY_ASSUME_NONCOHERENT).order
                 if got.up == base.up:  # no cross pair dropped: the same order
                     assert got is base
                     continue
-                assert "_bottom_up" in vars(got) or not cached
-                inherited += cached
+                assert "_bottom_up" in vars(got)
+                inherited += 1
                 assert_like_fresh(got)
         assert inherited > 100
 
     def test_bracket_upper_bounds(self):
         inherited = 0
         for rng, order, closed in self.parents(20261025):
-            cached = "_bottom_up" in vars(order)
             for e in rng.sample(closed, min(4, len(closed))):
                 co = ClosureOrder(order, ("test",))
                 upper = claimed_bracket(co, e, rng.getrandbits(len(order.up))).upper.order
                 if upper is order:
                     continue
-                assert "_bottom_up" in vars(upper) or not cached
-                inherited += cached
+                assert "_bottom_up" in vars(upper)
+                inherited += 1
                 assert_like_fresh(upper)
         assert inherited > 100
 
@@ -682,10 +680,11 @@ class TestDerivedOrders:
     def test_every_derived_order_passes_the_constructor(self, monkeypatch):
         """With the full constructor run on every derived order, random
         chains under every rule and policy, and brackets with random
-        maximality claims, derive the covers the walk finds."""
-        derived, wrong, built = [], [], Order._derived.__func__
+        maximality claims, derive the covers the walk finds and are handed
+        a linear extension."""
+        derived, wrong, unordered, built = [], [], [], Order._derived.__func__
 
-        def checked(cls, elements, up, covers):
+        def checked(cls, elements, up, covers, bottom_up):
             # Recorded rather than asserted: the engine's pinned
             # AssertionError is skipped below.
             derived.append(elements)
@@ -695,7 +694,11 @@ class TestDerivedOrders:
                 walked = exc
             if walked != covers:
                 wrong.append((elements, up, covers))
-            return built(cls, elements, up, covers)
+            position = {i: k for k, i in enumerate(bottom_up)}
+            if sorted(bottom_up) != list(range(len(up))) or any(
+                    position[i] > position[j] for i, m in enumerate(up) for j in po.bits(m)):
+                unordered.append((elements, up, bottom_up))
+            return built(cls, elements, up, covers, bottom_up)
 
         monkeypatch.setattr(Order, "_derived", classmethod(checked))
         rng = random.Random(20261022)
@@ -721,6 +724,6 @@ class TestDerivedOrders:
                     claims = rng.getrandbits(len(base.elements))
                     claimed_bracket(pre, step.mutation_class, claims)
                     assert mutate_general(pre, step.mutation_class).upper.order is pre.order
-        assert not wrong
+        assert not wrong and not unordered
         assert rules_seen == {"onestep", "discrete", "perfect", "bounded"}
         assert len(derived) > 5000

@@ -450,8 +450,24 @@ class TestProperties:
 
     @given(orders(), st.data())
     def test_lower_iff_complement_upper(self, order, data):
+        """Both sides against the definition over pairs: nothing outside S
+        lies below a member."""
         S = data.draw(st.integers(min_value=0, max_value=order.full_mask))
-        assert order.is_lower_set(S) == order.is_upper_set(order.full_mask & ~S)
+        inside = order.names(S)
+        lower = all(p in inside for p, q in pairs_of(order) if q in inside)
+        assert order.is_lower_set(S) == lower
+        assert order.is_upper_set(order.full_mask & ~S) == lower
+
+    @given(orders(max_size=12))
+    def test_constructor_builds_a_linear_extension(self, built):
+        """The public constructor sorts the points into a linear extension
+        before anything is read from the order."""
+        up = built.up
+        order = Order(built.elements, up)
+        assert "_bottom_up" in vars(order)
+        position = {i: k for k, i in enumerate(vars(order)["_bottom_up"])}
+        assert sorted(position) == list(range(len(up)))
+        assert all(position[i] < position[j] for i, m in enumerate(up) for j in bits(m) if j != i)
 
     @given(orders())
     def test_cb_layers_are_maxima_strata(self, order):
