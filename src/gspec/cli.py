@@ -314,14 +314,17 @@ def _is_int(value: object) -> bool:
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
-    if args.out is None:
-        sys.stdout.write(text)
-        return
     try:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise UsageError(f"--out cannot be written: {exc}") from None
+        if args.out is None:
+            sys.stdout.write(text)
+            return
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise UsageError(f"--out cannot be written: {exc}") from None
+    except UnicodeEncodeError as exc:
+        raise UsageError(f"the output cannot be encoded: {exc}") from None
 
 
 def _emit_document(args: argparse.Namespace, members: dict[str, str], lines: list[str]) -> None:

@@ -164,7 +164,7 @@ def mutate_discrete(co: ClosureOrder, e: int) -> ClosureOrder:
     _require_closed(co.order, e)
     if not co.order.is_discrete(e):
         raise NotDiscrete(f"{sorted(co.order.names(e))} is not a discrete subspace")
-    return _split_step(co, e, f"{RULE_DISCRETE} at {_label(co.order, e)}")
+    return _step(exact_bounds(co), e, RULE_DISCRETE).lower
 
 
 def mutate_perfect(co: ClosureOrder, e: int) -> ClosureOrder:
@@ -177,7 +177,7 @@ def mutate_perfect(co: ClosureOrder, e: int) -> ClosureOrder:
     plain and embedding-strength perfectness.
     """
     _require_closed(co.order, e)
-    return _split_step(co, e, f"{RULE_PERFECT} at {_label(co.order, e)}")
+    return _step(exact_bounds(co), e, RULE_PERFECT).lower
 
 
 def mutate_general(co: ClosureOrder, e: int) -> BoundedOrder:
@@ -189,7 +189,7 @@ def mutate_general(co: ClosureOrder, e: int) -> BoundedOrder:
     the chain knows points that must stay maximal, and prunes their rows.
     """
     _require_closed(co.order, e)
-    return _bracket(exact_bounds(co), e, 0)
+    return _step(exact_bounds(co), e, RULE_BOUNDED)
 
 
 def chain_order(
@@ -233,22 +233,21 @@ def chain_order(
         if i == 1 and not truncated:
             rule = RULE_ONESTEP
             post = exact_bounds(onestep_order(poset, support, policy))
-        # E's maxima in the upper bound: all of E when it is discrete, else the pruned ones.
+        # E's maxima in the upper bound: all of E when it is discrete, else the pruned
+        # ones, each forced to stay maximal (SpFiltration.stratum_pass): E is the union
+        # of the strata cut out so far, and every bound agrees with inclusion inside
+        # each stratum, so a point maximal in E there is maximal in its stratum.
         elif truncated or (top := current.upper.order.maximal(e)) == e:
             rule = RULE_DISCRETE
+            post = _step(current, e, rule)
         # Built-in certificate: dimension <= 2, tilting at the one maximal point forced[0].
         elif annotations.get(i, False) or (support == forced[0] and support.bit_count() == 1
                                            and longest_chain(poset.base) <= 2):
             rule = RULE_PERFECT
+            post = _step(current, e, rule)
         else:
             rule = RULE_BOUNDED
-            post = _bracket(current, e, top)
-        if rule in (RULE_DISCRETE, RULE_PERFECT):
-            # An exact step splits the order itself, an inexact one each bound.
-            entry = f"{rule} at {_label(poset.base, e)}"
-            lower = _split_step(current.lower, e, entry)
-            post = BoundedOrder(lower, lower if current.exact
-                                else _split_step(current.upper, e, entry))
+            post = _step(current, e, rule, top)
         step = MutationStep(i, support, e, rule, current, post)
         steps.append((step, post))
         current = post
@@ -280,26 +279,20 @@ def _require_closed(order: Order, e: int) -> None:
         raise NotClosed(f"{sorted(order.names(e))} is not closed in the current order")
 
 
-def _split_step(co: ClosureOrder, e: int, entry: str) -> ClosureOrder:
-    """``co`` split at the closed class ``e``, its provenance extended by ``entry``."""
-    return ClosureOrder(co.order._split(e), co.provenance + (entry,))
-
-
-def _bracket(current: BoundedOrder, e: int, pruned: int) -> BoundedOrder:
-    """The general bracket at the class ``e``, each new bound built once: the
-    lower bound split, and the upper bound with the rows of the points of
-    ``pruned`` (maximal in E) made singletons.  Bounds that meet are one order,
-    whose bracket both new bounds take from the lower bound, provenance
-    included.  ``e`` must be closed in the upper bound, and so in the lower
-    bound, which refines it.
-
-    The chain prunes every maximal point of E in the upper bound, each forced
-    to stay maximal (:attr:`SpFiltration.stratum_pass`): E is the union of
-    the strata cut out so far, and every bound agrees with inclusion inside
-    each stratum, so a point maximal in E there is maximal in its stratum."""
+def _step(current: BoundedOrder, e: int, rule: str, pruned: int = 0) -> BoundedOrder:
+    """The step under ``rule`` at the class ``e``, closed in the upper bound
+    and so in the lower bound, which refines it.  The lower bound is split;
+    under an exact rule the upper bound is split too, and under the bounded
+    rule it keeps its rows, but those of the points of ``pruned`` (maximal in
+    E) become singletons.  Bounds that meet are one order, whose bracket both
+    new bounds take from the lower bound, provenance included."""
     lower = current.lower
     upper = lower if current.exact else current.upper
-    label = _label(lower.order, e)
+    entry = f"{rule} at {_label(lower.order, e)}"
+    if rule != RULE_BOUNDED:
+        split = ClosureOrder(lower.order._split(e), lower.provenance + (entry,))
+        return BoundedOrder(split, split if upper is lower else
+                            ClosureOrder(upper.order._split(e), upper.provenance + (entry,)))
     order = upper.order
     # A row that is already a singleton stays as it is.
     pruned = sum(1 << i for i in bits(pruned) if order.up[i] != 1 << i)
@@ -309,6 +302,5 @@ def _bracket(current: BoundedOrder, e: int, pruned: int) -> BoundedOrder:
             tuple(1 << i if pruned >> i & 1 else row for i, row in enumerate(order.up)),
             [i for i, row in enumerate(order.up) if row & pruned])
     return BoundedOrder(
-        _split_step(lower, e, f"{RULE_BOUNDED} at {label} (lower)"),
-        ClosureOrder(order, upper.provenance + (f"{RULE_BOUNDED} at {label} (upper)",)))
-
+        ClosureOrder(lower.order._split(e), lower.provenance + (entry + " (lower)",)),
+        ClosureOrder(order, upper.provenance + (entry + " (upper)",)))

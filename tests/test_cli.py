@@ -393,6 +393,48 @@ class TestUsageErrors:
         assert (code, out) == (1, "")
         assert err.startswith(f"gspec: {message}") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("argv", [
+        ["closure", "--height-filtration", "--format", "dot"],
+        ["filtration", "--height-filtration"],
+        ["cb"],
+        ["mutate", "--at", "[]"],
+        ["closure", "--f", '{"o": 0, "\\ud800": 0}'],
+    ], ids=["closure-dot", "filtration", "cb", "mutate", "closure-f"])
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_unencodable_name(self, capsys, tmp_path, argv, to_file):
+        """A lone surrogate is valid JSON, but no UTF-8 output can hold it."""
+        path = tmp_path / "surrogate.json"
+        path.write_text(json.dumps({"elements": ["o", "\ud800"], "covers": [["o", "\ud800"]]}),
+                        encoding="ascii")
+        out_args = ["--out", str(tmp_path / "result")] if to_file else []
+        code, out, err = run(capsys, *argv, "--file", str(path), *out_args)
+        assert (code, out) == (1, "")
+        assert err.startswith("gspec: the output cannot be encoded: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["cb"], ["closure", "--height-filtration", "--format", "dot"]],
+                             ids=["text", "dot"])
+    def test_name_outside_the_stdout_encoding(self, capsys, monkeypatch, tmp_path, argv):
+        path = tmp_path / "accent.json"
+        path.write_text(json.dumps({"elements": ["o", "pé"], "covers": [["o", "pé"]]}),
+                        encoding="ascii")
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = main([*argv, "--file", str(path)])
+        stdout.flush()
+        err = capsys.readouterr().err
+        assert (code, stdout.buffer.getvalue()) == (1, b"")
+        assert err.startswith("gspec: the output cannot be encoded: 'ascii' codec") and \
+            err.count("\n") == 1
+
+    def test_stdout_error_is_not_blamed_on_out(self, capsys, monkeypatch):
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", Closed())
+        code = main(["validate", "--preset", "LOC2"])
+        assert (code, capsys.readouterr().err) == (1, "gspec: [Errno 32] Broken pipe\n")
+
     @pytest.mark.parametrize("argv", [["--help"], ["closure", "--help"]])
     def test_help_exits_zero(self, capsys, argv):
         code, out, err = run(capsys, *argv)

@@ -5,9 +5,9 @@ poset on the points 0..n-1 (its strict relations only climb, i < j) for
 n <= 5, as a set of climbing pairs closed under transitivity.  Each one
 on at most four points runs the property suite on every one- and
 two-level filtration by non-trivial upper sets, under every policy; its
-one-step order at every such upper set, and each chain step's rule and
-bracket on one to three levels, are compared with their definitions over
-names and pairs.  On five points, every split of every one- and two-level
+one-step order at every such upper set, and each chain step's rule,
+bracket and provenance on one to three levels, are compared with their
+definitions over names and pairs.  On five points, every split of every one- and two-level
 chain is compared with its definition over pairs.
 """
 
@@ -229,7 +229,14 @@ def test_chain_rules_match_their_definition():
     reference's pruned rows made singletons, which are also the forced
     points of the filtration's stratum pass among E's maxima there; its
     lower bound is the lower bound before it split at E, and a discrete or
-    perfect step splits each bound before it at E."""
+    perfect step splits each bound before it at E.
+
+    Every step's provenance is its definition's too.  A one-step order's is
+    ``onestep at {V0}`` alone.  An exact step extends each bound's by
+    ``"{rule} at {E}"``, and bounds that met before it stay one order.  A
+    bracket's lower bound extends the lower bound's by ``"... (lower)"``,
+    and its upper bound extends the upper bound's by ``"... (upper)"``, or
+    the lower bound's when the bounds before it met."""
     rules = (RULE_ONESTEP, RULE_DISCRETE, RULE_PERFECT, RULE_BOUNDED)
     # Per number of levels: steps by rule, unannotated perfect steps (the
     # vanishing level), perfect steps after a bracket, and brackets that
@@ -261,19 +268,30 @@ def test_chain_rules_match_their_definition():
                         count["vanishing"] += rule == RULE_PERFECT and step.index not in annotations
                         count["after-bracket"] += rule == RULE_PERFECT and not step.pre.exact
                         if rule == RULE_ONESTEP:
+                            V0 = ",".join(sorted(levels[0]))
+                            assert post.lower.provenance == (f"onestep at {{{V0}}}",), where
+                            assert post.upper is post.lower, where
                             continue
                         at = (where, step.index)
                         pre, E = step.pre, step.mutation_class
                         upper, lower = pre.upper.order, pre.lower.order
                         inside = lower.names(E)
                         assert pairs_of(post.lower.order) == split_pairs(lower, inside), at
+                        entry = f"{rule} at {{{','.join(sorted(inside))}}}"
                         if rule != RULE_BOUNDED:
+                            assert post.lower.provenance == pre.lower.provenance + (entry,), at
+                            assert (post.upper is post.lower if pre.exact else
+                                    post.upper.provenance == pre.upper.provenance + (entry,)), at
                             # Bounds that met before give the lower bound's split again.
                             assert (post.upper.order.up == post.lower.order.up if pre.exact else
                                     pairs_of(post.upper.order) == split_pairs(upper, inside)), at
                             continue
                         assert pairs_of(post.upper.order) == {
                             (p, q) for p, q in pairs_of(upper) if p == q or p not in pruned}, at
+                        before = pre.lower if pre.exact else pre.upper
+                        assert (post.lower.provenance, post.upper.provenance) == (
+                            pre.lower.provenance + (f"{entry} (lower)",),
+                            before.provenance + (f"{entry} (upper)",)), at
                         claimed = forced[step.index] & upper.maximal(E)
                         assert poset.base.mask(pruned) == sum(
                             1 << k for k in bits(claimed) if upper.up[k] != 1 << k), at

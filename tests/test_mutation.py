@@ -62,7 +62,7 @@ def strict(co) -> set[tuple[str, str]]:
 def claimed_bracket(co, e, claims):
     """The bracket at ``e`` with the upper bound pruned at the claimed
     points that are maximal in E, as the chain prunes it."""
-    return mut._bracket(exact_bounds(co), e, claims & co.order.maximal(e))
+    return mut._step(exact_bounds(co), e, mut.RULE_BOUNDED, claims & co.order.maximal(e))
 
 
 class TestStandardOrder:
@@ -608,6 +608,28 @@ class TestOneSplit:
                 discrete_seen += 1
                 assert mutate_discrete(co, E).order == perfect
         assert discrete_seen >= 50
+
+    def test_each_rule_extends_the_provenance_by_its_entry(self):
+        """Each public rule extends the provenance by ``"{rule} at {E}"``,
+        E's names sorted; the general bracket's lower bound ends it in
+        " (lower)" and its upper bound in " (upper)"."""
+        rng = random.Random(20261022)
+        for _ in range(200):
+            order = random_order(rng)
+            co = ClosureOrder(order, ("test", f"step {rng.randrange(9)}"))
+            seeds = [p for p in order.elements if rng.random() < 0.3]
+            names = frozenset().union(*(down_names(order, p) for p in seeds))
+            E = order.mask(names)
+            at_E = "at {" + ",".join(sorted(names)) + "}"
+            assert mutate_perfect(co, E).provenance == co.provenance + (f"perfect {at_E}",)
+            bounds = mutate_general(co, E)
+            assert bounds.lower.provenance == co.provenance + (f"bounded {at_E} (lower)",)
+            assert bounds.upper.provenance == co.provenance + (f"bounded {at_E} (upper)",)
+            # Any set of minimal points is closed and discrete.
+            minimal = [p for p in order.elements if down_names(order, p) == {p}]
+            chosen = [p for p in minimal if rng.random() < 0.5]
+            assert mutate_discrete(co, order.mask(chosen)).provenance == co.provenance + (
+                "discrete at {" + ",".join(sorted(chosen)) + "}",)
 
 
 def assert_valid_order(order, base):
