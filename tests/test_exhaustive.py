@@ -7,8 +7,8 @@ on at most four points runs the property suite on every one- and
 two-level filtration by non-trivial upper sets, under every policy; its
 one-step order at every such upper set, and each chain step's rule,
 bracket and provenance on one to three levels, are compared with their
-definitions over names and pairs.  On five points, every split of every one- and two-level
-chain is compared with its definition over pairs.
+definitions over names and pairs.  On five points, every split of every
+one- and two-level chain is compared with its definition over pairs.
 """
 
 from itertools import combinations
